@@ -20,7 +20,7 @@ from .derivations import (DerivationAnsatz, DerivationSpace,
                           spaces_agree, verify_derivation)
 from .extensions import (CocycleQuadruple, CocycleSpace, check_coeff_cocycle,
                          coeff_bracket, coeff_relation_consistency,
-                         extended_bracket, solve_extensions_direct,
+                         solve_extensions_direct,
                          solve_extensions_theorem, verify_cocycle)
 from .gd import (GDBialgebra, GDValidationError, Violation, check_gd_compat,
                  check_lie, check_novikov, gd_build)
@@ -41,7 +41,7 @@ __all__ = [
     "solve_derivations_direct", "solve_derivations_theorem", "spaces_agree",
     "verify_derivation",
     "CocycleQuadruple", "CocycleSpace", "check_coeff_cocycle",
-    "coeff_bracket", "coeff_relation_consistency", "extended_bracket",
+    "coeff_bracket", "coeff_relation_consistency",
     "solve_extensions_direct", "solve_extensions_theorem", "verify_cocycle",
     "GDBialgebra", "GDValidationError", "Violation", "check_gd_compat",
     "check_lie", "check_novikov", "gd_build",

@@ -309,6 +309,19 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
+def _bounded_int(low):
+    """argparse type: an int that is at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="qlca",
@@ -328,13 +341,13 @@ def build_parser():
     sp = sub.add_parser("extend", help="solve for one-dimensional central extensions")
     sp.add_argument("target")
     sp.add_argument("--method", choices=("theorem", "direct", "both"), default="both")
-    sp.add_argument("--degree", type=int, default=6, help="λ-degree bound of the direct ansatz")
+    sp.add_argument("--degree", type=_bounded_int(0), default=6, help="λ-degree bound of the direct ansatz")
     sp.set_defaults(func=cmd_extend)
 
     sp = sub.add_parser("derive", help="solve for conformal derivations")
     sp.add_argument("target")
-    sp.add_argument("--partial-bound", type=int, default=3)
-    sp.add_argument("--lambda-bound", type=int, default=4)
+    sp.add_argument("--partial-bound", type=_bounded_int(0), default=3)
+    sp.add_argument("--lambda-bound", type=_bounded_int(0), default=4)
     sp.add_argument("--assert-simple", action="store_true",
                     help="use the closed system even without a detected unit-like element")
     sp.set_defaults(func=cmd_derive)
@@ -342,8 +355,8 @@ def build_parser():
     sp = sub.add_parser("coeff", help="verify the induced 2-cocycle on the coefficient algebra")
     sp.add_argument("target")
     sp.add_argument("--cocycle-index", type=int, required=True)
-    sp.add_argument("--window", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=None)
+    sp.add_argument("--window", type=_bounded_int(1), required=True)
+    sp.add_argument("--samples", type=_bounded_int(1), default=None)
     sp.set_defaults(func=cmd_coeff)
 
     sp = sub.add_parser("catalog", help="list or emit built-in algebras")
@@ -368,6 +381,9 @@ def main(argv=None):
         for v in exc.violations:
             print(f"  {v}", file=sys.stderr)
         return EXIT_VIOLATION
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

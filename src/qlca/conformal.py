@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gd import GDBialgebra, check_gd_compat, check_lie, check_novikov, GDValidationError
+from .gd import GDBialgebra
 from .poly import DEL, LAM, MU, FormalPoly
 
 ConformalExpr = tuple  # length-n tuple of FormalPoly
@@ -25,13 +25,6 @@ class QuadraticLCA:
     """Quadratic Lie conformal algebra generated by a GD bialgebra."""
 
     gd: GDBialgebra
-
-    @classmethod
-    def validated(cls, gd):
-        bad = check_novikov(gd) + check_lie(gd) + check_gd_compat(gd)
-        if bad:
-            raise GDValidationError("not a GD bialgebra", bad)
-        return cls(gd)
 
     @property
     def dim(self):
@@ -55,31 +48,21 @@ def expr_sub(x, y):
     return tuple(a - b for a, b in zip(x, y))
 
 
-def expr_scale(x, p):
-    return tuple(a * p for a in x)
-
-
 def expr_is_zero(x):
     return all(p.is_zero() for p in x)
 
 
 def bracket_basis(R, i, j):
     """[a_i λ a_j] = ∂(a_j∘a_i) + [a_j, a_i] + λ(a_i∗a_j), an expression
-    in the symbols ∂ and λ only."""
+    in the symbols ∂ and λ only, read off the structure tables."""
     gd = R.gd
     n = gd.dim
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"basis index out of range: ({i},{j})")
-    ei, ej = gd.basis_elem(i), gd.basis_elem(j)
-    dpart = gd.circ(ej, ei)
-    wpart = gd.bracket(ej, ei)
-    lpart = gd.star(ei, ej)
-    d = FormalPoly.sym(DEL)
-    lam = FormalPoly.sym(LAM)
+    ji, ij, lie = gd.novikov[j][i], gd.novikov[i][j], gd.lie[j][i]
     return tuple(
-        d * FormalPoly.const(dpart[k])
-        + FormalPoly.const(wpart[k])
-        + lam * FormalPoly.const(lpart[k])
+        FormalPoly({(1, 0, 0): ji[k], (0, 0, 0): lie[k],
+                    (0, 1, 0): ij[k] + ji[k]})
         for k in range(n)
     )
 

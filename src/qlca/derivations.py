@@ -9,7 +9,9 @@ identity
 in V ⊗ Q[∂, λ, μ] and solves the resulting exact linear system; the
 closed-system solver uses the reduced equations available when the Novikov
 part has a unit-like element (or is asserted simple), and is cross-checked
-against the direct one.
+against the direct one. ``verify_derivation`` checks a concrete ansatz
+against the same identity with brackets from ``bracket_general``, so it
+shares no formula with either solver.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .conformal import QuadraticLCA, bracket_basis
-from .gd import GDBialgebra
-from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO, nullspace_basis,
-                   span_coordinates, span_rank)
+from .conformal import (QuadraticLCA, bracket_basis, bracket_general,
+                        expr_add, expr_is_zero, expr_sub)
+from .gd import GDBialgebra, product_terms
+from .poly import (DEL, LAM, MU, ONE, FormalPoly, RatMatrix, ZERO,
+                   nullspace_basis, span_rank, spans_equal)
 
 
 class HypothesisNotDetected(ValueError):
@@ -48,9 +51,6 @@ class DerivationAnsatz:
             if any(vec):
                 clean.append(((j, i, k), vec))
         return cls(P, D, tuple(sorted(clean)))
-
-    def coeff_map(self):
-        return dict(self.coeffs)
 
     def image(self, R, j):
         """d_λ(a_j) as a ConformalExpr in ∂ and λ."""
@@ -275,53 +275,29 @@ def outer_dimension(R: QuadraticLCA, partial_bound: int = 3,
 
 
 def verify_derivation(R: QuadraticLCA, dmap: DerivationAnsatz):
-    """Residuals of the Leibniz identity for a concrete ansatz over all
-    basis pairs, as identities in V ⊗ Q[∂, λ, μ]."""
-    gd = R.gd
-    n = gd.dim
-    d = FormalPoly.sym(DEL)
-    lam = FormalPoly.sym(LAM)
-    mu = FormalPoly.sym(MU)
+    """Residuals (p, q, residual) of the Leibniz identity
+    d_λ[a_p μ a_q] - [(d_λ a_p)_{λ+μ} a_q] - [a_p μ (d_λ a_q)] over all
+    basis pairs, as identities in V ⊗ Q[∂, λ, μ]; empty iff dmap is a
+    conformal derivation. Both brackets on the right come from
+    ``bracket_general``, and the left side applies
+    d_λ(∂^k x) = (∂+λ)^k d_λ(x) to the coordinates of the basis bracket,
+    so the check shares no formula with either derivation solver."""
+    n = R.dim
+    d, lam, mu = FormalPoly.sym(DEL), FormalPoly.sym(LAM), FormalPoly.sym(MU)
     images = [dmap.image(R, j) for j in range(n)]
     out = []
     for p in range(n):
         for q in range(n):
-            bpq = tuple(pol.substitute(LAM, mu) for pol in bracket_basis(R, p, q))
-            lhs = [FormalPoly.zero() for _ in range(n)]
-            for m in range(n):
-                if bpq[m].is_zero():
-                    continue
-                shifted = bpq[m].substitute(DEL, d + lam)
-                for r in range(n):
-                    if not images[m][r].is_zero():
-                        lhs[r] = lhs[r] + shifted * images[m][r]
-            rhs = [FormalPoly.zero() for _ in range(n)]
-            # [(d_λ a_p)_{λ+μ} a_q]
-            for rr in range(n):
-                pol = images[p][rr]
-                if pol.is_zero():
-                    continue
-                base = tuple(x.substitute(LAM, lam + mu)
-                             for x in bracket_basis(R, rr, q))
-                for (ed, el, em), c in pol.terms.items():
-                    factor = FormalPoly({(0, el, 0): c}) * ((-(lam + mu)) ** ed)
-                    for r in range(n):
-                        if not base[r].is_zero():
-                            rhs[r] = rhs[r] + factor * base[r]
-            # [a_p μ (d_λ a_q)]
-            for rr in range(n):
-                pol = images[q][rr]
-                if pol.is_zero():
-                    continue
-                base = tuple(x.substitute(LAM, mu)
-                             for x in bracket_basis(R, p, rr))
-                for (ed, el, em), c in pol.terms.items():
-                    factor = FormalPoly({(0, el, 0): c}) * ((mu + d) ** ed)
-                    for r in range(n):
-                        if not base[r].is_zero():
-                            rhs[r] = rhs[r] + factor * base[r]
-            residual = tuple(a - b for a, b in zip(lhs, rhs))
-            if any(not x.is_zero() for x in residual):
+            lhs = R.zero_expr()
+            for m, pol in enumerate(bracket_basis(R, p, q)):
+                if not pol.is_zero():
+                    shifted = pol.substitute(LAM, mu).substitute(DEL, d + lam)
+                    lhs = expr_add(lhs, tuple(shifted * x for x in images[m]))
+            rhs = expr_add(
+                bracket_general(R, images[p], R.basis_expr(q), lam + mu),
+                bracket_general(R, R.basis_expr(p), images[q], mu))
+            residual = expr_sub(lhs, rhs)
+            if not expr_is_zero(residual):
                 out.append((p, q, residual))
     return out
 
@@ -415,17 +391,15 @@ def _closed_rows(A: GDBialgebra, D, tops):
     """Rows of the closed derivation system. ``tops`` is the max ∂-order
     used (1 for the reduced left-unit system, 3 for the full one)."""
     n = A.dim
-    e = [A.basis_elem(i) for i in range(n)]
 
     def unknown(i, j, k, r):
         return ((i * n + j) * (D + 1) + k) * n + r
 
     def d_of(i, u):
-        """d^i applied to a coordinate vector u, as a _LinExpr."""
+        """d^i applied to sparse ((index, coeff), ...) terms u, as a
+        _LinExpr."""
         expr = _LinExpr()
-        for j, uj in enumerate(u):
-            if not uj:
-                continue
+        for j, uj in u:
             for k in range(D + 1):
                 for r in range(n):
                     expr.add_unknown(r, k, unknown(i, j, k, r), uj)
@@ -466,14 +440,14 @@ def _closed_rows(A: GDBialgebra, D, tops):
             if cell:
                 rows.append(dict(cell))
 
-    circv, starv, brv = A.circ, A.star, A.bracket
+    circ, br, star = product_terms(A)
 
     for p in range(n):
         for q in range(n):
-            a, b = e[p], e[q]  # basis elements a = a_p, b = a_q
-            ba, ab = circv(b, a), circv(a, b)
-            ab_star = starv(a, b)
-            lba = brv(b, a)
+            a, b = ((p, ONE),), ((q, ONE),)  # basis elements a = a_p, b = a_q
+            ba, ab = circ[q][p], circ[p][q]
+            ab_star = star[p][q]
+            lba = br[q][p]
 
             if tops >= 3:
                 # ∂-order 3 block
@@ -643,12 +617,5 @@ def spaces_agree(R: QuadraticLCA, a: DerivationSpace, b: DerivationSpace):
     P = max(a.partial_bound, b.partial_bound)
     D = max(a.lambda_bound, b.lambda_bound)
     n = R.dim
-    va = [x.as_vector(n, P, D) for x in a.basis]
-    vb = [x.as_vector(n, P, D) for x in b.basis]
-    for v in va:
-        if span_coordinates(vb, v) is None:
-            return False
-    for v in vb:
-        if span_coordinates(va, v) is None:
-            return False
-    return True
+    return spans_equal([x.as_vector(n, P, D) for x in a.basis],
+                       [x.as_vector(n, P, D) for x in b.basis])

@@ -10,6 +10,11 @@ Two independent solvers are shipped and cross-checked:
   brute-force oracle for the first method and also detects unbounded
   per-degree families.
 
+Every basis cocycle either solver returns is then verified by
+``verify_cocycle``: the central part of the conformal Jacobi identity of
+the extended algebra, evaluated by the λ-bracket engine in
+``qlca.conformal`` independently of both solvers.
+
 The induced 2-cocycles of the coefficient Lie algebra (modes a⊗t^m) are
 computed and verified exactly as well.
 """
@@ -17,11 +22,14 @@ computed and verified exactly as well.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .gd import GDBialgebra
-from .poly import LAM, FormalPoly, RatMatrix, ZERO, nullspace_basis, span_rank
+from .conformal import QuadraticLCA, bracket_basis
+from .gd import GDBialgebra, product_terms
+from .poly import (DEL, LAM, MU, ONE, FormalPoly, RatMatrix, ZERO,
+                   nullspace_basis, span_rank)
 
 MAX_CLOSED_DEGREE = 3  # λ-degree bound of the closed-form system
 
@@ -120,15 +128,12 @@ class CocycleSpace:
 # ---------------------------------------------------------------------
 
 
-def _bilinear_terms(eq, sign, k, x, y, n, unknown):
+def _bilinear_terms(eq, sign, k, x, y, unknown):
     """Accumulate sign * α_k(x, y) into equation dict ``eq`` where x, y
-    are coordinate vectors and unknowns are indexed by ``unknown``."""
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
+    are sparse ((index, coeff), ...) terms and unknowns are indexed by
+    ``unknown``."""
+    for i, xi in x:
+        for j, yj in y:
             u = unknown(k, i, j)
             s = eq.get(u, ZERO) + sign * xi * yj
             if s:
@@ -137,11 +142,15 @@ def _bilinear_terms(eq, sign, k, x, y, n, unknown):
                 eq.pop(u, None)
 
 
+def _unit(i):
+    """The basis element a_i as sparse terms."""
+    return ((i, ONE),)
+
+
 def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
     """Nullspace of the closed equation system on the 4n² unknowns
     α_k(a_i, a_j), instantiated at all basis triples."""
     n = A.dim
-    e = [A.basis_elem(i) for i in range(n)]
 
     def unknown(k, i, j):
         return (k * n + i) * n + j
@@ -159,76 +168,44 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
                 eq[u2] = eq.get(u2, ZERO) + sign
                 rows.append({u: v for u, v in eq.items() if v})
 
-    circ, star, br = A.circ, A.star, A.bracket
+    circ, br, star = product_terms(A)
+
+    def terms(*args):
+        eq = {}
+        for sign, k, x, y in args:
+            _bilinear_terms(eq, sign, k, x, y, unknown)
+        rows.append(eq)
+
     for ia in range(n):
         for ib in range(n):
             for ic in range(n):
-                a, b, c = e[ia], e[ib], e[ic]
-                ab, ba = circ(a, b), circ(b, a)
-                cb, ca = circ(c, b), circ(c, a)
-                bc_star = star(b, c)
-                lcb, lba = br(c, b), br(b, a)
+                a, b, c = _unit(ia), _unit(ib), _unit(ic)
+                ab, ba, cb = circ[ia][ib], circ[ib][ia], circ[ic][ib]
+                bc_star, ac_star = star[ib][ic], star[ia][ic]
+                lcb, lba, lca = br[ic][ib], br[ib][ia], br[ic][ia]
 
                 # α_3(a, c∘b) = α_3(a∘b, c) and α_3(a∘b, c) = α_3(b∘a, c)
-                eq = {}
-                _bilinear_terms(eq, 1, 3, a, cb, n, unknown)
-                _bilinear_terms(eq, -1, 3, ab, c, n, unknown)
-                rows.append(eq)
-                eq = {}
-                _bilinear_terms(eq, 1, 3, ab, c, n, unknown)
-                _bilinear_terms(eq, -1, 3, ba, c, n, unknown)
-                rows.append(eq)
-
+                terms((1, 3, a, cb), (-1, 3, ab, c))
+                terms((1, 3, ab, c), (-1, 3, ba, c))
                 # α_2(a, c∘b) + α_3(a, [c,b]) = α_2(a∘b, c) + α_3([b,a], c)
-                eq = {}
-                _bilinear_terms(eq, 1, 2, a, cb, n, unknown)
-                _bilinear_terms(eq, 1, 3, a, lcb, n, unknown)
-                _bilinear_terms(eq, -1, 2, ab, c, n, unknown)
-                _bilinear_terms(eq, -1, 3, lba, c, n, unknown)
-                rows.append(eq)
-
+                terms((1, 2, a, cb), (1, 3, a, lcb), (-1, 2, ab, c),
+                      (-1, 3, lba, c))
                 # α_2(a, b∗c) + α_2(b∘a, c) = 2α_2(a∘b, c) + 3α_3([b,a], c)
-                eq = {}
-                _bilinear_terms(eq, 1, 2, a, bc_star, n, unknown)
-                _bilinear_terms(eq, 1, 2, ba, c, n, unknown)
-                _bilinear_terms(eq, -2, 2, ab, c, n, unknown)
-                _bilinear_terms(eq, -3, 3, lba, c, n, unknown)
-                rows.append(eq)
-
+                terms((1, 2, a, bc_star), (1, 2, ba, c), (-2, 2, ab, c),
+                      (-3, 3, lba, c))
                 # α_1(a, c∘b) + α_2(a, [c,b]) = α_1(a∘b, c) + α_2([b,a], c)
-                eq = {}
-                _bilinear_terms(eq, 1, 1, a, cb, n, unknown)
-                _bilinear_terms(eq, 1, 2, a, lcb, n, unknown)
-                _bilinear_terms(eq, -1, 1, ab, c, n, unknown)
-                _bilinear_terms(eq, -1, 2, lba, c, n, unknown)
-                rows.append(eq)
-
+                terms((1, 1, a, cb), (1, 2, a, lcb), (-1, 1, ab, c),
+                      (-1, 2, lba, c))
                 # α_1(a, b∗c) - α_1(b, a∗c)
                 #   = -α_1(b∘a, c) + α_1(a∘b, c) + 2α_2([b,a], c)
-                eq = {}
-                _bilinear_terms(eq, 1, 1, a, bc_star, n, unknown)
-                _bilinear_terms(eq, -1, 1, b, star(a, c), n, unknown)
-                _bilinear_terms(eq, 1, 1, ba, c, n, unknown)
-                _bilinear_terms(eq, -1, 1, ab, c, n, unknown)
-                _bilinear_terms(eq, -2, 2, lba, c, n, unknown)
-                rows.append(eq)
-
+                terms((1, 1, a, bc_star), (-1, 1, b, ac_star), (1, 1, ba, c),
+                      (-1, 1, ab, c), (-2, 2, lba, c))
                 # α_0(a, c∘b) + α_1(a, [c,b]) - α_0(b, a∗c)
                 #   = α_0(a∘b, c) + α_1([b,a], c)
-                eq = {}
-                _bilinear_terms(eq, 1, 0, a, cb, n, unknown)
-                _bilinear_terms(eq, 1, 1, a, lcb, n, unknown)
-                _bilinear_terms(eq, -1, 0, b, star(a, c), n, unknown)
-                _bilinear_terms(eq, -1, 0, ab, c, n, unknown)
-                _bilinear_terms(eq, -1, 1, lba, c, n, unknown)
-                rows.append(eq)
-
+                terms((1, 0, a, cb), (1, 1, a, lcb), (-1, 0, b, ac_star),
+                      (-1, 0, ab, c), (-1, 1, lba, c))
                 # α_0(a, [c,b]) - α_0(b, [c,a]) = α_0([b,a], c)
-                eq = {}
-                _bilinear_terms(eq, 1, 0, a, lcb, n, unknown)
-                _bilinear_terms(eq, -1, 0, b, br(c, a), n, unknown)
-                _bilinear_terms(eq, -1, 0, lba, c, n, unknown)
-                rows.append(eq)
+                terms((1, 0, a, lcb), (-1, 0, b, lca), (-1, 0, lba, c))
 
     m = RatMatrix.from_rows((r for r in rows if r), 4 * n * n)
     basis = tuple(
@@ -247,7 +224,6 @@ def _direct_rows(A, N):
     """Rows of the linear system obtained by expanding skew-symmetry and
     the cocycle functional equation with ansatz α_λ = Σ_{i<=N} λ^i α_i."""
     n = A.dim
-    e = [A.basis_elem(i) for i in range(n)]
 
     def unknown(i, p, q):
         return (i * n + p) * n + q
@@ -255,61 +231,46 @@ def _direct_rows(A, N):
     rows = {}  # (triple-tag, λ-pow, μ-pow) -> {unknown: coeff}
 
     def add(tag, lpow, mpow, sign, i, x, y):
-        eq = rows.setdefault((tag, lpow, mpow), {})
-        for p, xp in enumerate(x):
-            if not xp:
-                continue
-            for q, yq in enumerate(y):
-                if not yq:
-                    continue
-                u = unknown(i, p, q)
-                s = eq.get(u, ZERO) + sign * xp * yq
-                if s:
-                    eq[u] = s
-                else:
-                    eq.pop(u, None)
+        _bilinear_terms(rows.setdefault((tag, lpow, mpow), {}), sign, i, x, y,
+                        unknown)
 
     # skew: λ^i coefficient of α_λ(a,b) + α_{-λ}(b,a)
     for p in range(n):
         for q in range(n):
             for i in range(N + 1):
-                add(("skew", p, q), i, 0, Fraction(1), i, e[p], e[q])
-                add(("skew", p, q), i, 0, Fraction((-1) ** i), i, e[q], e[p])
+                add(("skew", p, q), i, 0, 1, i, _unit(p), _unit(q))
+                add(("skew", p, q), i, 0, (-1) ** i, i, _unit(q), _unit(p))
 
-    from math import comb
-
-    circ, star, br = A.circ, A.star, A.bracket
+    circ, br, star = product_terms(A)
     for ia in range(n):
         for ib in range(n):
             for ic in range(n):
                 tag = ("fe", ia, ib, ic)
-                a, b, c = e[ia], e[ib], e[ic]
+                a, b, c = _unit(ia), _unit(ib), _unit(ic)
                 for i in range(N + 1):
                     # λ·α_λ(a, c∘b): λ^{i+1}
-                    add(tag, i + 1, 0, Fraction(1), i, a, circ(c, b))
+                    add(tag, i + 1, 0, 1, i, a, circ[ic][ib])
                     # μ·α_λ(a, b∗c): λ^i μ
-                    add(tag, i, 1, Fraction(1), i, a, star(b, c))
+                    add(tag, i, 1, 1, i, a, star[ib][ic])
                     # α_λ(a, [c,b]): λ^i
-                    add(tag, i, 0, Fraction(1), i, a, br(c, b))
+                    add(tag, i, 0, 1, i, a, br[ic][ib])
                     # -μ·α_μ(b, c∘a): μ^{i+1}
-                    add(tag, 0, i + 1, Fraction(-1), i, b, circ(c, a))
+                    add(tag, 0, i + 1, -1, i, b, circ[ic][ia])
                     # -λ·α_μ(b, a∗c): λ μ^i
-                    add(tag, 1, i, Fraction(-1), i, b, star(a, c))
+                    add(tag, 1, i, -1, i, b, star[ia][ic])
                     # -α_μ(b, [c,a]): μ^i
-                    add(tag, 0, i, Fraction(-1), i, b, br(c, a))
+                    add(tag, 0, i, -1, i, b, br[ic][ia])
                     # RHS, subtracted:
                     # (-λ-μ)·α_{λ+μ}(b∘a, c) = -(λ+μ)^{i+1} α_i(b∘a, c)
                     for s in range(i + 2):
-                        add(tag, s, i + 1 - s, Fraction(comb(i + 1, s)), i,
-                            circ(b, a), c)
+                        add(tag, s, i + 1 - s, comb(i + 1, s), i,
+                            circ[ib][ia], c)
                     # λ·α_{λ+μ}(a∗b, c)
                     for s in range(i + 1):
-                        add(tag, s + 1, i - s, Fraction(-comb(i, s)), i,
-                            star(a, b), c)
+                        add(tag, s + 1, i - s, -comb(i, s), i, star[ia][ib], c)
                     # α_{λ+μ}([b,a], c)
                     for s in range(i + 1):
-                        add(tag, s, i - s, Fraction(-comb(i, s)), i,
-                            br(b, a), c)
+                        add(tag, s, i - s, -comb(i, s), i, br[ib][ia], c)
     return [r for r in rows.values() if r], unknown
 
 
@@ -378,66 +339,69 @@ def solve_extensions_direct(A: GDBialgebra, degree_bound: int = 6) -> CocycleSpa
 # ---------------------------------------------------------------------
 
 
+def _dot(u, v):
+    """Σ_k u_k v_k for two tuples of FormalPoly."""
+    total = FormalPoly.zero()
+    for x, y in zip(u, v):
+        if x and y:
+            total = total + x * y
+    return total
+
+
 def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
-    """Residual report of skew-symmetry and the functional equation for a
-    concrete quadruple; empty iff q is a genuine cocycle."""
-    n = A.dim
-    e = [A.basis_elem(i) for i in range(n)]
-    out = []
+    """Check that α_λ(a_i, a_j) = Σ_k λ^k α_k(a_i, a_j) is a conformal
+    2-cocycle, i.e. that adding α_λ(a, b)·𝔠 to the λ-bracket with a
+    central 𝔠 keeps a Lie conformal algebra (Bakalov-Kac-Voronov). The
+    brackets come from the λ-bracket engine, so the check shares no
+    formula with either extension solver.
 
-    def alpha(k, x, y):
-        return q.form(k, x, y)
+    α is applied sesquilinearly: ∂ in its second argument becomes the
+    form's variable, ∂ in its first argument becomes minus that variable
+    (∂ kills the centre), and λ, μ inside the arguments ride along as
+    scalars. Returns the failing identity instances, empty iff q is a
+    cocycle:
 
-    # skew: α_i(a,b) + (-1)^i α_i(b,a) = 0
-    for p in range(n):
-        for r in range(n):
-            for i in range(4):
-                res = alpha(i, e[p], e[r]) + (-1) ** i * alpha(i, e[r], e[p])
-                if res:
-                    out.append(("skew", (p, r), i, res))
-
-    from math import comb
-
-    circ, star, br = A.circ, A.star, A.bracket
-    for ia in range(n):
-        for ib in range(n):
-            for ic in range(n):
-                a, b, c = e[ia], e[ib], e[ic]
-                acc = {}  # (λ-pow, μ-pow) -> Fraction
-
-                def put(lp, mp, v):
-                    if v:
-                        acc[lp, mp] = acc.get((lp, mp), ZERO) + v
-
-                for i in range(4):
-                    put(i + 1, 0, alpha(i, a, circ(c, b)))
-                    put(i, 1, alpha(i, a, star(b, c)))
-                    put(i, 0, alpha(i, a, br(c, b)))
-                    put(0, i + 1, -alpha(i, b, circ(c, a)))
-                    put(1, i, -alpha(i, b, star(a, c)))
-                    put(0, i, -alpha(i, b, br(c, a)))
-                    v = alpha(i, circ(b, a), c)
-                    for s in range(i + 2):
-                        put(s, i + 1 - s, comb(i + 1, s) * v)
-                    v = alpha(i, star(a, b), c)
-                    for s in range(i + 1):
-                        put(s + 1, i - s, -comb(i, s) * v)
-                    v = alpha(i, br(b, a), c)
-                    for s in range(i + 1):
-                        put(s, i - s, -comb(i, s) * v)
-                for (lp, mp), v in sorted(acc.items()):
-                    if v:
-                        out.append(("functional", (ia, ib, ic), (lp, mp), v))
-    return out
-
-
-def extended_bracket(A: GDBialgebra, q: CocycleQuadruple, i: int, j: int):
-    """(module part, central part) of the extended bracket on basis
-    generators: the plain λ-bracket plus Σ_k λ^k α_k(a_i, a_j)·𝔠."""
-    from .conformal import QuadraticLCA, bracket_basis
-
+    * ("skew", i, j, r): r = α_λ(a_i, a_j) + α_{-λ}(a_j, a_i) ≠ 0;
+    * ("jacobi", a, b, c, r): r is the central part of the Jacobi identity
+      at the basis triple (a_a, a_b, a_c) in the extension,
+      α_λ(a, [b_μ c]) - α_{λ+μ}([a_λ b], c) - α_μ(b, [a_λ c]) ≠ 0.
+    """
     R = QuadraticLCA(A)
-    return bracket_basis(R, i, j), q.lambda_poly(i, j)
+    n = A.dim
+    lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
+
+    def forms_at(slot):  # forms[a][b] = α_slot(a_a, a_b)
+        return [[q.lambda_poly(a, b).substitute(LAM, slot) for b in range(n)]
+                for a in range(n)]
+
+    at_lam, at_mu, at_sum = forms_at(lam), forms_at(mu), forms_at(lam + mu)
+    at_neg = forms_at(-lam)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            r = at_lam[i][j] + at_neg[j][i]
+            if r:
+                out.append(("skew", i, j, r))
+
+    br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
+
+    def brackets(slot, d_to):  # [a_i slot a_j] with ∂ replaced by d_to
+        return [[tuple(p.substitute(LAM, slot).substitute(DEL, d_to)
+                       for p in e) for e in row] for row in br]
+
+    inner = brackets(mu, lam)  # [b_μ c] as second argument of α_λ
+    outer = brackets(lam, -(lam + mu))  # [a_λ b] as first argument of α_{λ+μ}
+    right = brackets(lam, mu)  # [a_λ c] as second argument of α_μ
+    at_sum_cols = [tuple(row[c] for row in at_sum) for c in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                r = (_dot(at_lam[a], inner[b][c])
+                     - _dot(outer[a][b], at_sum_cols[c])
+                     - _dot(at_mu[b], right[a][c]))
+                if r:
+                    out.append(("jacobi", a, b, c, r))
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -488,16 +452,6 @@ def coeff_bracket(A: GDBialgebra, q: CocycleQuadruple, gen1, gen2):
     if m + n_mode - 2 == 0:
         central += m * (m - 1) * (m - 2) * q.alpha[3][i][j]
     return terms, central
-
-
-def _mode_cocycle(A, q, gen1, gen2):
-    """π(x, y): the central part only."""
-    (i, m) = gen1
-    (j, n_mode) = gen2
-    s = m + n_mode
-    if -1 <= s <= 2:
-        return coeff_bracket(A, q, gen1, gen2)[1]
-    return ZERO
 
 
 def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
@@ -595,8 +549,6 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
     central contributions are also derived independently from the falling
     factorials of the mode index.
     """
-    from .conformal import QuadraticLCA, bracket_basis
-
     if q is None:
         q = CocycleQuadruple.zero(A.dim)
     R = QuadraticLCA(A)

@@ -65,9 +65,6 @@ class GDBialgebra:
 
     # -- element operations -------------------------------------------
 
-    def zero_elem(self):
-        return tuple([ZERO] * self.dim)
-
     def basis_elem(self, i):
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
@@ -105,12 +102,20 @@ class GDBialgebra:
         b = self.circ(y, x)
         return tuple(u + v for u, v in zip(a, b))
 
-    def name_of(self, i):
-        return self.basis_names[i]
 
+def product_terms(algebra):
+    """Basis products read off the structure tables as sparse
+    ((k, coeff), ...) terms: grids circ, lie, star with circ[i][j] = a_i∘a_j,
+    lie[i][j] = [a_i, a_j] and star[i][j] = a_i∗a_j = a_i∘a_j + a_j∘a_i."""
+    n = algebra.dim
+    nov = algebra.novikov
 
-def star(algebra, x, y):
-    return algebra.star(x, y)
+    def grid(vec):
+        return [[tuple((k, c) for k, c in enumerate(vec(i, j)) if c)
+                 for j in range(n)] for i in range(n)]
+
+    return (grid(lambda i, j: nov[i][j]), grid(lambda i, j: algebra.lie[i][j]),
+            grid(lambda i, j: [u + v for u, v in zip(nov[i][j], nov[j][i])]))
 
 
 def _table_shape_ok(table, n):

@@ -153,17 +153,21 @@ class FormalPoly:
             replacement = FormalPoly.const(replacement)
         if not replacement.uses_only((DEL, LAM, MU)):
             raise ValueError("replacement uses unknown symbols")
+        if not self.terms:
+            return FormalPoly()
         maxdeg = max((k[target] for k in self.terms), default=0)
         powers = [FormalPoly.const(1)]
         for _ in range(maxdeg):
             powers.append(powers[-1] * replacement)
-        out = FormalPoly()
+        out = {}
         for k, v in self.terms.items():
             rest = list(k)
             e = rest[target]
             rest[target] = 0
-            out = out + FormalPoly({tuple(rest): v}) * powers[e]
-        return out
+            for (a, b, c), w in powers[e].terms.items():
+                key = (rest[0] + a, rest[1] + b, rest[2] + c)
+                out[key] = out.get(key, ZERO) + v * w
+        return FormalPoly(out)
 
     def __str__(self):
         if not self.terms:
@@ -189,14 +193,6 @@ class FormalPoly:
 
     def __repr__(self):
         return f"FormalPoly({self})"
-
-
-def poly_mul(p, q):
-    return p * q
-
-
-def poly_substitute(p, target, replacement):
-    return p.substitute(target, replacement)
 
 
 # ---------------------------------------------------------------------

@@ -165,3 +165,50 @@ class TestCatalogCommand:
         with pytest.raises(SystemExit) as exc:
             main(["extend"])
         assert exc.value.code == 2
+
+
+class TestBadBounds:
+    """Out-of-range bounds end in exit 2 with an error line, never in a
+    traceback or a meaningless answer."""
+
+    def rejected(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    def test_negative_degree(self, capsys):
+        err = self.rejected(capsys, "extend", "catalog:vir", "--degree", "-1")
+        assert "error: argument --degree: must be >= 0" in err
+
+    def test_zero_window(self, capsys):
+        err = self.rejected(capsys, "coeff", "catalog:vir", "--cocycle-index",
+                            "0", "--window", "0")
+        assert "error: argument --window: must be >= 1" in err
+
+    def test_negative_partial_bound(self, capsys):
+        err = self.rejected(capsys, "derive", "catalog:vir",
+                            "--partial-bound", "-1")
+        assert "error: argument --partial-bound: must be >= 0" in err
+
+    def test_negative_lambda_bound(self, capsys):
+        err = self.rejected(capsys, "derive", "catalog:vir",
+                            "--lambda-bound", "-1")
+        assert "error: argument --lambda-bound: must be >= 0" in err
+
+    def test_negative_samples(self, capsys):
+        err = self.rejected(capsys, "coeff", "catalog:vir", "--cocycle-index",
+                            "0", "--window", "2", "--samples", "-5")
+        assert "error: argument --samples: must be >= 1" in err
+
+    def test_library_value_error_exit_2(self, capsys, monkeypatch):
+        import qlca.cli
+
+        def refuse(*args, **kwargs):
+            raise ValueError("degree bound must be non-negative")
+
+        monkeypatch.setattr(qlca.cli, "solve_extensions_direct", refuse)
+        code, out, err = run(capsys, "extend", "catalog:vir")
+        assert code == 2
+        assert out == ""
+        assert err == "error: degree bound must be non-negative\n"

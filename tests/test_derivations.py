@@ -6,7 +6,7 @@ from qlca import (DerivationAnsatz, HypothesisNotDetected, QuadraticLCA,
                   catalog_build, detect_unit_like, inner_derivation,
                   outer_dimension, solve_derivations_direct,
                   solve_derivations_theorem, spaces_agree, span_coordinates,
-                  verify_derivation)
+                  span_rank, verify_derivation)
 
 
 def lca(name, **params):
@@ -126,6 +126,27 @@ class TestSolverAgreement:
         R = lca("vir")
         bogus = DerivationAnsatz.from_dict(1, 2, {(0, 0, 2): (Fraction(1),)})
         assert verify_derivation(R, bogus)
+
+
+class TestVerifierAgainstSolver:
+    def test_single_coefficients_verify_iff_in_solution_span(self, catalog_entry):
+        """verify_derivation brackets through bracket_general and shares no
+        formula with the solvers, so the two must agree on which
+        single-coefficient ansätze are derivations."""
+        R = QuadraticLCA(catalog_entry.build())
+        n, P, D = R.dim, 1, 2
+        basis = [d.as_vector(n, P, D)
+                 for d in solve_derivations_direct(R, P, D).basis]
+        for j in range(n):
+            for i in range(P + 1):
+                for k in range(D + 1):
+                    for r in range(n):
+                        unit = tuple(Fraction(int(s == r)) for s in range(n))
+                        d = DerivationAnsatz.from_dict(P, D, {(j, i, k): unit})
+                        in_span = (span_rank(basis + [d.as_vector(n, P, D)])
+                                   == len(basis))
+                        assert (verify_derivation(R, d) == []) == in_span, \
+                            (j, i, k, r)
 
 
 class TestCurrentShape:

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from qlca import (CocycleQuadruple, catalog_build, entry_label,
-                  solve_extensions_direct, solve_extensions_theorem,
-                  spans_equal, standard_entries, verify_cocycle)
+from qlca import (LAM, MU, CocycleQuadruple, FormalPoly, catalog_build,
+                  entry_label, solve_extensions_direct,
+                  solve_extensions_theorem, span_rank, spans_equal,
+                  standard_entries, verify_cocycle)
 
 # dimensions established by both independent solvers and hand checks
 DERIVED_DIMENSIONS = {
@@ -125,6 +126,43 @@ class TestSolvers:
     def test_degree_bound_validation(self):
         with pytest.raises(ValueError):
             solve_extensions_direct(catalog_build("vir"), degree_bound=-1)
+
+
+class TestVerifierAgainstSolver:
+    """verify_cocycle evaluates the Jacobi identity of the extension through
+    the λ-bracket engine and shares no formula with either solver, so the
+    two must agree on which quadruples are cocycles."""
+
+    def test_single_entries_verify_iff_in_solution_span(self, catalog_entry):
+        A = catalog_entry.build()
+        n = A.dim
+        basis = [q.as_vector() for q in solve_extensions_direct(A).basis]
+        for k in range(4):
+            for i in range(n):
+                for j in range(i, n):
+                    q = CocycleQuadruple.single(n, k, i, j)
+                    in_span = span_rank(basis + [q.as_vector()]) == len(basis)
+                    assert (verify_cocycle(A, q) == []) == in_span, (k, i, j)
+
+    def test_skew_residual_names_its_pair(self):
+        # α_2(L, L) = 1 alone: α_λ(L,L) + α_{-λ}(L,L) = 2λ^2
+        A = catalog_build("vir")
+        q = CocycleQuadruple.single(1, 2, 0, 0, symmetrize=False)
+        skew = [r for r in verify_cocycle(A, q) if r[0] == "skew"]
+        assert skew == [("skew", 0, 0, FormalPoly.sym(LAM, 2, 2))]
+
+    def test_jacobi_residual_names_its_triple(self):
+        # α_λ(W, W) = λ on R(2,0) is skew-symmetric but breaks Jacobi
+        A = catalog_build("r_alpha_beta", alpha=2, beta=0)
+        bad = verify_cocycle(A, CocycleQuadruple.single(2, 1, 1, 1))
+        assert [r[:4] for r in bad] == [("jacobi", 0, 1, 1),
+                                        ("jacobi", 1, 0, 1),
+                                        ("jacobi", 1, 1, 0)]
+        # at (L, W, W), with [L_λ W] = (∂ + 2λ)W and [W_μ W] = 0:
+        # -α_{λ+μ}((∂ + 2λ)W, W) - α_μ(W, (∂ + 2λ)W)
+        #   = -(λ - μ)(λ + μ) - (μ + 2λ)μ = -λ^2 - 2λμ
+        lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
+        assert bad[0][4] == -(lam * lam) - 2 * lam * mu
 
 
 class TestStandardSweepIsFast:
