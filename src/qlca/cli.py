@@ -15,9 +15,9 @@ from fractions import Fraction
 from .algfile import ParseError, emit_algebra, parse_algebra_file
 from .catalog import catalog_build, catalog_names
 from .conformal import QuadraticLCA, bracket_basis, check_jacobi, check_skew
-from .derivations import (HypothesisNotDetected, outer_dimension,
-                          solve_derivations_direct, solve_derivations_theorem,
-                          spaces_agree)
+from .derivations import (HypothesisNotDetected, solve_derivations_direct,
+                          solve_derivations_theorem, spaces_agree,
+                          stabilized_outer)
 from .extensions import (check_coeff_cocycle, coeff_relation_consistency,
                          solve_extensions_direct, solve_extensions_theorem,
                          verify_cocycle)
@@ -231,7 +231,7 @@ def cmd_derive(args):
     A, label = load_target(args.target)
     R = QuadraticLCA(A)
     direct = solve_derivations_direct(R, args.partial_bound, args.lambda_bound)
-    outer = outer_dimension(R, args.partial_bound, args.lambda_bound)
+    outer = stabilized_outer(R, direct)
     report = {
         "command": "derive",
         "target": label,

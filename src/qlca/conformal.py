@@ -59,12 +59,13 @@ def bracket_basis(R, i, j):
     n = gd.dim
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"basis index out of range: ({i},{j})")
-    ji, ij, lie = gd.novikov[j][i], gd.novikov[i][j], gd.lie[j][i]
-    return tuple(
-        FormalPoly({(1, 0, 0): ji[k], (0, 0, 0): lie[k],
-                    (0, 1, 0): ij[k] + ji[k]})
-        for k in range(n)
-    )
+    coords = [{} for _ in range(n)]
+    for mono, terms in (((1, 0, 0), gd.circ_terms[j][i]),
+                        ((0, 0, 0), gd.lie_terms[j][i]),
+                        ((0, 1, 0), gd.star_terms[i][j])):
+        for k, c in terms:
+            coords[k][mono] = c
+    return tuple(FormalPoly(t) for t in coords)
 
 
 def bracket_general(R, x, y, slot):

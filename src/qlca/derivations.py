@@ -22,7 +22,7 @@ from math import comb
 
 from .conformal import (QuadraticLCA, bracket_basis, bracket_general,
                         expr_add, expr_is_zero, expr_sub)
-from .gd import GDBialgebra, product_terms
+from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, ONE, FormalPoly, RatMatrix, ZERO,
                    nullspace_basis, span_rank, spans_equal)
 
@@ -260,13 +260,18 @@ def outer_dimension(R: QuadraticLCA, partial_bound: int = 3,
                     lambda_bound: int = 4):
     """dim(solutions) - dim(inner span) at λ-bounds D and D+2; returns the
     common value, or ("not stabilized", value_at_D, value_at_D2)."""
-    vals = []
-    for D in (lambda_bound, lambda_bound + 2):
-        space = solve_derivations_direct(R, partial_bound, D)
-        vals.append(space.dimension - space.inner_dim)
-    if vals[0] == vals[1]:
-        return vals[0]
-    return ("not stabilized", vals[0], vals[1])
+    return stabilized_outer(
+        R, solve_derivations_direct(R, partial_bound, lambda_bound))
+
+
+def stabilized_outer(R: QuadraticLCA, space: DerivationSpace):
+    """outer_dimension at the bounds (P, D) of ``space``, a direct solution
+    space already solved there; only (P, D+2) is solved again."""
+    probe = solve_derivations_direct(R, space.partial_bound,
+                                     space.lambda_bound + 2)
+    if space.outer_dim == probe.outer_dim:
+        return space.outer_dim
+    return ("not stabilized", space.outer_dim, probe.outer_dim)
 
 
 # ---------------------------------------------------------------------
@@ -312,20 +317,14 @@ def detect_unit_like(A: GDBialgebra):
     (side "right") for all b, k ≠ 0, by solving the small linear system in
     (c, k). Returns (side, coefficient vector, k) or None."""
     n = A.dim
+    circ = A.circ_terms
     for side in ("left", "right"):
-        rows = []
-        for j in range(n):
-            for r in range(n):
-                eq = {}
-                for i in range(n):
-                    c = A.novikov[i][j][r] if side == "left" else A.novikov[j][i][r]
-                    if c:
-                        eq[i] = c
-                if j == r:
-                    eq[n] = Fraction(-1)
-                if eq:
-                    rows.append(eq)
-        m = RatMatrix.from_rows(rows, n + 1)
+        rows = {(j, j): {n: Fraction(-1)} for j in range(n)}  # (b, coord) -> row
+        for i in range(n):
+            for j in range(n):
+                for r, c in (circ[i][j] if side == "left" else circ[j][i]):
+                    rows.setdefault((j, r), {})[i] = c
+        m = RatMatrix.from_rows(rows.values(), n + 1)
         # any solution with k ≠ 0 rescales to k = 1, and the k-axis is never
         # a solution on its own, so scanning the nullspace basis suffices
         for vec in nullspace_basis(m):
@@ -335,112 +334,39 @@ def detect_unit_like(A: GDBialgebra):
     return None
 
 
-class _LinExpr:
-    """Element of V[λ] with coefficients linear in the solver unknowns:
-    maps (coordinate, λ-power) to {unknown: Fraction}."""
+def _closed_rows(A: GDBialgebra, P, D):
+    """Rows of the closed derivation system for d = Σ_{i≤P} ∂^i d^i, with
+    unknowns indexed like the direct system at bounds (P, D). P = 1 gives
+    the reduced left-unit system, P = 3 the full one.
 
-    __slots__ = ("data",)
-
-    def __init__(self):
-        self.data = {}
-
-    def add_unknown(self, r, k, unknown, coeff):
-        if not coeff:
-            return
-        cell = self.data.setdefault((r, k), {})
-        s = cell.get(unknown, ZERO) + coeff
-        if s:
-            cell[unknown] = s
-        else:
-            cell.pop(unknown, None)
-
-    def iadd(self, other, sign=1):
-        for key, cell in other.data.items():
-            mine = self.data.setdefault(key, {})
-            for u, c in cell.items():
-                s = mine.get(u, ZERO) + sign * c
-                if s:
-                    mine[u] = s
-                else:
-                    mine.pop(u, None)
-        return self
-
-    def scaled(self, factor, lam_shift=0):
-        out = _LinExpr()
-        if not factor:
-            return out
-        for (r, k), cell in self.data.items():
-            for u, c in cell.items():
-                out.add_unknown(r, k + lam_shift, u, c * factor)
-        return out
-
-    def mapped_coords(self, coord_map):
-        """Apply a linear map on V coordinatewise: coord_map(r) yields
-        (r_out, coeff) pairs."""
-        out = _LinExpr()
-        for (r, k), cell in self.data.items():
-            for r_out, f in coord_map(r):
-                if not f:
-                    continue
-                for u, c in cell.items():
-                    out.add_unknown(r_out, k, u, c * f)
-        return out
-
-
-def _closed_rows(A: GDBialgebra, D, tops):
-    """Rows of the closed derivation system. ``tops`` is the max ∂-order
-    used (1 for the reduced left-unit system, 3 for the full one)."""
+    Each call to ``emit`` sums summands (c, s, i, u, f) standing for
+    c·λ^s·f(d^i(u)): u is a sparse ((j, coeff), ...) element, and the
+    linear map f sends a_r to the sparse element f[r] (ID: identity). The
+    sum gives one row per output coordinate and λ-power."""
     n = A.dim
+    idx = _unknown_indexer(n, P, D)
+    circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
+    ID = [((r, ONE),) for r in range(n)]
 
-    def unknown(i, j, k, r):
-        return ((i * n + j) * (D + 1) + k) * n + r
-
-    def d_of(i, u):
-        """d^i applied to sparse ((index, coeff), ...) terms u, as a
-        _LinExpr."""
-        expr = _LinExpr()
-        for j, uj in u:
-            for k in range(D + 1):
-                for r in range(n):
-                    expr.add_unknown(r, k, unknown(i, j, k, r), uj)
-        return expr
-
-    def circ_right(expr, b):
-        # X ∘ b for basis index b
-        return expr.mapped_coords(
-            lambda r: [(s, A.novikov[r][b][s]) for s in range(n)]
-        )
-
-    def circ_left(b, expr):
-        return expr.mapped_coords(
-            lambda r: [(s, A.novikov[b][r][s]) for s in range(n)]
-        )
-
-    def star_right(expr, b):
-        return expr.mapped_coords(
-            lambda r: [(s, A.novikov[r][b][s] + A.novikov[b][r][s])
-                       for s in range(n)]
-        )
-
-    def lie_right(expr, b):
-        # [X, b]
-        return expr.mapped_coords(
-            lambda r: [(s, A.lie[r][b][s]) for s in range(n)]
-        )
-
-    def lie_left(b, expr):
-        return expr.mapped_coords(
-            lambda r: [(s, A.lie[b][r][s]) for s in range(n)]
-        )
+    def right(grid, b):  # X ↦ X·a_b
+        return [grid[r][b] for r in range(n)]
 
     rows = []
 
-    def emit(expr, tag):
-        for (r, k), cell in expr.data.items():
-            if cell:
-                rows.append(dict(cell))
-
-    circ, br, star = product_terms(A)
+    def emit(*summands):
+        eqs = {}
+        for c, s, i, u, f in summands:
+            for j, uj in u:
+                for r in range(n):
+                    for t, ft in f[r]:
+                        for k in range(D + 1):
+                            eq = eqs.setdefault((t, k + s), {})
+                            x = idx(j, i, k, r)
+                            eq[x] = eq.get(x, ZERO) + c * uj * ft
+        for eq in eqs.values():
+            eq = {x: v for x, v in eq.items() if v}
+            if eq:
+                rows.append(eq)
 
     for p in range(n):
         for q in range(n):
@@ -448,120 +374,74 @@ def _closed_rows(A: GDBialgebra, D, tops):
             ba, ab = circ[q][p], circ[p][q]
             ab_star = star[p][q]
             lba = br[q][p]
+            # the maps X∘a_p, X∗a_p, [X,a_p], X∗a_q, a_p∘X, a_q∘X, [a_q,X]
+            o_p, s_p, l_p = right(circ, p), right(star, p), right(br, p)
+            s_q = right(star, q)
+            p_o, q_o, q_l = circ[p], circ[q], br[q]
 
-            if tops >= 3:
-                # ∂-order 3 block
-                x = d_of(3, ba).iadd(d_of(3, ab), -1)
-                emit(x, "d3 symmetric in product")
-                x = d_of(3, ab).iadd(circ_right(d_of(3, b), p), -1)
-                emit(x, "d3 of product vs product of d3")
-                x = circ_left(q, d_of(3, a)).iadd(circ_left(p, d_of(3, b)), -1)
-                emit(x, "b∘d3(a) = a∘d3(b)")
-                x = circ_right(d_of(3, b), p).scaled(Fraction(2))
-                x.iadd(circ_left(p, d_of(3, b)))
-                emit(x, "2 d3(b)∘a + a∘d3(b) = 0")
-                # ∂-order 2 block
-                x = d_of(3, ba).scaled(Fraction(1), 1)
-                x.iadd(d_of(2, ba))
-                x.iadd(d_of(3, lba))
-                x.iadd(lie_right(d_of(3, b), p), -1)
-                x.iadd(circ_right(d_of(2, b), p), -1)
-                emit(x, "mixed ∂^3 row")
-                x = d_of(2, ab_star)
-                x.iadd(circ_right(d_of(2, b), p).scaled(Fraction(2)), -1)
-                x.iadd(star_right(d_of(2, b), p), -1)
-                x.iadd(lie_right(d_of(3, b), p).scaled(Fraction(3)), -1)
-                emit(x, "d2 of a∗b")
-                x = circ_left(q, d_of(3, a)).scaled(Fraction(-3), 1)
-                x.iadd(circ_left(q, d_of(2, a)))
-                x.iadd(circ_right(d_of(2, b), p))
-                x.iadd(star_right(d_of(2, b), p).scaled(Fraction(2)))
-                x.iadd(lie_right(d_of(3, b), p).scaled(Fraction(3)))
-                emit(x, "μ∂^2 row")
-                x = star_right(d_of(3, a), q).scaled(Fraction(-4), 1)
-                x.iadd(star_right(d_of(2, a), q))
-                x.iadd(lie_left(q, d_of(3, a)), -1)
-                x.iadd(star_right(d_of(2, b), p))
-                x.iadd(lie_right(d_of(3, b), p))
-                emit(x, "μ^2∂ row")
-                # ∂-order 1 block
-                x = d_of(2, ba).scaled(Fraction(1), 1)
-                x.iadd(d_of(1, ba))
-                x.iadd(d_of(2, lba))
-                x.iadd(circ_right(d_of(1, b), p), -1)
-                x.iadd(lie_right(d_of(2, b), p), -1)
-                emit(x, "∂^2 row")
-                x = d_of(1, ab_star)
-                for i in range(1, 4):
-                    x.iadd(circ_left(q, d_of(i, a)).scaled(
-                        Fraction((-1) ** i), i - 1), -1)
-                x.iadd(circ_right(d_of(1, b), p), -1)
-                x.iadd(star_right(d_of(1, b), p), -1)
-                x.iadd(lie_right(d_of(2, b), p).scaled(Fraction(2)), -1)
-                emit(x, "μ∂ row")
-                x = _LinExpr()
-                for i in range(1, 4):
-                    x.iadd(star_right(d_of(i, a), q).scaled(
-                        Fraction((-1) ** i * comb(i + 1, 2)), i - 1))
-                for i in range(2, 4):
-                    x.iadd(lie_left(q, d_of(i, a)).scaled(
-                        Fraction((-1) ** i * comb(i, 2)), i - 2))
-                x.iadd(star_right(d_of(1, b), p))
-                x.iadd(lie_right(d_of(2, b), p))
-                emit(x, "μ^2 row")
-                # ∂-order 0 block
-                x = d_of(1, ba).scaled(Fraction(1), 1)
-                x.iadd(d_of(0, ba))
-                x.iadd(d_of(1, lba))
-                for i in range(0, 4):
-                    x.iadd(circ_left(q, d_of(i, a)).scaled(
-                        Fraction((-1) ** i), i), -1)
-                x.iadd(circ_right(d_of(0, b), p), -1)
-                x.iadd(lie_right(d_of(1, b), p), -1)
-                emit(x, "∂ row")
-                x = d_of(0, ab_star)
-                for i in range(0, 4):
-                    x.iadd(star_right(d_of(i, a), q).scaled(
-                        Fraction((-1) ** i * (i + 1)), i), -1)
-                for i in range(1, 4):
-                    x.iadd(lie_left(q, d_of(i, a)).scaled(
-                        Fraction((-1) ** i * i), i - 1), -1)
-                x.iadd(star_right(d_of(0, b), p), -1)
-                x.iadd(lie_right(d_of(1, b), p), -1)
-                emit(x, "μ row")
-                x = d_of(0, ba).scaled(Fraction(1), 1)
-                x.iadd(d_of(0, lba))
-                for i in range(0, 4):
-                    x.iadd(star_right(d_of(i, a), q).scaled(
-                        Fraction((-1) ** i), i + 1), -1)
-                    x.iadd(lie_left(q, d_of(i, a)).scaled(
-                        Fraction((-1) ** i), i), -1)
-                x.iadd(lie_right(d_of(0, b), p), -1)
-                emit(x, "constant row")
-            else:
+            if P == 1:
                 # reduced system for a left-unit-like Novikov part:
                 # d = d^0 + ∂ d^1
-                x = d_of(1, ba).iadd(circ_right(d_of(1, b), p), -1)
-                emit(x, "d1 of product")
-                x = star_right(d_of(1, a), q).iadd(star_right(d_of(1, b), p), -1)
-                emit(x, "d1 star symmetry")
-                x = d_of(0, ba)
-                x.iadd(d_of(1, ba).scaled(Fraction(1), 1))
-                x.iadd(d_of(1, lba))
-                x.iadd(circ_left(q, d_of(0, a)), -1)
-                x.iadd(circ_left(q, d_of(1, a)).scaled(Fraction(-1), 1), -1)
-                x.iadd(circ_right(d_of(0, b), p), -1)
-                x.iadd(lie_right(d_of(1, b), p), -1)
-                emit(x, "∂ row reduced")
-                x = d_of(0, ba).scaled(Fraction(1), 1)
-                x.iadd(d_of(0, lba))
-                x.iadd(star_right(d_of(0, a), q).scaled(Fraction(1), 1), -1)
-                x.iadd(star_right(d_of(1, a), q).scaled(Fraction(-1), 2), -1)
-                x.iadd(lie_left(q, d_of(0, a)), -1)
-                x.iadd(lie_left(q, d_of(1, a)).scaled(Fraction(-1), 1), -1)
-                x.iadd(lie_right(d_of(0, b), p), -1)
-                emit(x, "constant row reduced")
-    return rows, unknown
+                emit((1, 0, 1, ba, ID), (-1, 0, 1, b, o_p))  # d1 of product
+                emit((1, 0, 1, a, s_q), (-1, 0, 1, b, s_p))  # d1 star symmetry
+                # ∂ row reduced
+                emit((1, 0, 0, ba, ID), (1, 1, 1, ba, ID), (1, 0, 1, lba, ID),
+                     (-1, 0, 0, a, q_o), (1, 1, 1, a, q_o), (-1, 0, 0, b, o_p),
+                     (-1, 0, 1, b, l_p))
+                # constant row reduced
+                emit((1, 1, 0, ba, ID), (1, 0, 0, lba, ID), (-1, 1, 0, a, s_q),
+                     (1, 2, 1, a, s_q), (-1, 0, 0, a, q_l), (1, 1, 1, a, q_l),
+                     (-1, 0, 0, b, l_p))
+                continue
+
+            # ∂-order 3 block
+            emit((1, 0, 3, ba, ID), (-1, 0, 3, ab, ID))  # d3 symmetric in product
+            # d3 of product vs product of d3
+            emit((1, 0, 3, ab, ID), (-1, 0, 3, b, o_p))
+            emit((1, 0, 3, a, q_o), (-1, 0, 3, b, p_o))  # b∘d3(a) = a∘d3(b)
+            emit((2, 0, 3, b, o_p), (1, 0, 3, b, p_o))  # 2 d3(b)∘a + a∘d3(b) = 0
+            # ∂-order 2 block
+            # mixed ∂^3 row
+            emit((1, 1, 3, ba, ID), (1, 0, 2, ba, ID), (1, 0, 3, lba, ID),
+                 (-1, 0, 3, b, l_p), (-1, 0, 2, b, o_p))
+            # d2 of a∗b
+            emit((1, 0, 2, ab_star, ID), (-2, 0, 2, b, o_p), (-1, 0, 2, b, s_p),
+                 (-3, 0, 3, b, l_p))
+            # μ∂^2 row
+            emit((-3, 1, 3, a, q_o), (1, 0, 2, a, q_o), (1, 0, 2, b, o_p),
+                 (2, 0, 2, b, s_p), (3, 0, 3, b, l_p))
+            # μ^2∂ row
+            emit((-4, 1, 3, a, s_q), (1, 0, 2, a, s_q), (-1, 0, 3, a, q_l),
+                 (1, 0, 2, b, s_p), (1, 0, 3, b, l_p))
+            # ∂-order 1 block
+            # ∂^2 row
+            emit((1, 1, 2, ba, ID), (1, 0, 1, ba, ID), (1, 0, 2, lba, ID),
+                 (-1, 0, 1, b, o_p), (-1, 0, 2, b, l_p))
+            # μ∂ row
+            emit((1, 0, 1, ab_star, ID),
+                 *((-(-1) ** i, i - 1, i, a, q_o) for i in range(1, 4)),
+                 (-1, 0, 1, b, o_p), (-1, 0, 1, b, s_p), (-2, 0, 2, b, l_p))
+            # μ^2 row
+            emit(*(((-1) ** i * comb(i + 1, 2), i - 1, i, a, s_q)
+                   for i in range(1, 4)),
+                 *(((-1) ** i * comb(i, 2), i - 2, i, a, q_l) for i in range(2, 4)),
+                 (1, 0, 1, b, s_p), (1, 0, 2, b, l_p))
+            # ∂-order 0 block
+            # ∂ row
+            emit((1, 1, 1, ba, ID), (1, 0, 0, ba, ID), (1, 0, 1, lba, ID),
+                 *((-(-1) ** i, i, i, a, q_o) for i in range(4)),
+                 (-1, 0, 0, b, o_p), (-1, 0, 1, b, l_p))
+            # μ row
+            emit((1, 0, 0, ab_star, ID),
+                 *((-(-1) ** i * (i + 1), i, i, a, s_q) for i in range(4)),
+                 *((-(-1) ** i * i, i - 1, i, a, q_l) for i in range(1, 4)),
+                 (-1, 0, 0, b, s_p), (-1, 0, 1, b, l_p))
+            # constant row
+            emit((1, 1, 0, ba, ID), (1, 0, 0, lba, ID),
+                 *((-(-1) ** i, i + 1, i, a, s_q) for i in range(4)),
+                 *((-(-1) ** i, i, i, a, q_l) for i in range(4)),
+                 (-1, 0, 0, b, l_p))
+    return rows
 
 
 def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
@@ -583,31 +463,12 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
             "no element x with x∘b = kb or b∘x = kb (k ≠ 0) for all basis b; "
             "pass assert_simple=True if the Novikov part is known simple"
         )
-    reduced = found is not None and found[0] == "left"
-    tops = 1 if reduced else 3
-    rows, unknown = _closed_rows(A, D, tops)
-    # pin unknowns above the ∂-order cap
-    total_orders = 4
-    for i in range(tops + 1, total_orders):
-        for j in range(n):
-            for k in range(D + 1):
-                for r in range(n):
-                    rows.append({unknown(i, j, k, r): Fraction(1)})
-    m = RatMatrix.from_rows(rows, total_orders * n * (D + 1) * n)
-    basis = []
-    P = tops
-    for vec in nullspace_basis(m):
-        coeffs = {}
-        for i in range(total_orders):
-            for j in range(n):
-                for k in range(D + 1):
-                    v = tuple(vec[unknown(i, j, k, r)] for r in range(n))
-                    if any(v):
-                        coeffs[j, i, k] = v
-        basis.append(DerivationAnsatz.from_dict(max(P, 1), D, coeffs))
-    inner = _inner_vectors(R, max(P, 1), D)
+    P = 1 if found is not None and found[0] == "left" else 3
+    m = RatMatrix.from_rows(_closed_rows(A, P, D), n * (P + 1) * (D + 1) * n)
+    basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
+    inner = _inner_vectors(R, P, D)
     inner_dim = span_rank(inner) if inner else 0
-    return DerivationSpace(A, P, D, tuple(basis), inner_dim,
+    return DerivationSpace(A, P, D, basis, inner_dim,
                            len(basis) - inner_dim, "theorem")
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from .conformal import QuadraticLCA, bracket_basis
-from .gd import GDBialgebra, product_terms
+from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, ONE, FormalPoly, RatMatrix, ZERO,
                    nullspace_basis, span_rank)
 
@@ -73,18 +73,6 @@ class CocycleQuadruple:
 
     def dim(self):
         return len(self.alpha[0])
-
-    def form(self, k, x, y):
-        """α_k extended bilinearly to coordinate vectors."""
-        total = ZERO
-        mat = self.alpha[k]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * yj * mat[i][j]
-        return total
 
     def lambda_poly(self, i, j):
         """Σ_k λ^k α_k(a_i, a_j) as a FormalPoly."""
@@ -168,7 +156,7 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
                 eq[u2] = eq.get(u2, ZERO) + sign
                 rows.append({u: v for u, v in eq.items() if v})
 
-    circ, br, star = product_terms(A)
+    circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
 
     def terms(*args):
         eq = {}
@@ -208,10 +196,9 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
                 terms((1, 0, a, lcb), (-1, 0, b, lca), (-1, 0, lba, c))
 
     m = RatMatrix.from_rows((r for r in rows if r), 4 * n * n)
-    basis = tuple(
-        CocycleQuadruple.from_vector(n, v) for v in nullspace_basis(m)
-    )
-    per_degree = _per_degree_profile(basis, n, MAX_CLOSED_DEGREE)
+    sols = nullspace_basis(m)
+    basis = tuple(CocycleQuadruple.from_vector(n, v) for v in sols)
+    per_degree = _per_degree_profile(sols, n, MAX_CLOSED_DEGREE)
     return CocycleSpace(A, basis, "theorem-system", MAX_CLOSED_DEGREE, True, per_degree)
 
 
@@ -241,7 +228,7 @@ def _direct_rows(A, N):
                 add(("skew", p, q), i, 0, 1, i, _unit(p), _unit(q))
                 add(("skew", p, q), i, 0, (-1) ** i, i, _unit(q), _unit(p))
 
-    circ, br, star = product_terms(A)
+    circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
     for ia in range(n):
         for ib in range(n):
             for ic in range(n):
@@ -287,21 +274,11 @@ def _direct_nullspace(A, N, restrict_deg3=False):
 
 
 def _per_degree_profile(basis, n, maxdeg):
-    """Rank of the degree-k projection of the solution span, k = 0..maxdeg.
-    Basis entries may be CocycleQuadruples or flat (deg, i, j) vectors."""
+    """Rank of the degree-k projection of the solution span, k = 0..maxdeg,
+    for flat vectors indexed by (k, i, j)."""
     dims = []
     for k in range(maxdeg + 1):
-        mats = []
-        for b in basis:
-            if isinstance(b, CocycleQuadruple):
-                flat = (
-                    [b.alpha[k][i][j] for i in range(n) for j in range(n)]
-                    if k < 4
-                    else [ZERO] * (n * n)
-                )
-            else:
-                flat = list(b[k * n * n : (k + 1) * n * n])
-            mats.append(tuple(flat))
+        mats = [tuple(b[k * n * n : (k + 1) * n * n]) for b in basis]
         dims.append(span_rank(mats) if mats else 0)
     return tuple(dims)
 
@@ -348,6 +325,28 @@ def _dot(u, v):
     return total
 
 
+def _jacobi_brackets(A):
+    """The basis brackets that verify_cocycle feeds to α, with ∂ already
+    replaced by the form's variable: [b_μ c] as second argument of α_λ,
+    [a_λ b] as first argument of α_{λ+μ}, [a_λ c] as second argument of
+    α_μ. They do not depend on the cocycle, so each algebra object builds
+    them once."""
+    if "jacobi_brackets" not in A.derived:
+        R = QuadraticLCA(A)
+        n = A.dim
+        lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
+        br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
+
+        def brackets(slot, d_to):  # [a_i slot a_j] with ∂ replaced by d_to
+            return [[tuple(p.substitute(LAM, slot).substitute(DEL, d_to)
+                           for p in e) for e in row] for row in br]
+
+        A.derived["jacobi_brackets"] = (brackets(mu, lam),
+                                        brackets(lam, -(lam + mu)),
+                                        brackets(lam, mu))
+    return A.derived["jacobi_brackets"]
+
+
 def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
     """Check that α_λ(a_i, a_j) = Σ_k λ^k α_k(a_i, a_j) is a conformal
     2-cocycle, i.e. that adding α_λ(a, b)·𝔠 to the λ-bracket with a
@@ -366,7 +365,6 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
       at the basis triple (a_a, a_b, a_c) in the extension,
       α_λ(a, [b_μ c]) - α_{λ+μ}([a_λ b], c) - α_μ(b, [a_λ c]) ≠ 0.
     """
-    R = QuadraticLCA(A)
     n = A.dim
     lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
 
@@ -383,15 +381,7 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
             if r:
                 out.append(("skew", i, j, r))
 
-    br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
-
-    def brackets(slot, d_to):  # [a_i slot a_j] with ∂ replaced by d_to
-        return [[tuple(p.substitute(LAM, slot).substitute(DEL, d_to)
-                       for p in e) for e in row] for row in br]
-
-    inner = brackets(mu, lam)  # [b_μ c] as second argument of α_λ
-    outer = brackets(lam, -(lam + mu))  # [a_λ b] as first argument of α_{λ+μ}
-    right = brackets(lam, mu)  # [a_λ c] as second argument of α_μ
+    inner, outer, right = _jacobi_brackets(A)
     at_sum_cols = [tuple(row[c] for row in at_sum) for c in range(n)]
     for a in range(n):
         for b in range(n):
@@ -435,12 +425,12 @@ def coeff_bracket(A: GDBialgebra, q: CocycleQuadruple, gen1, gen2):
     # a_(0)b = ∂(b∘a) + [b,a] contributes [b,a]_{m+n} - (m+n)(b∘a)_{m+n-1};
     # a_(1)b = a∗b contributes m(a∗b)_{m+n-1}; together:
     # [b,a]_{m+n} + m(a∘b)_{m+n-1} - n(b∘a)_{m+n-1}
-    lie_ji = A.lie[j][i]
-    ij = A.novikov[i][j]
-    ji = A.novikov[j][i]
-    for k in range(A.dim):
-        put(k, m + n_mode, lie_ji[k])
-        put(k, m + n_mode - 1, m * ij[k] - n_mode * ji[k])
+    for k, c in A.lie_terms[j][i]:
+        put(k, m + n_mode, c)
+    for k, c in A.circ_terms[i][j]:
+        put(k, m + n_mode - 1, m * c)
+    for k, c in A.circ_terms[j][i]:
+        put(k, m + n_mode - 1, -n_mode * c)
 
     central = ZERO
     if m + n_mode + 1 == 0:
@@ -493,30 +483,28 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
             if r:
                 out.append(("antisymmetry", (i, m), (j, nn), r))
 
-    # per-pair module structure of the mode bracket, precomputed once:
-    # [a_i⊗t^m, a_j⊗t^n] = Σ_k lie_c·(k, m+n) + (m·c_ij - n·c_ji)·(k, m+n-1)
-    pair_terms = [
-        [
-            [
-                (k, A.lie[j][i][k], A.novikov[i][j][k], A.novikov[j][i][k])
-                for k in range(n)
-                if A.lie[j][i][k] or A.novikov[i][j][k] or A.novikov[j][i][k]
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    # module part of the mode bracket:
+    # [a_i⊗t^m, a_j⊗t^n] = [a_j,a_i]_{m+n} + (m·a_i∘a_j - n·a_j∘a_i)_{m+n-1};
+    # shift[i][j] pairs up the a_k coefficients of a_i∘a_j and a_j∘a_i
+    circ, lie = A.circ_terms, A.lie_terms
+    shift = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, c in circ[i][j]:
+                shift[i][j].setdefault(k, [ZERO, ZERO])[0] = c
+                shift[j][i].setdefault(k, [ZERO, ZERO])[1] = c
 
     def cocycle_residual(x, y, z):
         res = ZERO
         for (iu, mu), (iv, mv), (iw, mw) in ((x, y, z), (y, z, x), (z, x, y)):
             base = mu + mv
             s0 = base + mw
-            for k, lie_c, cij, cji in pair_terms[iu][iv]:
-                if lie_c and -1 <= s0 <= 2:
-                    res += lie_c * pi(k, base, iw, s0)
-                if -1 <= s0 - 1 <= 2:
-                    c = mu * cij - mv * cji
+            if -1 <= s0 <= 2:
+                for k, c in lie[iv][iu]:
+                    res += c * pi(k, base, iw, s0)
+            if -1 <= s0 - 1 <= 2:
+                for k, (cuv, cvu) in shift[iu][iv].items():
+                    c = mu * cuv - mv * cvu
                     if c:
                         res += c * pi(k, base - 1, iw, s0 - 1)
         return res

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .poly import ZERO, _as_q
+from .poly import ONE, ZERO, _as_q
 
 VElem = tuple  # coordinate vector over Fraction in the chosen basis
 
@@ -70,31 +71,11 @@ class GDBialgebra:
 
     def circ(self, x, y):
         """x ∘ y for coordinate vectors."""
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in enumerate(self.novikov[i][j]):
-                    if c:
-                        out[k] += xi * yj * c
-        return tuple(out)
+        return self._dense(_mul(self.circ_terms, _terms(x), _terms(y)))
 
     def bracket(self, x, y):
         """[x, y] for coordinate vectors."""
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, c in enumerate(self.lie[i][j]):
-                    if c:
-                        out[k] += xi * yj * c
-        return tuple(out)
+        return self._dense(_mul(self.lie_terms, _terms(x), _terms(y)))
 
     def star(self, x, y):
         """Symmetrized product x∘y + y∘x."""
@@ -102,20 +83,55 @@ class GDBialgebra:
         b = self.circ(y, x)
         return tuple(u + v for u, v in zip(a, b))
 
+    def _dense(self, vec):
+        return tuple(vec.get(k, ZERO) for k in range(self.dim))
 
-def product_terms(algebra):
-    """Basis products read off the structure tables as sparse
-    ((k, coeff), ...) terms: grids circ, lie, star with circ[i][j] = a_i∘a_j,
-    lie[i][j] = [a_i, a_j] and star[i][j] = a_i∗a_j = a_i∘a_j + a_j∘a_i."""
-    n = algebra.dim
-    nov = algebra.novikov
+    # -- sparse product grids, built once per object ------------------
+    # grid[i][j] holds the basis product of a_i and a_j as sparse
+    # ((k, coeff), ...) terms; equality still compares the dense fields
 
-    def grid(vec):
-        return [[tuple((k, c) for k, c in enumerate(vec(i, j)) if c)
-                 for j in range(n)] for i in range(n)]
+    @cached_property
+    def circ_terms(self):
+        """a_i∘a_j."""
+        return _grid(self.novikov)
 
-    return (grid(lambda i, j: nov[i][j]), grid(lambda i, j: algebra.lie[i][j]),
-            grid(lambda i, j: [u + v for u, v in zip(nov[i][j], nov[j][i])]))
+    @cached_property
+    def lie_terms(self):
+        """[a_i, a_j]."""
+        return _grid(self.lie)
+
+    @cached_property
+    def star_terms(self):
+        """a_i∗a_j = a_i∘a_j + a_j∘a_i."""
+        nov = self.novikov
+        return _grid([[[u + v for u, v in zip(nov[i][j], nov[j][i])]
+                       for j in range(self.dim)] for i in range(self.dim)])
+
+    @cached_property
+    def derived(self):
+        """Tables other modules compute from this algebra, kept for the
+        object's lifetime: {name: table}."""
+        return {}
+
+
+def _grid(table):
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c)
+                       for cell in row) for row in table)
+
+
+def _terms(vec):
+    """A coordinate vector as sparse ((index, coeff), ...) terms."""
+    return [(i, c) for i, c in enumerate(vec) if c]
+
+
+def _mul(grid, x, y):
+    """Σ x_i y_j grid[i][j] for sparse terms x, y, as {k: coeff}."""
+    out = {}
+    for i, xi in x:
+        for j, yj in y:
+            for k, c in grid[i][j]:
+                out[k] = out.get(k, ZERO) + xi * yj * c
+    return out
 
 
 def _table_shape_ok(table, n):
@@ -179,8 +195,17 @@ def gd_build(dim, basis_names, novikov_table, lie_table, validate=True):
     return algebra
 
 
-def _is_zero(vec):
-    return not any(vec)
+def _residual(n, *signed):
+    """Dense coordinates of Σ sign·v over {k: coeff} vectors v."""
+    out = [ZERO] * n
+    for sign, v in signed:
+        for k, c in v.items():
+            out[k] += sign * c
+    return tuple(out)
+
+
+def _units(n):
+    return [((i, ONE),) for i in range(n)]
 
 
 def check_novikov(algebra):
@@ -188,29 +213,19 @@ def check_novikov(algebra):
     (a∘b)∘c - a∘(b∘c) = (b∘a)∘c - b∘(a∘c) and right-commutativity
     (a∘b)∘c = (a∘c)∘b over basis triples."""
     n = algebra.dim
-    e = [algebra.basis_elem(i) for i in range(n)]
-    circ = algebra.circ
+    e, C = _units(n), algebra.circ_terms
     out = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                a, b, c = e[i], e[j], e[k]
-                lhs = circ(circ(a, b), c)
-                left_sym = tuple(
-                    p - q - r + s
-                    for p, q, r, s in zip(
-                        lhs,
-                        circ(a, circ(b, c)),
-                        circ(circ(b, a), c),
-                        circ(b, circ(a, c)),
-                    )
-                )
-                if not _is_zero(left_sym):
+                lhs = _mul(C, C[i][j], e[k])
+                left_sym = _residual(n, (1, lhs), (-1, _mul(C, e[i], C[j][k])),
+                                     (-1, _mul(C, C[j][i], e[k])),
+                                     (1, _mul(C, e[j], C[i][k])))
+                if any(left_sym):
                     out.append(Violation("left-symmetry", i, j, k, left_sym))
-                right_comm = tuple(
-                    p - q for p, q in zip(lhs, circ(circ(a, c), b))
-                )
-                if not _is_zero(right_comm):
+                right_comm = _residual(n, (1, lhs), (-1, _mul(C, C[i][k], e[j])))
+                if any(right_comm):
                     out.append(Violation("right-commutativity", i, j, k, right_comm))
     return out
 
@@ -219,20 +234,15 @@ def check_lie(algebra):
     """All violations of the Jacobi identity
     [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 over basis triples."""
     n = algebra.dim
-    e = [algebra.basis_elem(i) for i in range(n)]
-    br = algebra.bracket
+    e, L = _units(n), algebra.lie_terms
     out = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                a, b, c = e[i], e[j], e[k]
-                res = tuple(
-                    p + q + r
-                    for p, q, r in zip(
-                        br(br(a, b), c), br(br(b, c), a), br(br(c, a), b)
-                    )
-                )
-                if not _is_zero(res):
+                res = _residual(n, (1, _mul(L, L[i][j], e[k])),
+                                (1, _mul(L, L[j][k], e[i])),
+                                (1, _mul(L, L[k][i], e[j])))
+                if any(res):
                     out.append(Violation("jacobi", i, j, k, res))
     return out
 
@@ -242,23 +252,16 @@ def check_gd_compat(algebra):
     [a∘b,c] - [a∘c,b] + [a,b]∘c - [a,c]∘b - a∘[b,c] = 0 over basis
     triples."""
     n = algebra.dim
-    e = [algebra.basis_elem(i) for i in range(n)]
-    circ, br = algebra.circ, algebra.bracket
+    e, C, L = _units(n), algebra.circ_terms, algebra.lie_terms
     out = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                a, b, c = e[i], e[j], e[k]
-                res = tuple(
-                    t1 - t2 + t3 - t4 - t5
-                    for t1, t2, t3, t4, t5 in zip(
-                        br(circ(a, b), c),
-                        br(circ(a, c), b),
-                        circ(br(a, b), c),
-                        circ(br(a, c), b),
-                        circ(a, br(b, c)),
-                    )
-                )
-                if not _is_zero(res):
+                res = _residual(n, (1, _mul(L, C[i][j], e[k])),
+                                (-1, _mul(L, C[i][k], e[j])),
+                                (1, _mul(C, L[i][j], e[k])),
+                                (-1, _mul(C, L[i][k], e[j])),
+                                (-1, _mul(C, e[i], L[j][k])))
+                if any(res):
                     out.append(Violation("compatibility", i, j, k, res))
     return out

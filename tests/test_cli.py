@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +213,19 @@ class TestBadBounds:
         assert code == 2
         assert out == ""
         assert err == "error: degree bound must be non-negative\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_QUESTIONS = json.loads((GOLDEN / "questions.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_QUESTIONS))
+def test_json_output_matches_golden(capsys, name):
+    """``--json`` reports of check, extend, derive and coeff on five catalog
+    entries, byte for byte. The recorded stdout lives in
+    ``tests/golden/NAME.out``; argv and exit code in ``questions.json``."""
+    question = GOLDEN_QUESTIONS[name]
+    code, out, err = run(capsys, *question["argv"])
+    assert code == question["exit"]
+    assert err == ""
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()

@@ -37,12 +37,6 @@ class TestQuadruple:
         q = CocycleQuadruple.single(2, 3, 0, 0, Fraction(5, 2))
         assert CocycleQuadruple.from_vector(2, q.as_vector()) == q
 
-    def test_form_bilinear(self):
-        q = CocycleQuadruple.single(2, 1, 0, 1)
-        x = (Fraction(2), Fraction(1))
-        y = (Fraction(0), Fraction(3))
-        assert q.form(1, x, y) == 2 * 3 * q.alpha[1][0][1] + 1 * 3 * q.alpha[1][1][1]
-
     def test_lambda_poly(self):
         q = CocycleQuadruple.single(1, 3, 0, 0)
         assert str(q.lambda_poly(0, 0)) == "λ^3"

@@ -149,11 +149,12 @@ class TestCheckersAgainstOracle:
 
     def test_random_mutations_detected_identically(self):
         """Perturb one structure constant at a time; the library checkers
-        and the independent test-side oracle must agree on whether any
-        axiom breaks."""
+        and the independent test-side oracle must report the same failing
+        (axiom, i, j, k) instances."""
         rng = random.Random(7)
         base = catalog_build("vir_current", g="sl2")
         n = base.dim
+        total = 0
         for _ in range(40):
             nov = [[[c for c in cell] for cell in row] for row in base.novikov]
             lie = [[[c for c in cell] for cell in row] for row in base.lie]
@@ -168,8 +169,8 @@ class TestCheckersAgainstOracle:
                 lie[i][j][k] += delta
                 lie[j][i][k] -= delta
             A = gd_build(n, base.basis_names, nov, lie, validate=False)
-            lib_bad = bool(
-                check_novikov(A) or check_lie(A) or check_gd_compat(A)
-            )
-            oracle_bad = bool(brute_force_violations(A))
-            assert lib_bad == oracle_bad
+            found = check_novikov(A) + check_lie(A) + check_gd_compat(A)
+            instances = sorted((v.axiom, v.i, v.j, v.k) for v in found)
+            assert instances == sorted(brute_force_violations(A))
+            total += len(instances)
+        assert total > 0
