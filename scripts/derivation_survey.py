@@ -11,8 +11,9 @@ import argparse
 import time
 
 from qlca import (HypothesisNotDetected, QuadraticLCA, detect_unit_like,
-                  entry_label, outer_dimension, solve_derivations_direct,
+                  entry_label, solve_derivations_direct,
                   solve_derivations_theorem, spaces_agree, standard_entries)
+from qlca.derivations import stabilized_outer
 
 
 def main():
@@ -31,7 +32,7 @@ def main():
         R = QuadraticLCA(A)
         unit = detect_unit_like(A)
         direct = solve_derivations_direct(R, P, D)
-        outer = outer_dimension(R, P, D)
+        outer = stabilized_outer(R, direct)
         outer_s = str(outer[0]) if isinstance(outer, tuple) else str(outer)
         try:
             thm = solve_derivations_theorem(R, D)

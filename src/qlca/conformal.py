@@ -155,20 +155,18 @@ def check_jacobi(R):
     n = R.dim
     lam = FormalPoly.sym(LAM)
     mu = FormalPoly.sym(MU)
+    lam_mu = lam + mu
+    basis = [R.basis_expr(i) for i in range(n)]
+    br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
+    br_mu = [[tuple(p.substitute(LAM, mu) for p in e) for e in row]
+             for row in br]
     out = []
     for i in range(n):
-        ei = R.basis_expr(i)
         for j in range(n):
-            ej = R.basis_expr(j)
             for k in range(n):
-                inner_jk = tuple(
-                    p.substitute(LAM, mu) for p in bracket_basis(R, j, k)
-                )
-                lhs = bracket_general(R, ei, inner_jk, lam)
-                outer_ij = bracket_basis(R, i, j)
-                rhs1 = bracket_general(R, outer_ij, R.basis_expr(k), lam + mu)
-                inner_ik = bracket_basis(R, i, k)
-                rhs2 = bracket_general(R, ej, inner_ik, mu)
+                lhs = bracket_general(R, basis[i], br_mu[j][k], lam)
+                rhs1 = bracket_general(R, br[i][j], basis[k], lam_mu)
+                rhs2 = bracket_general(R, basis[j], br[i][k], mu)
                 residual = expr_sub(lhs, expr_add(rhs1, rhs2))
                 if not expr_is_zero(residual):
                     out.append((i, j, k, residual))

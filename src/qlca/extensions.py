@@ -258,19 +258,12 @@ def _direct_rows(A, N):
                     # α_{λ+μ}([b,a], c)
                     for s in range(i + 1):
                         add(tag, s, i - s, -comb(i, s), i, br[ib][ia], c)
-    return [r for r in rows.values() if r], unknown
+    return [r for r in rows.values() if r]
 
 
-def _direct_nullspace(A, N, restrict_deg3=False):
-    n = A.dim
-    rows, unknown = _direct_rows(A, N)
-    if restrict_deg3:
-        for i in range(4, N + 1):
-            for p in range(n):
-                for q in range(n):
-                    rows.append({unknown(i, p, q): Fraction(1)})
-    m = RatMatrix.from_rows(rows, (N + 1) * n * n)
-    return nullspace_basis(m)
+def _direct_nullspace(A, N):
+    return nullspace_basis(RatMatrix.from_rows(_direct_rows(A, N),
+                                               (N + 1) * A.dim * A.dim))
 
 
 def _per_degree_profile(basis, n, maxdeg):
@@ -305,7 +298,11 @@ def solve_extensions_direct(A: GDBialgebra, degree_bound: int = 6) -> CocycleSpa
             "unbounded family: cocycle space keeps growing with the "
             f"λ-degree bound (dim {len(sols)} at N={N}, {len(probe)} at N={N + 1})",
         )
-    deg3 = _direct_nullspace(A, max(N, MAX_CLOSED_DEGREE), restrict_deg3=True)
+    # a row of total λμ-degree t involves only α_{t-1} and α_t, so for
+    # every N the solutions supported in degrees ≤ 3 are those at N = 3
+    deg3 = {N: sols, N + 1: probe}.get(MAX_CLOSED_DEGREE)
+    if deg3 is None:
+        deg3 = _direct_nullspace(A, MAX_CLOSED_DEGREE)
     basis = tuple(CocycleQuadruple.from_vector(n, v) for v in deg3)
     per_degree = _per_degree_profile(sols, n, N)
     return CocycleSpace(A, basis, "direct-expansion", N, stable, per_degree, warnings)
@@ -449,6 +446,10 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
     """Verify antisymmetry and the Lie 2-cocycle identity of the induced
     mode cocycle on generators a_i ⊗ t^m with |m| ≤ window.
 
+    Every mode bracket is read from ``coeff_bracket``. Its central part is
+    supported on total modes -1..2, so the residual of a triple whose total
+    mode lies outside -1..3 is 0, and the exhaustive run skips it.
+
     Runs exhaustively when ``samples`` is None or at least the number of
     generator triples; otherwise checks ``samples`` seeded random triples.
     Exact equality required; returns the list of failures.
@@ -458,61 +459,37 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
     n = A.dim
     modes = range(-window, window + 1)
     gens = [(i, m) for i in range(n) for m in modes]
-    total = len(gens) ** 3
+    brackets = {}
+
+    def bracket(x, y):
+        if (x, y) not in brackets:
+            brackets[x, y] = coeff_bracket(A, q, x, y)
+        return brackets[x, y]
+
     out = []
-
-    alpha = q.alpha
-
-    def pi(i, m, j, s):
-        """Central pairing of (a_i ⊗ t^m) with a generator at total mode
-        s = m + n, inlined for speed."""
-        if s == -1:
-            return alpha[0][i][j]
-        if s == 0:
-            return m * alpha[1][i][j]
-        if s == 1:
-            return m * (m - 1) * alpha[2][i][j]
-        if s == 2:
-            return m * (m - 1) * (m - 2) * alpha[3][i][j]
-        return ZERO
-
-    # antisymmetry of π on generator pairs (cheap, always exhaustive)
-    for (i, m) in gens:
-        for (j, nn) in gens:
-            r = pi(i, m, j, m + nn) + pi(j, nn, i, m + nn)
+    # antisymmetry of the central term on generator pairs (always exhaustive)
+    for x in gens:
+        for y in gens:
+            r = bracket(x, y)[1] + bracket(y, x)[1]
             if r:
-                out.append(("antisymmetry", (i, m), (j, nn), r))
+                out.append(("antisymmetry", x, y, r))
 
-    # module part of the mode bracket:
-    # [a_i⊗t^m, a_j⊗t^n] = [a_j,a_i]_{m+n} + (m·a_i∘a_j - n·a_j∘a_i)_{m+n-1};
-    # shift[i][j] pairs up the a_k coefficients of a_i∘a_j and a_j∘a_i
-    circ, lie = A.circ_terms, A.lie_terms
-    shift = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k, c in circ[i][j]:
-                shift[i][j].setdefault(k, [ZERO, ZERO])[0] = c
-                shift[j][i].setdefault(k, [ZERO, ZERO])[1] = c
+    def residual(x, y, z):
+        """Σ_cyc of the central part of [[u, v], w]."""
+        r = ZERO
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            for g, c in bracket(u, v)[0].items():
+                central = bracket(g, w)[1]
+                if central:
+                    r += c * central
+        return r
 
-    def cocycle_residual(x, y, z):
-        res = ZERO
-        for (iu, mu), (iv, mv), (iw, mw) in ((x, y, z), (y, z, x), (z, x, y)):
-            base = mu + mv
-            s0 = base + mw
-            if -1 <= s0 <= 2:
-                for k, c in lie[iv][iu]:
-                    res += c * pi(k, base, iw, s0)
-            if -1 <= s0 - 1 <= 2:
-                for k, (cuv, cvu) in shift[iu][iv].items():
-                    c = mu * cuv - mv * cvu
-                    if c:
-                        res += c * pi(k, base - 1, iw, s0 - 1)
-        return res
-
-    if samples is None or samples >= total:
-        triples = (
-            (x, y, z) for x in gens for y in gens for z in gens
-        )
+    if samples is None or samples >= len(gens) ** 3:
+        # third generators z with -1 <= m_x + m_y + m_z <= 3, in gens order
+        near = {s: [z for z in gens if -1 <= s + z[1] <= 3]
+                for s in range(-2 * window, 2 * window + 1)}
+        triples = ((x, y, z) for x in gens for y in gens
+                   for z in near[x[1] + y[1]])
     else:
         rng = random.Random(seed)
         triples = (
@@ -520,7 +497,7 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
             for _ in range(samples)
         )
     for x, y, z in triples:
-        r = cocycle_residual(x, y, z)
+        r = residual(x, y, z)
         if r:
             out.append(("cocycle", x, y, z, r))
     return out

@@ -407,11 +407,11 @@ def solve(matrix, rhs):
 
 
 def _columns_matrix(vectors):
-    dim = len(vectors[0])
-    m = RatMatrix(dim, len(vectors))
+    m = RatMatrix(len(vectors[0]), len(vectors))
     for j, v in enumerate(vectors):
         for i, x in enumerate(v):
-            m[i, j] = x
+            if x:
+                m[i, j] = x
     return m
 
 
@@ -431,11 +431,7 @@ def span_coordinates(vectors, target):
 
 
 def spans_equal(a, b):
-    """Mutual-membership test for two lists of vectors."""
-    for v in a:
-        if span_coordinates(b, v) is None:
-            return False
-    for v in b:
-        if span_coordinates(a, v) is None:
-            return False
-    return True
+    """Whether two lists of vectors span the same space: each span holds
+    the other exactly when both have the rank of their union."""
+    a, b = list(a), list(b)
+    return span_rank(a) == span_rank(b) == span_rank(a + b)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from qlca import entry_label, standard_entries
 from qlca.cli import main
 
 
@@ -229,3 +233,24 @@ def test_json_output_matches_golden(capsys, name):
     assert code == question["exit"]
     assert err == ""
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, bounds", [
+    ("extension_survey.py", ["--degree", "3"]),
+    ("derivation_survey.py", ["--partial-bound", "1", "--lambda-bound", "1"]),
+])
+def test_survey_script_prints_one_row_per_entry(script, bounds):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *bounds], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for entry in standard_entries():
+        label = entry_label(entry)
+        assert sum(line.split(" ", 1)[0] == label for line in lines) == 1

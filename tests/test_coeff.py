@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -43,6 +45,33 @@ class TestCoeffBracket:
                         assert t1 == {k: -v for k, v in t2.items()}
 
 
+def brute_force_coeff_check(A, q, window, samples=None, seed=0):
+    """Reference for check_coeff_cocycle: every generator triple, with no
+    mode filter, and each cyclic residual summed straight from
+    coeff_bracket."""
+    gens = [(i, m) for i in range(A.dim) for m in range(-window, window + 1)]
+
+    def central(x, y):
+        return coeff_bracket(A, q, x, y)[1]
+
+    out = [("antisymmetry", x, y, central(x, y) + central(y, x))
+           for x in gens for y in gens]
+    out = [f for f in out if f[-1]]
+    if samples is None or samples >= len(gens) ** 3:
+        triples = product(gens, repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = [(rng.choice(gens), rng.choice(gens), rng.choice(gens))
+                   for _ in range(samples)]
+    for x, y, z in triples:
+        r = sum(c * central(g, w)
+                for u, v, w in ((x, y, z), (y, z, x), (z, x, y))
+                for g, c in coeff_bracket(A, q, u, v)[0].items())
+        if r:
+            out.append(("cocycle", x, y, z, r))
+    return out
+
+
 class TestCocycleIdentity:
     def test_exhaustive_on_small_algebras(self):
         for name, params in (("vir", {}), ("r_alpha_beta", dict(alpha=1, beta=0))):
@@ -61,6 +90,30 @@ class TestCocycleIdentity:
         A = catalog_build("vir")
         fake = CocycleQuadruple.single(1, 2, 0, 0, symmetrize=False)
         assert check_coeff_cocycle(A, fake, window=2)
+
+    @pytest.mark.parametrize("name, params", [
+        ("vir", {}),
+        ("r_alpha_beta", dict(alpha=2, beta=0)),
+        ("current", dict(g="sl2")),
+        # single α_3 entries here fail at total mode 3, the filter's edge
+        ("r_alpha_beta", dict(alpha=1, beta=1)),
+    ])
+    def test_matches_brute_force_on_non_cocycles(self, name, params):
+        A = catalog_build(name, **params)
+        n = A.dim
+        window = 2 if n < 3 else 1
+        failing = 0
+        for k in range(4):
+            for i in range(n):
+                for j in range(n):
+                    q = CocycleQuadruple.single(n, k, i, j, symmetrize=i < j)
+                    got = check_coeff_cocycle(A, q, window)
+                    assert got == brute_force_coeff_check(A, q, window)
+                    failing += bool(got)
+                    sampled = dict(samples=60, seed=k + i + j)
+                    assert (check_coeff_cocycle(A, q, 3, **sampled)
+                            == brute_force_coeff_check(A, q, 3, **sampled))
+        assert failing
 
     def test_window_validation(self):
         A = catalog_build("vir")

@@ -117,6 +117,17 @@ class TestSolvers:
         for sp in (solve_extensions_theorem(A), solve_extensions_direct(A)):
             assert all(b.alpha[1][1][1] == 0 for b in sp.basis)
 
+    @pytest.mark.parametrize("name, params", [
+        ("vir", {}),
+        ("current", dict(g="abelian", n=2)),
+        ("r_alpha_beta", dict(alpha=2, beta=0)),
+        ("loop_vir_cyclic", dict(m=3)),
+    ])
+    def test_basis_does_not_depend_on_degree_bound(self, name, params):
+        A = catalog_build(name, **params)
+        bases = {solve_extensions_direct(A, N).basis for N in range(8)}
+        assert len(bases) == 1
+
     def test_degree_bound_validation(self):
         with pytest.raises(ValueError):
             solve_extensions_direct(catalog_build("vir"), degree_bound=-1)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlca.poly import (DEL, LAM, MU, FormalPoly, RatMatrix, nullspace_basis,
@@ -117,6 +117,30 @@ class TestLinearAlgebra:
             Fraction(1),
         )
         assert span_coordinates([a[0]], (Fraction(0), Fraction(1))) is None
+
+    @given(
+        st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                 max_size=3),
+        st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                 max_size=3),
+        st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                 max_size=1),
+    )
+    @example([[1, 0, 0]], [], [[0, 1, 0]])  # equal ranks, different spans
+    @example([[1, 0, 0], [0, 1, 0]], [[1, 1, 0]], [])  # proper subspace
+    @example([], [], [])
+    @example([], [], [[0, 0, 0]])
+    @example([], [], [[1, 0, 0]])
+    @settings(max_examples=80, deadline=None)
+    def test_spans_equal_is_mutual_membership(self, a, mix, extra):
+        """b mixes the vectors of a (so span b ⊆ span a) plus extra ones."""
+        a = [tuple(Fraction(x) for x in v) for v in a]
+        b = [tuple(sum(c * v[t] for c, v in zip(row, a)) + Fraction(0)
+                   for t in range(3)) for row in mix]
+        b += [tuple(Fraction(x) for x in v) for v in extra]
+        mutual = (all(span_coordinates(b, v) is not None for v in a)
+                  and all(span_coordinates(a, v) is not None for v in b))
+        assert spans_equal(a, b) == spans_equal(b, a) == mutual
 
     @given(
         st.lists(
