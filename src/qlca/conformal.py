@@ -68,6 +68,19 @@ def bracket_basis(R, i, j):
     return tuple(FormalPoly(t) for t in coords)
 
 
+def _slot_brackets(R, slot):
+    """[a_i slot a_j] for every basis pair, built once per algebra object
+    and slot."""
+    key = ("slot_brackets", frozenset(slot.terms.items()))
+    derived = R.gd.derived
+    if key not in derived:
+        n = R.dim
+        derived[key] = [[tuple(p.substitute(LAM, slot)
+                               for p in bracket_basis(R, a, b))
+                         for b in range(n)] for a in range(n)]
+    return derived[key]
+
+
 def bracket_general(R, x, y, slot):
     """[x_slot y] by bilinearity and sesquilinearity.
 
@@ -84,16 +97,7 @@ def bracket_general(R, x, y, slot):
     n = R.dim
     d = FormalPoly.sym(DEL)
     out = list(R.zero_expr())
-    # cache slot-evaluated basis brackets and the needed powers
-    bb = {}
-
-    def basis_bracket_at_slot(a, b):
-        key = (a, b)
-        if key not in bb:
-            raw = bracket_basis(R, a, b)
-            bb[key] = tuple(p.substitute(LAM, slot) for p in raw)
-        return bb[key]
-
+    bb = _slot_brackets(R, slot)
     neg_slot_pow = [FormalPoly.const(1)]
     slot_plus_d_pow = [FormalPoly.const(1)]
 
@@ -114,7 +118,7 @@ def bracket_general(R, x, y, slot):
                 yb = y[b]
                 if yb.is_zero():
                     continue
-                base = basis_bracket_at_slot(a, b)
+                base = bb[a][b]
                 for (eyd, eyl, eym), cy in yb.terms.items():
                     factor = (
                         xfactor
@@ -158,8 +162,7 @@ def check_jacobi(R):
     lam_mu = lam + mu
     basis = [R.basis_expr(i) for i in range(n)]
     br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
-    br_mu = [[tuple(p.substitute(LAM, mu) for p in e) for e in row]
-             for row in br]
+    br_mu = _slot_brackets(R, mu)
     out = []
     for i in range(n):
         for j in range(n):

@@ -23,7 +23,7 @@ from math import comb
 from .conformal import (QuadraticLCA, bracket_basis, bracket_general,
                         expr_add, expr_is_zero, expr_sub)
 from .gd import GDBialgebra
-from .poly import (DEL, LAM, MU, ONE, FormalPoly, RatMatrix, ZERO,
+from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
                    nullspace_basis, span_rank, spans_equal)
 
 
@@ -147,7 +147,7 @@ def _direct_rows(R: QuadraticLCA, P, D):
 
     neg_lm = powers(-(lam + mu), P)
     mu_d = powers(mu + d, P)
-    mono = [[FormalPoly({(i, k, 0): Fraction(1)}) for k in range(D + 1)]
+    mono = [[FormalPoly({(i, k, 0): 1}) for k in range(D + 1)]
             for i in range(P + 1)]
 
     rows = {}
@@ -158,7 +158,7 @@ def _direct_rows(R: QuadraticLCA, P, D):
         for m_key, c in pol.terms.items():
             key = (tag, m_key)
             eq = rows.setdefault(key, {})
-            s = eq.get(unknown, ZERO) + sign * c
+            s = eq.get(unknown, 0) + sign * c
             if s:
                 eq[unknown] = s
             else:
@@ -180,7 +180,7 @@ def _direct_rows(R: QuadraticLCA, P, D):
             # RHS1: Σ λ^k (-λ-μ)^i [d-coeff-of-a_p bracket a_q] at slot λ+μ
             for i in range(P + 1):
                 for k in range(D + 1):
-                    factor = FormalPoly({(0, k, 0): Fraction(1)}) * neg_lm[i]
+                    factor = FormalPoly({(0, k, 0): 1}) * neg_lm[i]
                     for rr in range(n):
                         base = brackets_lm[rr][q]
                         for out_r in range(n):
@@ -191,7 +191,7 @@ def _direct_rows(R: QuadraticLCA, P, D):
             # RHS2: Σ λ^k (μ+∂)^i [a_p bracket d-coeff-of-a_q] at slot μ
             for i in range(P + 1):
                 for k in range(D + 1):
-                    factor = FormalPoly({(0, k, 0): Fraction(1)}) * mu_d[i]
+                    factor = FormalPoly({(0, k, 0): 1}) * mu_d[i]
                     for rr in range(n):
                         base = brackets_mu[p][rr]
                         for out_r in range(n):
@@ -319,7 +319,7 @@ def detect_unit_like(A: GDBialgebra):
     n = A.dim
     circ = A.circ_terms
     for side in ("left", "right"):
-        rows = {(j, j): {n: Fraction(-1)} for j in range(n)}  # (b, coord) -> row
+        rows = {(j, j): {n: -1} for j in range(n)}  # (b, coord) -> row
         for i in range(n):
             for j in range(n):
                 for r, c in (circ[i][j] if side == "left" else circ[j][i]):
@@ -330,7 +330,7 @@ def detect_unit_like(A: GDBialgebra):
         for vec in nullspace_basis(m):
             if vec[n]:
                 scale = 1 / vec[n]
-                return side, tuple(v * scale for v in vec[:n]), Fraction(1)
+                return side, tuple(v * scale for v in vec[:n]), 1
     return None
 
 
@@ -346,7 +346,7 @@ def _closed_rows(A: GDBialgebra, P, D):
     n = A.dim
     idx = _unknown_indexer(n, P, D)
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
-    ID = [((r, ONE),) for r in range(n)]
+    ID = [((r, 1),) for r in range(n)]
 
     def right(grid, b):  # X ↦ X·a_b
         return [grid[r][b] for r in range(n)]
@@ -362,7 +362,7 @@ def _closed_rows(A: GDBialgebra, P, D):
                         for k in range(D + 1):
                             eq = eqs.setdefault((t, k + s), {})
                             x = idx(j, i, k, r)
-                            eq[x] = eq.get(x, ZERO) + c * uj * ft
+                            eq[x] = eq.get(x, 0) + c * uj * ft
         for eq in eqs.values():
             eq = {x: v for x, v in eq.items() if v}
             if eq:
@@ -370,7 +370,7 @@ def _closed_rows(A: GDBialgebra, P, D):
 
     for p in range(n):
         for q in range(n):
-            a, b = ((p, ONE),), ((q, ONE),)  # basis elements a = a_p, b = a_q
+            a, b = ((p, 1),), ((q, 1),)  # basis elements a = a_p, b = a_q
             ba, ab = circ[q][p], circ[p][q]
             ab_star = star[p][q]
             lba = br[q][p]

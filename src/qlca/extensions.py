@@ -28,7 +28,7 @@ from math import comb
 
 from .conformal import QuadraticLCA, bracket_basis
 from .gd import GDBialgebra
-from .poly import (DEL, LAM, MU, ONE, FormalPoly, RatMatrix, ZERO,
+from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
                    nullspace_basis, span_rank)
 
 MAX_CLOSED_DEGREE = 3  # λ-degree bound of the closed-form system
@@ -123,7 +123,7 @@ def _bilinear_terms(eq, sign, k, x, y, unknown):
     for i, xi in x:
         for j, yj in y:
             u = unknown(k, i, j)
-            s = eq.get(u, ZERO) + sign * xi * yj
+            s = eq.get(u, 0) + sign * xi * yj
             if s:
                 eq[u] = s
             else:
@@ -132,7 +132,7 @@ def _bilinear_terms(eq, sign, k, x, y, unknown):
 
 def _unit(i):
     """The basis element a_i as sparse terms."""
-    return ((i, ONE),)
+    return ((i, 1),)
 
 
 def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
@@ -147,13 +147,13 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
 
     # parity: α_k(a,b) - (-1)^{k+1} α_k(b,a) = 0
     for k in range(4):
-        sign = Fraction(-1) if k % 2 else Fraction(1)  # -(-1)^{k+1}
+        sign = -1 if k % 2 else 1  # -(-1)^{k+1}
         for i in range(n):
             for j in range(n):
                 eq = {}
                 u1, u2 = unknown(k, i, j), unknown(k, j, i)
-                eq[u1] = eq.get(u1, ZERO) + 1
-                eq[u2] = eq.get(u2, ZERO) + sign
+                eq[u1] = eq.get(u1, 0) + 1
+                eq[u2] = eq.get(u2, 0) + sign
                 rows.append({u: v for u, v in eq.items() if v})
 
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms

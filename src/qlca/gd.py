@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .poly import ONE, ZERO, _as_q
+from .poly import ZERO, _as_q
 
 VElem = tuple  # coordinate vector over Fraction in the chosen basis
 
@@ -115,7 +115,7 @@ class GDBialgebra:
 
 
 def _grid(table):
-    return tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c)
+    return tuple(tuple(tuple((k, _as_q(c)) for k, c in enumerate(cell) if c)
                        for cell in row) for row in table)
 
 
@@ -130,7 +130,7 @@ def _mul(grid, x, y):
     for i, xi in x:
         for j, yj in y:
             for k, c in grid[i][j]:
-                out[k] = out.get(k, ZERO) + xi * yj * c
+                out[k] = out.get(k, 0) + xi * yj * c
     return out
 
 
@@ -173,7 +173,7 @@ def gd_build(dim, basis_names, novikov_table, lie_table, validate=True):
                     f"lie table is not antisymmetric at pair ({i},{j})"
                 )
     # rebuild from the strictly upper part
-    zero = tuple([Fraction(0)] * dim)
+    zero = (0,) * dim
     lie = tuple(
         tuple(
             raw_lie[i][j] if i < j
@@ -205,7 +205,7 @@ def _residual(n, *signed):
 
 
 def _units(n):
-    return [((i, ONE),) for i in range(n)]
+    return [((i, 1),) for i in range(n)]
 
 
 def check_novikov(algebra):

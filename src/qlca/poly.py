@@ -1,8 +1,9 @@
 """Exact sparse polynomials in the formal symbols ∂, λ, μ, and exact
 rational linear algebra (nullspace, rank, span utilities).
 
-Scalars are ``fractions.Fraction`` throughout; there is no floating point
-anywhere in this module.
+Scalars are exact, never float: ``int`` when integral, ``Fraction`` otherwise
+(``_as_q``); ``nullspace_basis``/``solve`` vectors hold ``Fraction``s. A ``/``
+on scalars keeps a ``Fraction`` operand, since ``int / int`` is a float.
 """
 
 from __future__ import annotations
@@ -13,15 +14,17 @@ from math import gcd
 DEL, LAM, MU = 0, 1, 2
 SYMBOL_NAMES = ("∂", "λ", "μ")
 
-Q = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _as_q(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_q(x):
+    """x as an exact scalar: an int if integral, else a Fraction."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class FormalPoly:
@@ -64,7 +67,7 @@ class FormalPoly:
             other = FormalPoly.const(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
+            s = out.get(k, 0) + v
             if s:
                 out[k] = s
             else:
@@ -94,7 +97,7 @@ class FormalPoly:
         for (a1, b1, c1), v1 in self.terms.items():
             for (a2, b2, c2), v2 in other.terms.items():
                 k = (a1 + a2, b1 + b2, c1 + c2)
-                s = out.get(k, ZERO) + v1 * v2
+                s = out.get(k, 0) + v1 * v2
                 if s:
                     out[k] = s
                 else:
@@ -166,7 +169,7 @@ class FormalPoly:
             rest[target] = 0
             for (a, b, c), w in powers[e].terms.items():
                 key = (rest[0] + a, rest[1] + b, rest[2] + c)
-                out[key] = out.get(key, ZERO) + v * w
+                out[key] = out.get(key, 0) + v * w
         return FormalPoly(out)
 
     def __str__(self):
@@ -262,7 +265,7 @@ def _int_rows(matrix):
         denom_lcm = 1
         for v in row.values():
             denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-        irow = {c: int(v * denom_lcm) for c, v in row.items()}
+        irow = row if denom_lcm == 1 else {c: int(v * denom_lcm) for c, v in row.items()}
         g = 0
         for v in irow.values():
             g = gcd(g, v)

@@ -1,0 +1,98 @@
+"""Differential oracle: the exact linear algebra of ``qlca.poly`` against
+``sympy.Matrix`` on random sparse systems and on solver systems."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qlca.extensions
+from qlca import catalog_build, solve_extensions_theorem
+from qlca.poly import RatMatrix, nullspace_basis, rank, solve
+
+SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(-3, 3, max_denominator=6))
+
+
+def _sym(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _dense(m):
+    return sympy.Matrix(m.rows, m.cols, lambda r, c: _sym(m[r, c]))
+
+
+def _spans_equal(vectors, basis):
+    """Whether the columns ``vectors`` span the same space as ``basis``."""
+    k = len(basis)
+    if len(vectors) != k:
+        return False
+    if not k:
+        return True
+    ours = sympy.Matrix.hstack(*(sympy.Matrix([_sym(x) for x in v])
+                                 for v in vectors))
+    return ours.rank() == k == sympy.Matrix.hstack(ours, *basis).rank()
+
+
+def check_against_sympy(m, rhs):
+    ref = _dense(m)
+    assert rank(m) == ref.rank()
+    basis = nullspace_basis(m)
+    for v in basis:
+        assert all(x == 0 for x in m.matvec(v))
+    assert _spans_equal(basis, ref.nullspace())
+    x = solve(m, rhs)
+    b = sympy.Matrix([_sym(v) for v in rhs])
+    consistent = ref.row_join(b).rank() == ref.rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert m.matvec(x) == list(rhs)
+
+
+@st.composite
+def sparse_systems(draw):
+    """A sparse matrix up to 8×8 with some rows copied over others, and a
+    right-hand side that is either arbitrary or M·x0 (so consistent)."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    entries = draw(st.dictionaries(cells, SCALARS, max_size=2 * max(rows, cols)))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                            st.integers(0, rows - 1)),
+                                  max_size=3)):
+        entries = {(r, c): v for (r, c), v in entries.items() if r != dst}
+        entries.update({(dst, c): v for (r, c), v in list(entries.items())
+                        if r == src})
+    m = RatMatrix(rows, cols, entries)
+    if draw(st.booleans()):
+        rhs = draw(st.lists(SCALARS, min_size=rows, max_size=rows))
+    else:
+        rhs = m.matvec(draw(st.lists(SCALARS, min_size=cols, max_size=cols)))
+    return m, rhs
+
+
+@given(sparse_systems())
+@settings(max_examples=150, deadline=None)
+def test_linear_algebra_matches_sympy(system):
+    check_against_sympy(*system)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("vir", {}),
+    ("r_alpha_beta", {"alpha": 2, "beta": 0}),
+])
+def test_theorem_extension_system_matches_sympy(monkeypatch, name, params):
+    systems = []
+
+    def capture(m):
+        systems.append(m)
+        return nullspace_basis(m)
+
+    monkeypatch.setattr(qlca.extensions, "nullspace_basis", capture)
+    solve_extensions_theorem(catalog_build(name, **params))
+    (m,) = systems
+    check_against_sympy(m, [0] * m.rows)
+    check_against_sympy(m, [1] + [0] * (m.rows - 1))
+    check_against_sympy(m, m.matvec(range(m.cols)))
