@@ -2,17 +2,17 @@
 """Survey conformal-derivation spaces across the built-in catalog.
 
 For each algebra, reports the solution dimension at the ansatz bounds, the
-dimension of the inner span, the stabilized outer dimension (probed at two
-λ-bounds), and the closed-system solver's verdict where its hypothesis is
-detected.
+dimension of the inner span, the stabilized outer dimension (one elimination
+at λ-bound D+2, the bound-D space read off it), and the closed-system
+solver's verdict where its hypothesis is detected.
 """
 
 import argparse
 import time
 
 from qlca import (HypothesisNotDetected, QuadraticLCA, detect_unit_like,
-                  entry_label, solve_derivations_direct,
-                  solve_derivations_theorem, spaces_agree, standard_entries)
+                  entry_label, solve_derivations_theorem, spaces_agree,
+                  standard_entries)
 from qlca.derivations import stabilized_outer
 
 
@@ -31,8 +31,7 @@ def main():
         A = entry.build()
         R = QuadraticLCA(A)
         unit = detect_unit_like(A)
-        direct = solve_derivations_direct(R, P, D)
-        outer = stabilized_outer(R, direct)
+        direct, outer = stabilized_outer(R, P, D)
         outer_s = str(outer[0]) if isinstance(outer, tuple) else str(outer)
         try:
             thm = solve_derivations_theorem(R, D)

@@ -15,9 +15,8 @@ from fractions import Fraction
 from .algfile import ParseError, emit_algebra, parse_algebra_file
 from .catalog import catalog_build, catalog_names
 from .conformal import QuadraticLCA, bracket_basis, check_jacobi, check_skew
-from .derivations import (HypothesisNotDetected, solve_derivations_direct,
-                          solve_derivations_theorem, spaces_agree,
-                          stabilized_outer)
+from .derivations import (HypothesisNotDetected, solve_derivations_theorem,
+                          spaces_agree, stabilized_outer)
 from .extensions import (check_coeff_cocycle, coeff_relation_consistency,
                          solve_extensions_direct, solve_extensions_theorem,
                          verify_cocycle)
@@ -77,13 +76,9 @@ def load_target(target, validate=True):
     return spec.build(validate=validate), spec.name
 
 
-def _frac_str(x):
-    return str(x)
-
-
 def _emit(report, as_json):
     if as_json:
-        print(json.dumps(report, indent=2, default=_frac_str))
+        print(json.dumps(report, indent=2, default=str))
     else:
         _render_text(report)
 
@@ -230,8 +225,7 @@ def cmd_extend(args):
 def cmd_derive(args):
     A, label = load_target(args.target)
     R = QuadraticLCA(A)
-    direct = solve_derivations_direct(R, args.partial_bound, args.lambda_bound)
-    outer = stabilized_outer(R, direct)
+    direct, outer = stabilized_outer(R, args.partial_bound, args.lambda_bound)
     report = {
         "command": "derive",
         "target": label,

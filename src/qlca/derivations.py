@@ -47,9 +47,8 @@ class DerivationAnsatz:
         for (j, i, k), vec in coeffs.items():
             if i > P or k > D or i < 0 or k < 0:
                 raise ValueError(f"ansatz index ({j},{i},{k}) out of bounds")
-            vec = tuple(Fraction(x) for x in vec)
             if any(vec):
-                clean.append(((j, i, k), vec))
+                clean.append(((j, i, k), tuple(Fraction(x) for x in vec)))
         return cls(P, D, tuple(sorted(clean)))
 
     def image(self, R, j):
@@ -67,12 +66,9 @@ class DerivationAnsatz:
 
     def as_vector(self, n, P, D):
         """Flat coefficient vector at bounds (P, D); own bounds must fit."""
-        if self.partial_bound > P or self.lambda_bound > D:
-            nonzero = dict(self.coeffs)
-            for (j, i, k) in nonzero:
-                if i > P or k > D:
-                    raise ValueError("ansatz does not fit the requested bounds")
-        idx = _unknown_indexer(n, P, D)
+        if any(i > P or k > D for (_, i, k), _ in self.coeffs):
+            raise ValueError("ansatz does not fit the requested bounds")
+        idx = _unknown_indexer(n, P)
         vec = [ZERO] * (n * (P + 1) * (D + 1) * n)
         for (j, i, k), v in self.coeffs:
             for r, c in enumerate(v):
@@ -96,22 +92,20 @@ class DerivationSpace:
         return len(self.basis)
 
 
-def _unknown_indexer(n, P, D):
+def _unknown_indexer(n, P):
+    """Column of the r-th coordinate of the ∂^i λ^k term of d_λ(a_j). The
+    columns are λ-degree major and independent of the λ-bound, so a
+    smaller λ-bound keeps a leading block of them (see stabilized_outer)."""
     def idx(j, i, k, r):
-        return ((j * (P + 1) + i) * (D + 1) + k) * n + r
+        return ((k * (P + 1) + i) * n + j) * n + r
     return idx
 
 
 def _ansatz_from_vector(n, P, D, vec):
-    idx = _unknown_indexer(n, P, D)
-    coeffs = {}
-    for j in range(n):
-        for i in range(P + 1):
-            for k in range(D + 1):
-                v = tuple(vec[idx(j, i, k, r)] for r in range(n))
-                if any(v):
-                    coeffs[j, i, k] = v
-    return DerivationAnsatz.from_dict(P, D, coeffs)
+    idx = _unknown_indexer(n, P)
+    return DerivationAnsatz.from_dict(P, D, {
+        (j, i, k): tuple(vec[idx(j, i, k, r)] for r in range(n))
+        for j in range(n) for i in range(P + 1) for k in range(D + 1)})
 
 
 # ---------------------------------------------------------------------
@@ -124,7 +118,7 @@ def _direct_rows(R: QuadraticLCA, P, D):
     one row per (pair, coordinate, ∂λμ-monomial)."""
     gd = R.gd
     n = gd.dim
-    idx = _unknown_indexer(n, P, D)
+    idx = _unknown_indexer(n, P)
     d = FormalPoly.sym(DEL)
     lam = FormalPoly.sym(LAM)
     mu = FormalPoly.sym(MU)
@@ -202,21 +196,29 @@ def _direct_rows(R: QuadraticLCA, P, D):
     return list(rows.values())
 
 
+def _space(R, P, D, basis, method):
+    """DerivationSpace of ``basis`` at bounds (P, D), with the inner span
+    computed at those bounds."""
+    inner = _inner_vectors(R, P, D)
+    inner_dim = span_rank(inner) if inner else 0
+    return DerivationSpace(R.gd, P, D, basis, inner_dim,
+                           len(basis) - inner_dim, method)
+
+
+def _solve(R, rows, P, D, method):
+    n = R.dim
+    m = RatMatrix.from_rows(rows, n * (P + 1) * (D + 1) * n)
+    basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
+    return _space(R, P, D, basis, method)
+
+
 def solve_derivations_direct(R: QuadraticLCA, partial_bound: int = 3,
                              lambda_bound: int = 4) -> DerivationSpace:
     """Exact solution space of the Leibniz identity at the given ansatz
     bounds. inner_dim/outer_dim are the raw values at these bounds; use
-    outer_dimension for the stabilized outer count."""
-    gd = R.gd
-    n = gd.dim
+    stabilized_outer for the stabilized outer count."""
     P, D = partial_bound, lambda_bound
-    rows = _direct_rows(R, P, D)
-    m = RatMatrix.from_rows(rows, n * (P + 1) * (D + 1) * n)
-    basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
-    inner = _inner_vectors(R, P, D)
-    inner_dim = span_rank(inner) if inner else 0
-    return DerivationSpace(gd, P, D, basis, inner_dim,
-                           len(basis) - inner_dim, "direct")
+    return _solve(R, _direct_rows(R, P, D), P, D, "direct")
 
 
 # ---------------------------------------------------------------------
@@ -256,22 +258,33 @@ def _inner_vectors(R, P, D):
     return vecs
 
 
+def stabilized_outer(R: QuadraticLCA, partial_bound: int = 3,
+                     lambda_bound: int = 4):
+    """Solve the direct system once, at (P, D+2), and read the (P, D)
+    space off it. Returns (space at (P, D), outer): outer is
+    dim(solutions) - dim(inner span), the common value at λ-bounds D and
+    D+2, or ("not stabilized", value_at_D, value_at_D2).
+
+    Each row collects one coefficient of an identity linear in the
+    unknowns, so the system at λ-bound D is the one at D+2 with every
+    unknown of λ-degree > D set to 0. The columns are λ-degree major, so
+    the elements of λ-degree ≤ D of the larger RREF basis are exactly the
+    RREF basis at D."""
+    P, D = partial_bound, lambda_bound
+    probe = solve_derivations_direct(R, P, D + 2)
+    basis = tuple(DerivationAnsatz(P, D, d.coeffs) for d in probe.basis
+                  if all(k <= D for (_, _, k), _ in d.coeffs))
+    space = _space(R, P, D, basis, "direct")
+    outer = space.outer_dim
+    if outer != probe.outer_dim:
+        outer = ("not stabilized", outer, probe.outer_dim)
+    return space, outer
+
+
 def outer_dimension(R: QuadraticLCA, partial_bound: int = 3,
                     lambda_bound: int = 4):
-    """dim(solutions) - dim(inner span) at λ-bounds D and D+2; returns the
-    common value, or ("not stabilized", value_at_D, value_at_D2)."""
-    return stabilized_outer(
-        R, solve_derivations_direct(R, partial_bound, lambda_bound))
-
-
-def stabilized_outer(R: QuadraticLCA, space: DerivationSpace):
-    """outer_dimension at the bounds (P, D) of ``space``, a direct solution
-    space already solved there; only (P, D+2) is solved again."""
-    probe = solve_derivations_direct(R, space.partial_bound,
-                                     space.lambda_bound + 2)
-    if space.outer_dim == probe.outer_dim:
-        return space.outer_dim
-    return ("not stabilized", space.outer_dim, probe.outer_dim)
+    """The outer value of ``stabilized_outer``."""
+    return stabilized_outer(R, partial_bound, lambda_bound)[1]
 
 
 # ---------------------------------------------------------------------
@@ -344,7 +357,7 @@ def _closed_rows(A: GDBialgebra, P, D):
     linear map f sends a_r to the sparse element f[r] (ID: identity). The
     sum gives one row per output coordinate and λ-power."""
     n = A.dim
-    idx = _unknown_indexer(n, P, D)
+    idx = _unknown_indexer(n, P)
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
     ID = [((r, 1),) for r in range(n)]
 
@@ -455,7 +468,6 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
     HypothesisNotDetected otherwise.
     """
     A = R.gd
-    n = A.dim
     D = lambda_bound
     found = detect_unit_like(A)
     if found is None and not assert_simple:
@@ -464,12 +476,7 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
             "pass assert_simple=True if the Novikov part is known simple"
         )
     P = 1 if found is not None and found[0] == "left" else 3
-    m = RatMatrix.from_rows(_closed_rows(A, P, D), n * (P + 1) * (D + 1) * n)
-    basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
-    inner = _inner_vectors(R, P, D)
-    inner_dim = span_rank(inner) if inner else 0
-    return DerivationSpace(A, P, D, basis, inner_dim,
-                           len(basis) - inner_dim, "theorem")
+    return _solve(R, _closed_rows(A, P, D), P, D, "theorem")
 
 
 def spaces_agree(R: QuadraticLCA, a: DerivationSpace, b: DerivationSpace):

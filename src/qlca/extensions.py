@@ -44,16 +44,8 @@ class CocycleQuadruple:
     @classmethod
     def from_vector(cls, n, vec):
         """Unpack a flat vector indexed by (k, i, j)."""
-        mats = []
-        for k in range(4):
-            mat = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    row.append(vec[(k * n + i) * n + j])
-                mat.append(tuple(row))
-            mats.append(tuple(mat))
-        return cls(tuple(mats))
+        return cls(tuple(tuple(tuple(vec[(k * n + i) * n + j] for j in range(n))
+                               for i in range(n)) for k in range(4)))
 
     @classmethod
     def zero(cls, n):
@@ -71,9 +63,6 @@ class CocycleQuadruple:
             mats[k][j][i] = value if k % 2 else -value
         return cls(tuple(tuple(tuple(r) for r in m) for m in mats))
 
-    def dim(self):
-        return len(self.alpha[0])
-
     def lambda_poly(self, i, j):
         """Σ_k λ^k α_k(a_i, a_j) as a FormalPoly."""
         out = FormalPoly.zero()
@@ -84,7 +73,7 @@ class CocycleQuadruple:
         return out
 
     def as_vector(self):
-        n = self.dim()
+        n = len(self.alpha[0])
         return tuple(
             self.alpha[k][i][j]
             for k in range(4)
@@ -144,18 +133,6 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
         return (k * n + i) * n + j
 
     rows = []
-
-    # parity: α_k(a,b) - (-1)^{k+1} α_k(b,a) = 0
-    for k in range(4):
-        sign = -1 if k % 2 else 1  # -(-1)^{k+1}
-        for i in range(n):
-            for j in range(n):
-                eq = {}
-                u1, u2 = unknown(k, i, j), unknown(k, j, i)
-                eq[u1] = eq.get(u1, 0) + 1
-                eq[u2] = eq.get(u2, 0) + sign
-                rows.append({u: v for u, v in eq.items() if v})
-
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
 
     def terms(*args):
@@ -163,6 +140,13 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
         for sign, k, x, y in args:
             _bilinear_terms(eq, sign, k, x, y, unknown)
         rows.append(eq)
+
+    # parity: α_k(a,b) - (-1)^{k+1} α_k(b,a) = 0
+    for k in range(4):
+        for i in range(n):
+            for j in range(n):
+                terms((1, k, _unit(i), _unit(j)),
+                      (-1 if k % 2 else 1, k, _unit(j), _unit(i)))
 
     for ia in range(n):
         for ib in range(n):
@@ -266,6 +250,15 @@ def _direct_nullspace(A, N):
                                                (N + 1) * A.dim * A.dim))
 
 
+def _leading(basis, size):
+    """The vectors of a ``nullspace_basis`` result that vanish past the
+    first ``size`` coordinates, cut to that length. Each basis vector is
+    supported on the columns up to its own free one, so this is the
+    ``nullspace_basis`` of the system with the unknowns past ``size`` set
+    to 0: the same vectors, not only the same span."""
+    return [v[:size] for v in basis if not any(v[size:])]
+
+
 def _per_degree_profile(basis, n, maxdeg):
     """Rank of the degree-k projection of the solution span, k = 0..maxdeg,
     for flat vectors indexed by (k, i, j)."""
@@ -279,18 +272,23 @@ def _per_degree_profile(basis, n, maxdeg):
 def solve_extensions_direct(A: GDBialgebra, degree_bound: int = 6) -> CocycleSpace:
     """Brute-force cocycle solver with explicit λ-degree ansatz.
 
-    Solves at ``degree_bound`` and again at ``degree_bound + 1``; if the
-    dimensions differ the per-degree family is unbounded and the result
-    carries an "unbounded family" warning. The returned quadruple basis is
-    the (always well-defined) subspace of solutions supported in degrees
-    ≤ 3.
+    Compares the solutions at ``degree_bound`` and at ``degree_bound + 1``;
+    if the dimensions differ the per-degree family is unbounded and the
+    result carries an "unbounded family" warning. The returned quadruple
+    basis is the (always well-defined) subspace of solutions supported in
+    degrees ≤ 3.
+
+    One system is eliminated, at the largest of these bounds. The bound-t
+    system is that system with every α_i, i > t, set to 0, and the columns
+    are degree-major, so its basis is read off the one elimination.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     n = A.dim
     N = degree_bound
-    sols = _direct_nullspace(A, N)
-    probe = _direct_nullspace(A, N + 1)
+    full = _direct_nullspace(A, max(N + 1, MAX_CLOSED_DEGREE))
+    sols = _leading(full, (N + 1) * n * n)
+    probe = _leading(full, (N + 2) * n * n)
     stable = len(probe) == len(sols)
     warnings = ()
     if not stable:
@@ -298,11 +296,7 @@ def solve_extensions_direct(A: GDBialgebra, degree_bound: int = 6) -> CocycleSpa
             "unbounded family: cocycle space keeps growing with the "
             f"λ-degree bound (dim {len(sols)} at N={N}, {len(probe)} at N={N + 1})",
         )
-    # a row of total λμ-degree t involves only α_{t-1} and α_t, so for
-    # every N the solutions supported in degrees ≤ 3 are those at N = 3
-    deg3 = {N: sols, N + 1: probe}.get(MAX_CLOSED_DEGREE)
-    if deg3 is None:
-        deg3 = _direct_nullspace(A, MAX_CLOSED_DEGREE)
+    deg3 = _leading(full, (MAX_CLOSED_DEGREE + 1) * n * n)
     basis = tuple(CocycleQuadruple.from_vector(n, v) for v in deg3)
     per_degree = _per_degree_profile(sols, n, N)
     return CocycleSpace(A, basis, "direct-expansion", N, stable, per_degree, warnings)
