@@ -16,6 +16,9 @@ Grammar (line-based; ``#`` starts a comment; blank lines ignored)::
 * ``lie`` lines are only permitted with I strictly before J in basis
   order; the antisymmetric completion is implied.
 * ``meta`` lines are optional free-form key/value annotations.
+* ``N`` is at most ``MAX_DIM``. Building allocates n³-cell product
+  tables, so a larger ``dim`` is refused at its own line, before any
+  basis name or table entry is read.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .gd import GDBialgebra, gd_build
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+MAX_DIM = 128
 
 
 class ParseError(ValueError):
@@ -144,6 +149,9 @@ def parse_algebra_file(text) -> AlgebraFile:
             if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                 raise ParseError("expected 'dim N' with N >= 1", line_no)
             dim = int(parts[1])
+            if dim > MAX_DIM:
+                raise ParseError(
+                    f"dim {dim} exceeds the maximum {MAX_DIM}", line_no)
         elif head == "basis":
             if basis is not None:
                 raise ParseError("duplicate 'basis' line", line_no)

@@ -102,10 +102,16 @@ def _unknown_indexer(n, P):
 
 
 def _ansatz_from_vector(n, P, D, vec):
-    idx = _unknown_indexer(n, P)
-    return DerivationAnsatz.from_dict(P, D, {
-        (j, i, k): tuple(vec[idx(j, i, k, r)] for r in range(n))
-        for j in range(n) for i in range(P + 1) for k in range(D + 1)})
+    """The ansatz of a flat vector: each nonzero column is decoded by
+    inverting _unknown_indexer's ((k·(P+1)+i)·n+j)·n+r."""
+    coeffs = {}
+    for col, c in enumerate(vec):
+        if c:
+            rest, r = divmod(col, n)
+            rest, j = divmod(rest, n)
+            k, i = divmod(rest, P + 1)
+            coeffs.setdefault((j, i, k), [0] * n)[r] = c
+    return DerivationAnsatz.from_dict(P, D, coeffs)
 
 
 # ---------------------------------------------------------------------
@@ -114,8 +120,20 @@ def _ansatz_from_vector(n, P, D, vec):
 
 
 def _direct_rows(R: QuadraticLCA, P, D):
-    """Linear system rows for the Leibniz identity over all basis pairs,
-    one row per (pair, coordinate, ∂λμ-monomial)."""
+    """Linear system rows for the Leibniz identity over the basis pairs
+    (a_p, a_q) with p ≤ q, one row per (pair, coordinate, ∂λμ-monomial).
+
+    The identity at (a, b) implies it at (b, a), so the pairs p > q add
+    no equation. Write the (a, b) identity in a variable ν, set
+    ν = −λ−μ−∂, and turn each of its three brackets around with
+    skew-symmetry [x_ν y] = −[y_{−ν−∂} x]; d_λ∂ = (∂+λ)d_λ carries the
+    substitution through d_λ on the left. The result is the (b, a)
+    identity (D'Andrea–Kac, "Structure theory of finite conformal
+    algebras", Selecta Math. 4, 1998). The rows are the whole polynomial
+    identity in ∂, λ and μ, so the substitution is legitimate and the
+    solution space is the one of all n² ordered pairs. The pairs p = q
+    are kept, since no other pair implies them. ``verify_derivation``
+    still checks every ordered pair."""
     gd = R.gd
     n = gd.dim
     idx = _unknown_indexer(n, P)
@@ -159,7 +177,7 @@ def _direct_rows(R: QuadraticLCA, P, D):
                 eq.pop(unknown, None)
 
     for p in range(n):
-        for q in range(n):
+        for q in range(p, n):
             # LHS: Σ_m B_m(∂+λ, μ) d_λ(a_m)
             shifted = [pol.substitute(DEL, d + lam) for pol in brackets_mu[p][q]]
             for m in range(n):

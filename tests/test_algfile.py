@@ -1,5 +1,6 @@
 import pytest
 
+import qlca.algfile
 from qlca import (GDValidationError, ParseError, catalog_build, emit_algebra,
                   parse_algebra, parse_algebra_file)
 
@@ -106,6 +107,18 @@ class TestParsing:
     def test_table_line_before_header(self):
         e = self.err("algebra x\nnovikov a a = a:1\n")
         assert "must come first" in str(e)
+
+    def test_dim_over_cap_refused_at_its_line(self):
+        # the basis line is wrong too: the parser must stop at the dim line
+        e = self.err("algebra big\ndim 1000000\nbasis a\nend\n")
+        assert e.line_no == 2
+        assert f"exceeds the maximum {qlca.algfile.MAX_DIM}" in str(e)
+
+    def test_dim_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(qlca.algfile, "MAX_DIM", 2)
+        assert parse_algebra_file(GOOD).dim == 2
+        e = self.err(GOOD.replace("dim 2", "dim 3"))
+        assert e.line_no == 2 and "exceeds the maximum 2" in str(e)
 
     def test_axiom_violation_surfaces_on_build(self):
         text = GOOD.replace("novikov W L = W:1", "novikov W W = L:1")

@@ -44,6 +44,13 @@ class TestCheck:
         assert code == 2
         assert "line 4" in err
 
+    def test_dim_over_cap_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "big.alg"
+        f.write_text("algebra big\ndim 1000000\nbasis a\nend\n")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: dim 1000000 exceeds the maximum")
+
     def test_unknown_catalog_exit_2(self, capsys):
         code, _, err = run(capsys, "check", "catalog:missing")
         assert code == 2
@@ -254,3 +261,23 @@ def test_survey_script_prints_one_row_per_entry(script, bounds):
     for entry in standard_entries():
         label = entry_label(entry)
         assert sum(line.split(" ", 1)[0] == label for line in lines) == 1
+
+
+def test_snapshot_script_writes_every_report_of_one_target(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "snapshot_reports.py"),
+                           str(tmp_path), "--only", "vir"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    names = ["check", "extend", "extend-degree0", "extend-degree1",
+             "extend-degree2", "extend-degree3", "derive", "derive-p1l0", "coeff"]
+    for name in names:
+        assert (tmp_path / f"{name}-vir.exit").read_text() == "0\n"
+        assert (tmp_path / f"{name}-vir.err").read_bytes() == b""
+    # the default reports are the golden ones
+    for name in ("check", "extend", "derive", "coeff"):
+        assert ((tmp_path / f"{name}-vir.out").read_bytes()
+                == (GOLDEN / f"{name}-vir.out").read_bytes())
+    assert len(list(tmp_path.glob("*-vir.out"))) == len(names)

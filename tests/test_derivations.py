@@ -7,6 +7,7 @@ from qlca import (DerivationAnsatz, HypothesisNotDetected, QuadraticLCA,
                   outer_dimension, solve_derivations_direct,
                   solve_derivations_theorem, spaces_agree, span_coordinates,
                   span_rank, verify_derivation)
+from test_catalog import _integral_algebras
 
 
 def lca(name, **params):
@@ -172,3 +173,14 @@ class TestCurrentShape:
         pool = _inner_vectors(R, P, D) + scalers
         for d in space.basis:
             assert span_coordinates(pool, d.as_vector(n, P, D)) is not None
+
+
+@pytest.mark.parametrize("build", _integral_algebras())
+def test_unordered_pair_system_loses_no_equation(build):
+    """The direct system expands Leibniz only at the pairs p ≤ q. Fewer
+    rows can only enlarge the solution space, so if every basis element
+    passes verify_derivation, which checks all n² ordered pairs, the
+    space of the unordered-pair system is the full one."""
+    R = QuadraticLCA(build())
+    for d in solve_derivations_direct(R, 3, 3).basis:
+        assert verify_derivation(R, d) == []
