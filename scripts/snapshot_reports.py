@@ -4,8 +4,9 @@
 Every report is asked through ``qlca.cli.main`` and leaves three files in
 OUTDIR: ``NAME.out`` (stdout), ``NAME.err`` (stderr) and ``NAME.exit``
 (the exit code). The questions are ``check``, ``extend`` (default and
-``--degree 0..3``), ``derive`` (default and ``--partial-bound 1
---lambda-bound 0``) and ``coeff --cocycle-index 0 --window 3`` on the
+``--degree 0..3``), ``derive`` (default, ``--partial-bound 1
+--lambda-bound 0``, ``--partial-bound 0 --lambda-bound 2`` and
+``--assert-simple``) and ``coeff --cocycle-index 0 --window 3`` on the
 14 standard catalog entries and on ``trunc_poly`` n=6 κ∈{0,1}, which are
 written to OUTDIR as ``.alg`` files first.
 
@@ -37,6 +38,8 @@ VARIANTS = [
     *((f"extend-degree{d}", "extend", ["--degree", str(d)]) for d in range(4)),
     ("derive", "derive", []),
     ("derive-p1l0", "derive", ["--partial-bound", "1", "--lambda-bound", "0"]),
+    ("derive-p0l2", "derive", ["--partial-bound", "0", "--lambda-bound", "2"]),
+    ("derive-simple", "derive", ["--assert-simple"]),
     ("coeff", "coeff", ["--cocycle-index", "0", "--window", "3"]),
 ]
 

@@ -9,9 +9,11 @@ identity
 in V ⊗ Q[∂, λ, μ] and solves the resulting exact linear system; the
 closed-system solver uses the reduced equations available when the Novikov
 part has a unit-like element (or is asserted simple), and is cross-checked
-against the direct one. ``verify_derivation`` checks a concrete ansatz
-against the same identity with brackets from ``bracket_general``, so it
-shares no formula with either solver.
+against the direct one. Both systems and the inner derivations are read
+off the product grids (``circ_terms``, ``lie_terms``, ``star_terms``).
+Only ``verify_derivation`` runs the λ-bracket engine: it checks a concrete
+ansatz against the same identity with brackets from ``bracket_general``,
+so it shares no formula with either solver.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .conformal import (QuadraticLCA, bracket_basis, bracket_general,
+from .conformal import (QuadraticLCA, _slot_brackets, bracket_general,
                         expr_add, expr_is_zero, expr_sub)
 from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
@@ -119,6 +121,14 @@ def _ansatz_from_vector(n, P, D, vec):
 # ---------------------------------------------------------------------
 
 
+def _bracket_terms(A, i, j):
+    """[a_i X a_j] = ∂(a_j∘a_i) + [a_j, a_i] + X(a_i∗a_j) read off the
+    product grids, as (coordinate, coeff, ∂-power, X-power) terms."""
+    return ([(t, c, 1, 0) for t, c in A.circ_terms[j][i]]
+            + [(t, c, 0, 0) for t, c in A.lie_terms[j][i]]
+            + [(t, c, 0, 1) for t, c in A.star_terms[i][j]])
+
+
 def _direct_rows(R: QuadraticLCA, P, D):
     """Linear system rows for the Leibniz identity over the basis pairs
     (a_p, a_q) with p ≤ q, one row per (pair, coordinate, ∂λμ-monomial).
@@ -133,85 +143,54 @@ def _direct_rows(R: QuadraticLCA, P, D):
     identity in ∂, λ and μ, so the substitution is legitimate and the
     solution space is the one of all n² ordered pairs. The pairs p = q
     are kept, since no other pair implies them. ``verify_derivation``
-    still checks every ordered pair."""
-    gd = R.gd
-    n = gd.dim
+    still checks every ordered pair.
+
+    The coefficients are read off the product grids (``_bracket_terms``)
+    and expanded binomially: (∂+λ) on the left, (−λ−μ)^i for the ∂^i of
+    d_λ(a_p) in the first bracket on the right (at slot λ+μ), and (μ+∂)^i
+    for the ∂^i of d_λ(a_q) in the second one (at slot μ)."""
+    A = R.gd
+    n = A.dim
     idx = _unknown_indexer(n, P)
-    d = FormalPoly.sym(DEL)
-    lam = FormalPoly.sym(LAM)
-    mu = FormalPoly.sym(MU)
+    brk = [[_bracket_terms(A, i, j) for j in range(n)] for i in range(n)]
+    binom = [[comb(a, s) for s in range(a + 1)] for a in range(P + 2)]
+    rows = {}  # (p, q, coordinate, ∂-, λ-, μ-power) -> {unknown: coeff}
 
-    brackets = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
-    brackets_mu = [
-        [tuple(p.substitute(LAM, mu) for p in brackets[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-    brackets_lm = [
-        [tuple(p.substitute(LAM, lam + mu) for p in brackets[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
-
-    def powers(base, top):
-        out = [FormalPoly.const(1)]
-        for _ in range(top):
-            out.append(out[-1] * base)
-        return out
-
-    neg_lm = powers(-(lam + mu), P)
-    mu_d = powers(mu + d, P)
-    mono = [[FormalPoly({(i, k, 0): 1}) for k in range(D + 1)]
-            for i in range(P + 1)]
-
-    rows = {}
-
-    def add(tag, unknown, pol, sign=1):
-        if pol.is_zero():
-            return
-        for m_key, c in pol.terms.items():
-            key = (tag, m_key)
-            eq = rows.setdefault(key, {})
-            s = eq.get(unknown, 0) + sign * c
-            if s:
-                eq[unknown] = s
-            else:
-                eq.pop(unknown, None)
+    def add(key, x, c):
+        eq = rows.setdefault(key, {})
+        s = eq.get(x, 0) + c
+        if s:
+            eq[x] = s
+        else:
+            del eq[x]
 
     for p in range(n):
         for q in range(p, n):
-            # LHS: Σ_m B_m(∂+λ, μ) d_λ(a_m)
-            shifted = [pol.substitute(DEL, d + lam) for pol in brackets_mu[p][q]]
-            for m in range(n):
-                Sm = shifted[m]
-                if Sm.is_zero():
-                    continue
-                for i in range(P + 1):
-                    for k in range(D + 1):
-                        pol = Sm * mono[i][k]
-                        for r in range(n):
-                            add((p, q, r), idx(m, i, k, r), pol, 1)
-            # RHS1: Σ λ^k (-λ-μ)^i [d-coeff-of-a_p bracket a_q] at slot λ+μ
+            # d_λ[a_p μ a_q]: c ∂^e μ^f a_m becomes c μ^f (∂+λ)^e d_λ(a_m);
+            # e ≤ 1, so every binomial is 1
+            for m, c, e, f in brk[p][q]:
+                for s in range(e + 1):
+                    for i in range(P + 1):
+                        for k in range(D + 1):
+                            for r in range(n):
+                                add((p, q, r, i + e - s, k + s, f),
+                                    idx(m, i, k, r), c)
             for i in range(P + 1):
-                for k in range(D + 1):
-                    factor = FormalPoly({(0, k, 0): 1}) * neg_lm[i]
-                    for rr in range(n):
-                        base = brackets_lm[rr][q]
-                        for out_r in range(n):
-                            if base[out_r].is_zero():
-                                continue
-                            add((p, q, out_r), idx(p, i, k, rr),
-                                factor * base[out_r], -1)
-            # RHS2: Σ λ^k (μ+∂)^i [a_p bracket d-coeff-of-a_q] at slot μ
-            for i in range(P + 1):
-                for k in range(D + 1):
-                    factor = FormalPoly({(0, k, 0): 1}) * mu_d[i]
-                    for rr in range(n):
-                        base = brackets_mu[p][rr]
-                        for out_r in range(n):
-                            if base[out_r].is_zero():
-                                continue
-                            add((p, q, out_r), idx(q, i, k, rr),
-                                factor * base[out_r], -1)
-    return list(rows.values())
+                sign = (-1) ** i
+                for rr in range(n):
+                    # −λ^k (−λ−μ)^i [a_rr_{λ+μ} a_q]
+                    for t, c, e, f in brk[rr][q]:
+                        for s, b in enumerate(binom[i + f]):
+                            for k in range(D + 1):
+                                add((p, q, t, e, k + s, i + f - s),
+                                    idx(p, i, k, rr), -sign * b * c)
+                    # −λ^k (μ+∂)^i [a_p μ a_rr]
+                    for t, c, e, f in brk[p][rr]:
+                        for s, b in enumerate(binom[i]):
+                            for k in range(D + 1):
+                                add((p, q, t, i - s + e, k, s + f),
+                                    idx(q, i, k, rr), -b * c)
+    return [eq for eq in rows.values() if eq]
 
 
 def _space(R, P, D, basis, method):
@@ -245,21 +224,20 @@ def solve_derivations_direct(R: QuadraticLCA, partial_bound: int = 3,
 
 
 def inner_derivation(R: QuadraticLCA, v: int, k: int = 0) -> DerivationAnsatz:
-    """The adjoint action of ∂^k a_v: b ↦ (-λ)^k [a_v λ b]."""
+    """The adjoint action of ∂^k a_v: b ↦ (-λ)^k [a_v λ b]. It is read
+    off the grids: ad(a_v) sends a_j to ∂(a_j∘a_v) + [a_j, a_v] +
+    λ(a_v∗a_j), which (-λ)^k multiplies by (-1)^k and shifts k λ-degrees."""
     if k < 0:
         raise ValueError("∂-power must be non-negative")
     n = R.dim
+    if not 0 <= v < n:
+        raise IndexError(f"basis index out of range: {v}")
+    sign = (-1) ** k
     coeffs = {}
     for j in range(n):
-        expr = bracket_basis(R, v, j)
-        scaled = tuple(p * FormalPoly.sym(LAM, k, (-1) ** k) if k else p
-                       for p in expr)
-        for r, pol in enumerate(scaled):
-            for (ed, el, em), c in pol.terms.items():
-                key = (j, ed, el)
-                vec = coeffs.setdefault(key, [ZERO] * n)
-                vec[r] += c
-    return DerivationAnsatz.from_dict(1, k + 1, {k2: tuple(v2) for k2, v2 in coeffs.items()})
+        for t, c, e, f in _bracket_terms(R.gd, v, j):
+            coeffs.setdefault((j, e, k + f), [0] * n)[t] += sign * c
+    return DerivationAnsatz.from_dict(1, k + 1, coeffs)
 
 
 def _inner_vectors(R, P, D):
@@ -316,18 +294,19 @@ def verify_derivation(R: QuadraticLCA, dmap: DerivationAnsatz):
     basis pairs, as identities in V ⊗ Q[∂, λ, μ]; empty iff dmap is a
     conformal derivation. Both brackets on the right come from
     ``bracket_general``, and the left side applies
-    d_λ(∂^k x) = (∂+λ)^k d_λ(x) to the coordinates of the basis bracket,
-    so the check shares no formula with either derivation solver."""
+    d_λ(∂^k x) = (∂+λ)^k d_λ(x) to the coordinates of the engine's
+    [a_p μ a_q], so the check shares no formula with either solver."""
     n = R.dim
     d, lam, mu = FormalPoly.sym(DEL), FormalPoly.sym(LAM), FormalPoly.sym(MU)
     images = [dmap.image(R, j) for j in range(n)]
+    at_mu = _slot_brackets(R, mu)
     out = []
     for p in range(n):
         for q in range(n):
             lhs = R.zero_expr()
-            for m, pol in enumerate(bracket_basis(R, p, q)):
+            for m, pol in enumerate(at_mu[p][q]):
                 if not pol.is_zero():
-                    shifted = pol.substitute(LAM, mu).substitute(DEL, d + lam)
+                    shifted = pol.substitute(DEL, d + lam)
                     lhs = expr_add(lhs, tuple(shifted * x for x in images[m]))
             rhs = expr_add(
                 bracket_general(R, images[p], R.basis_expr(q), lam + mu),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .conformal import QuadraticLCA, bracket_basis
+from .conformal import QuadraticLCA, _slot_brackets, bracket_basis
 from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
                    nullspace_basis, span_rank)
@@ -320,17 +320,15 @@ def _jacobi_brackets(A):
     """The basis brackets that verify_cocycle feeds to α, with ∂ already
     replaced by the form's variable: [b_μ c] as second argument of α_λ,
     [a_λ b] as first argument of α_{λ+μ}, [a_λ c] as second argument of
-    α_μ. They do not depend on the cocycle, so each algebra object builds
-    them once."""
+    α_μ. The engine's slot table supplies each bracket at its slot. They
+    do not depend on the cocycle, so each algebra object builds them once."""
     if "jacobi_brackets" not in A.derived:
         R = QuadraticLCA(A)
-        n = A.dim
         lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
-        br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
 
         def brackets(slot, d_to):  # [a_i slot a_j] with ∂ replaced by d_to
-            return [[tuple(p.substitute(LAM, slot).substitute(DEL, d_to)
-                           for p in e) for e in row] for row in br]
+            return [[tuple(p.substitute(DEL, d_to) for p in e) for e in row]
+                    for row in _slot_brackets(R, slot)]
 
         A.derived["jacobi_brackets"] = (brackets(mu, lam),
                                         brackets(lam, -(lam + mu)),

@@ -1,12 +1,16 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from qlca import (DerivationAnsatz, HypothesisNotDetected, QuadraticLCA,
-                  catalog_build, detect_unit_like, inner_derivation,
-                  outer_dimension, solve_derivations_direct,
-                  solve_derivations_theorem, spaces_agree, span_coordinates,
-                  span_rank, verify_derivation)
+                  RatMatrix, catalog_build, detect_unit_like, entry_label,
+                  inner_derivation, nullspace_basis, outer_dimension,
+                  solve_derivations_direct, solve_derivations_theorem,
+                  solve_extensions_direct, solve_extensions_theorem,
+                  spaces_agree, span_coordinates, span_rank, standard_entries,
+                  verify_derivation)
+from qlca.derivations import _direct_rows, _unknown_indexer
 from test_catalog import _integral_algebras
 
 
@@ -54,6 +58,14 @@ class TestInnerDerivations:
     def test_negative_partial_power_rejected(self):
         with pytest.raises(ValueError):
             inner_derivation(lca("vir"), 0, -1)
+
+    def test_out_of_range_basis_index_rejected(self):
+        """A grid read at v = -1 would wrap round to the last basis
+        element; the index is refused instead."""
+        R = lca("r_alpha_beta", alpha=1, beta=0)
+        for v in (-1, R.dim):
+            with pytest.raises(IndexError):
+                inner_derivation(R, v)
 
 
 EXPECTED_OUTER = {
@@ -184,3 +196,63 @@ def test_unordered_pair_system_loses_no_equation(build):
     R = QuadraticLCA(build())
     for d in solve_derivations_direct(R, 3, 3).basis:
         assert verify_derivation(R, d) == []
+
+
+def _engine_cases():
+    cases = [pytest.param(e.build, id=entry_label(e)) for e in standard_entries()]
+    cases.append(pytest.param(
+        lambda: catalog_build("r_alpha_beta", alpha=Fraction(1, 2),
+                              beta=Fraction(1, 3)),
+        id="r_alpha_beta:alpha=1/2,beta=1/3"))
+    return cases
+
+
+@pytest.mark.parametrize("build", _engine_cases())
+def test_direct_system_has_the_engine_nullspace(build):
+    """Column c of the oracle system is the verify_derivation residual of
+    the c-th unit ansatz, one row per (p, q, coordinate, monomial). The
+    residual is linear in the ansatz, so the oracle's nullspace is the
+    derivation space as the λ-bracket engine sees it, and the direct
+    system read off the product grids must have the same RREF basis."""
+    R = QuadraticLCA(build())
+    n, P, D = R.dim, 1, 2
+    idx = _unknown_indexer(n, P)
+    cols = n * (P + 1) * (D + 1) * n
+    rows = {}
+    for j in range(n):
+        for i in range(P + 1):
+            for k in range(D + 1):
+                for r in range(n):
+                    unit = tuple(int(s == r) for s in range(n))
+                    d = DerivationAnsatz.from_dict(P, D, {(j, i, k): unit})
+                    for p, q, residual in verify_derivation(R, d):
+                        for t, pol in enumerate(residual):
+                            for mono, c in pol.terms.items():
+                                rows.setdefault((p, q, t, mono), {})[
+                                    idx(j, i, k, r)] = c
+    oracle = nullspace_basis(RatMatrix.from_rows(rows.values(), cols))
+    direct = nullspace_basis(RatMatrix.from_rows(_direct_rows(R, P, D), cols))
+    assert direct == oracle
+
+
+def test_solvers_run_without_the_bracket_engine(catalog_entry, monkeypatch):
+    """Solvers read the product grids and the λ-bracket engine serves the
+    verifiers only: with the engine's bracket functions raising in every
+    qlca namespace, every solver and the inner span still run."""
+    def engine(*args, **kwargs):
+        raise AssertionError("the λ-bracket engine was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "qlca" or name.startswith("qlca."):
+            for attr in ("bracket_basis", "bracket_general", "_slot_brackets"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, engine)
+    A = catalog_entry.build()
+    R = QuadraticLCA(A)
+    solve_extensions_theorem(A)
+    solve_extensions_direct(A, 3)
+    solve_derivations_direct(R, 1, 2)
+    solve_derivations_theorem(R, 2, assert_simple=True)
+    detect_unit_like(A)
+    for v in range(R.dim):
+        inner_derivation(R, v, 1)
