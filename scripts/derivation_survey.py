@@ -34,7 +34,7 @@ def main():
         direct, outer = stabilized_outer(R, P, D)
         outer_s = str(outer[0]) if isinstance(outer, tuple) else str(outer)
         try:
-            thm = solve_derivations_theorem(R, D)
+            thm = solve_derivations_theorem(R, D, partial_bound=P)
             closed = f"dim {thm.dimension}" + (
                 " (agree)" if spaces_agree(R, direct, thm) else " (DISAGREE)"
             )

@@ -243,7 +243,8 @@ def cmd_derive(args):
             report["conclusion"] = "all conformal derivations are inner (CDer = CInn)"
     try:
         theorem = solve_derivations_theorem(
-            R, args.lambda_bound, assert_simple=args.assert_simple
+            R, args.lambda_bound, assert_simple=args.assert_simple,
+            partial_bound=args.partial_bound,
         )
         agree = spaces_agree(R, direct, theorem)
         report["theorem_dimension"] = theorem.dimension

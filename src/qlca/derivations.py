@@ -344,15 +344,17 @@ def detect_unit_like(A: GDBialgebra):
     return None
 
 
-def _closed_rows(A: GDBialgebra, P, D):
-    """Rows of the closed derivation system for d = Σ_{i≤P} ∂^i d^i, with
-    unknowns indexed like the direct system at bounds (P, D). P = 1 gives
-    the reduced left-unit system, P = 3 the full one.
+def _closed_rows(A: GDBialgebra, order, P, D):
+    """Rows of the closed derivation system of ∂-order ``order`` for
+    d = Σ_{i≤order} ∂^i d^i, with every d^i of i > P set to 0 and the
+    other unknowns indexed like the direct system at bounds (P, D).
+    order = 1 gives the reduced left-unit system, order = 3 the full one.
 
     Each call to ``emit`` sums summands (c, s, i, u, f) standing for
     c·λ^s·f(d^i(u)): u is a sparse ((j, coeff), ...) element, and the
     linear map f sends a_r to the sparse element f[r] (ID: identity). The
-    sum gives one row per output coordinate and λ-power."""
+    sum gives one row per output coordinate and λ-power; a summand of
+    i > P is 0 and skipped."""
     n = A.dim
     idx = _unknown_indexer(n, P)
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
@@ -366,6 +368,8 @@ def _closed_rows(A: GDBialgebra, P, D):
     def emit(*summands):
         eqs = {}
         for c, s, i, u, f in summands:
+            if i > P:
+                continue
             for j, uj in u:
                 for r in range(n):
                     for t, ft in f[r]:
@@ -389,7 +393,7 @@ def _closed_rows(A: GDBialgebra, P, D):
             s_q = right(star, q)
             p_o, q_o, q_l = circ[p], circ[q], br[q]
 
-            if P == 1:
+            if order == 1:
                 # reduced system for a left-unit-like Novikov part:
                 # d = d^0 + ∂ d^1
                 emit((1, 0, 1, ba, ID), (-1, 0, 1, b, o_p))  # d1 of product
@@ -455,7 +459,8 @@ def _closed_rows(A: GDBialgebra, P, D):
 
 
 def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
-                              assert_simple: bool = False) -> DerivationSpace:
+                              assert_simple: bool = False,
+                              partial_bound: int = 3) -> DerivationSpace:
     """Closed-system derivation solver.
 
     Applicable when the Novikov part has a unit-like element on either
@@ -463,6 +468,11 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
     left unit-like element allows the reduced ∂-order ≤ 1 system, any
     other hypothesis the full ∂-order ≤ 3 system. Raises
     HypothesisNotDetected otherwise.
+
+    The unknowns of ∂-power above min(order, partial_bound) are set to 0.
+    Each row collects one coefficient of an identity linear in the
+    unknowns, so this is the restriction ``stabilized_outer`` makes on
+    the λ-bound, and the space is the direct one at the same bounds.
     """
     A = R.gd
     D = lambda_bound
@@ -472,8 +482,9 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
             "no element x with x∘b = kb or b∘x = kb (k ≠ 0) for all basis b; "
             "pass assert_simple=True if the Novikov part is known simple"
         )
-    P = 1 if found is not None and found[0] == "left" else 3
-    return _solve(R, _closed_rows(A, P, D), P, D, "theorem")
+    order = 1 if found is not None and found[0] == "left" else 3
+    P = min(order, partial_bound)
+    return _solve(R, _closed_rows(A, order, P, D), P, D, "theorem")
 
 
 def spaces_agree(R: QuadraticLCA, a: DerivationSpace, b: DerivationSpace):

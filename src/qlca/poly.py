@@ -8,6 +8,7 @@ on scalars keeps a ``Fraction`` operand, since ``int / int`` is a float.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
 
@@ -203,54 +204,87 @@ class FormalPoly:
 # ---------------------------------------------------------------------
 
 
-class RatMatrix:
-    """Sparse matrix over Q; only nonzero entries are stored."""
+def _exact_rows(rows, cols):
+    """The {col: coeff} dicts of ``rows`` with zeros dropped and every
+    coefficient exact (``_as_q``); a row of nonzero ints is kept as given.
+    Raises IndexError for a column outside [0, cols)."""
+    out = []
+    for r, row in enumerate(rows):
+        if row and not (0 <= min(row) and max(row) < cols):
+            raise IndexError(f"row {r} has a column outside [0, {cols})")
+        if not all(type(v) is int and v for v in row.values()):
+            row = {c: q for c, v in row.items() if (q := _as_q(v))}
+        out.append(row)
+    return out
 
-    __slots__ = ("rows", "cols", "entries")
+
+class _Entries(Mapping):
+    """Read-only {(r, c): coeff} view of the nonzero entries of a list of
+    {col: coeff} rows; its length is a sum over the rows, not a copy."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __len__(self):
+        return sum(map(len, self._rows))
+
+    def __iter__(self):
+        return ((r, c) for r, row in enumerate(self._rows) for c in row)
+
+    def __getitem__(self, key):
+        r, c = key
+        if not 0 <= r < len(self._rows):
+            raise KeyError(key)
+        return self._rows[r][c]
+
+
+class RatMatrix:
+    """Sparse matrix over Q, stored as one {col: coeff} dict per row with
+    only nonzero coefficients."""
+
+    __slots__ = ("cols", "_rows")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.rows = rows
+        grid = [{} for _ in range(rows)]
+        for (r, c), v in (entries or {}).items():
+            if not 0 <= r < rows:
+                raise IndexError(f"entry {(r, c)} out of bounds")
+            grid[r][c] = v
         self.cols = cols
-        self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                self[r, c] = _as_q(v)
-
-    def __setitem__(self, key, value):
-        r, c = key
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"entry {key} out of bounds")
-        value = _as_q(value)
-        if value:
-            self.entries[r, c] = value
-        else:
-            self.entries.pop((r, c), None)
-
-    def __getitem__(self, key):
-        return self.entries.get(key, ZERO)
+        self._rows = _exact_rows(grid, cols)
 
     @classmethod
     def from_rows(cls, rows_list, cols):
         """Build from an iterable of {col: coeff} dicts."""
-        rows_list = list(rows_list)
-        m = cls(len(rows_list), cols)
-        for r, row in enumerate(rows_list):
-            for c, v in row.items():
-                m[r, c] = v
+        m = cls(0, cols)
+        m._rows = _exact_rows(rows_list, cols)
         return m
 
+    @property
+    def rows(self):
+        return len(self._rows)
+
+    @property
+    def entries(self):
+        return _Entries(self._rows)
+
+    def __getitem__(self, key):
+        r, c = key
+        return self._rows[r].get(c, ZERO)
+
     def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+        """The stored {col: coeff} rows; callers must not mutate them."""
+        return self._rows
 
     def matvec(self, x):
         out = [ZERO] * self.rows
-        for (r, c), v in self.entries.items():
-            out[r] += v * x[c]
+        for r, row in enumerate(self._rows):
+            for c, v in row.items():
+                out[r] += v * x[c]
         return out
 
 
@@ -284,11 +318,14 @@ def _int_rows(matrix):
 
 
 def _echelon(matrix):
-    """Fraction-free (integer, gcd-reduced) forward elimination.
+    """Fraction-free (integer, gcd-reduced) Gauss–Jordan elimination.
 
     Returns the list of pivot (col, row-dict) pairs in increasing column
-    order. Pivot choice within a column is the entry of smallest absolute
-    value, to limit coefficient growth.
+    order. A column's pivot row is eliminated from every other row that
+    holds the column, earlier pivot rows included, so each pivot row holds
+    no other pivot column: x[col] = −Σ row[c]·x[c] / row[col] over its
+    free columns c. Pivot choice within a column is the entry of smallest
+    absolute value, to limit coefficient growth.
     """
     pool = _int_rows(matrix)
     # column index: col -> set of pool slots whose row currently has col
@@ -296,37 +333,33 @@ def _echelon(matrix):
     for idx, row in enumerate(pool):
         for c in row:
             col_index.setdefault(c, set()).add(idx)
-    alive = set(range(len(pool)))
+    alive = set(range(len(pool)))  # rows not yet chosen as pivots
 
-    pivots = []
+    pivots = []  # (col, pool slot of its pivot row)
     for col in range(matrix.cols):
-        cands = [i for i in col_index.get(col, ()) if i in alive]
+        holders = list(col_index.get(col, ()))
+        cands = [i for i in holders if i in alive]
         if not cands:
             continue
         piv = min(cands, key=lambda i: (abs(pool[i][col]), len(pool[i]), i))
         prow = pool[piv]
         pv = prow[col]
         alive.discard(piv)
-        pivots.append((col, prow))
-        for i in cands:
+        pivots.append((col, piv))
+        for i in holders:
             if i == piv:
                 continue
             row = pool[i]
             f = row[col]
-            new = {}
-            for c, v in row.items():
-                new[c] = v * pv
-            for c, v in prow.items():
+            new = {c: v * pv for c, v in row.items()}
+            for c, v in prow.items():  # cancels col itself
                 s = new.get(c, 0) - f * v
                 if s:
                     new[c] = s
                 else:
-                    new.pop(c, None)
-            new.pop(col, None)
+                    del new[c]
             # re-reduce to keep integers small
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
+            g = gcd(*new.values())
             if g > 1:
                 new = {c: v // g for c, v in new.items()}
             # update index
@@ -339,29 +372,7 @@ def _echelon(matrix):
             pool[i] = new
             if not new:
                 alive.discard(i)
-    return pivots
-
-
-def _rref(matrix):
-    """Reduced row echelon form as a list of (pivot_col, {col: Fraction})
-    rows with leading 1, in increasing pivot-column order."""
-    pivots = _echelon(matrix)
-    reduced = []  # processed back-to-front
-    for col, irow in reversed(pivots):
-        frow = {c: Fraction(v, irow[col]) for c, v in irow.items() if c != col}
-        frow[col] = ONE
-        for pcol, prow in reduced:
-            f = frow.get(pcol)
-            if not f:
-                continue
-            for c, v in prow.items():
-                s = frow.get(c, ZERO) - f * v
-                if s:
-                    frow[c] = s
-                else:
-                    frow.pop(c, None)
-        reduced.insert(0, (col, frow))
-    return reduced
+    return [(col, pool[piv]) for col, piv in pivots]
 
 
 def rank(matrix):
@@ -372,35 +383,35 @@ def nullspace_basis(matrix):
     """Exact basis of {x : Mx = 0}, normalized so that each basis vector
     has a 1 in its own free coordinate and 0 in every other basis
     vector's free coordinate; ordered by that coordinate."""
-    reduced = _rref(matrix)
-    pivot_cols = {col for col, _ in reduced}
-    basis = []
+    pivots = _echelon(matrix)
+    pivot_cols = {col for col, _ in pivots}
+    basis = {}
     for free in range(matrix.cols):
-        if free in pivot_cols:
-            continue
-        vec = [ZERO] * matrix.cols
-        vec[free] = ONE
-        for col, frow in reduced:
-            coeff = frow.get(free)
-            if coeff:
-                vec[col] = -coeff
-        basis.append(tuple(vec))
-    return basis
+        if free not in pivot_cols:
+            basis[free] = vec = [ZERO] * matrix.cols
+            vec[free] = ONE
+    for col, row in pivots:
+        for free, v in row.items():
+            if free != col:
+                basis[free][col] = Fraction(-v, row[col])
+    return [tuple(vec) for vec in basis.values()]
 
 
 def solve(matrix, rhs):
-    """One exact solution of Mx = b, or None if inconsistent."""
-    aug = RatMatrix(matrix.rows, matrix.cols + 1)
-    for (r, c), v in matrix.entries.items():
-        aug[r, c] = v
-    for r, v in enumerate(rhs):
-        aug[r, matrix.cols] = v
-    reduced = _rref(aug)
-    if any(col == matrix.cols for col, _ in reduced):
-        return None
-    x = [ZERO] * matrix.cols
-    for col, frow in reduced:
-        x[col] = frow.get(matrix.cols, ZERO)
+    """One exact solution of Mx = b, or None if inconsistent: every free
+    coordinate of the solution is 0."""
+    if len(rhs) != matrix.rows:
+        raise ValueError(f"right-hand side has {len(rhs)} entries, "
+                         f"the matrix {matrix.rows} rows")
+    b = matrix.cols
+    aug = RatMatrix.from_rows(({**row, b: v} if v else row
+                               for row, v in zip(matrix.row_dicts(), rhs)),
+                              b + 1)
+    x = [ZERO] * b
+    for col, row in _echelon(aug):
+        if col == b:
+            return None
+        x[col] = Fraction(row.get(b, 0), row[col])
     return tuple(x)
 
 
@@ -410,12 +421,8 @@ def solve(matrix, rhs):
 
 
 def _columns_matrix(vectors):
-    m = RatMatrix(len(vectors[0]), len(vectors))
-    for j, v in enumerate(vectors):
-        for i, x in enumerate(v):
-            if x:
-                m[i, j] = x
-    return m
+    return RatMatrix.from_rows(({j: x for j, x in enumerate(row) if x}
+                                for row in zip(*vectors)), len(vectors))
 
 
 def span_rank(vectors):

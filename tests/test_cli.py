@@ -274,13 +274,10 @@ def test_snapshot_script_writes_every_report_of_one_target(tmp_path):
     names = ["check", "extend", "extend-degree0", "extend-degree1",
              "extend-degree2", "extend-degree3", "derive", "derive-p1l0",
              "derive-p0l2", "derive-simple", "coeff"]
-    # At --partial-bound 0 the closed solver still solves at its own
-    # ∂-bound 1, so vir's derive-p0l2 report says solvers_agree: false
-    # and exits 1. That is the program's answer today, pinned here; it
-    # changes when the cross-check compares at the direct solver's bounds.
-    exits = dict.fromkeys(names, "0\n") | {"derive-p0l2": "1\n"}
+    # At --partial-bound 0 the closed solver solves at ∂-bound 0 too, so
+    # vir's derive-p0l2 report says solvers_agree: true and exits 0.
     for name in names:
-        assert (tmp_path / f"{name}-vir.exit").read_text() == exits[name]
+        assert (tmp_path / f"{name}-vir.exit").read_text() == "0\n"
         assert (tmp_path / f"{name}-vir.err").read_bytes() == b""
     # the default reports are the golden ones
     for name in ("check", "extend", "derive", "coeff"):

@@ -126,6 +126,20 @@ class TestSolverAgreement:
         theorem = solve_derivations_theorem(R, 3)
         assert spaces_agree(R, direct, theorem)
 
+    @pytest.mark.parametrize("P", range(4))
+    def test_capped_closed_space_is_the_direct_one(self, catalog_entry, P):
+        """At a partial bound below the closed system's ∂-order, the closed
+        solver solves at that bound, so it answers the direct question."""
+        A = catalog_entry.build()
+        if detect_unit_like(A) is None:
+            return
+        R = QuadraticLCA(A)
+        direct = solve_derivations_direct(R, P, 2)
+        theorem = solve_derivations_theorem(R, 2, partial_bound=P)
+        assert theorem.partial_bound <= P
+        assert theorem.dimension == direct.dimension
+        assert spaces_agree(R, direct, theorem)
+
     def test_hypothesis_not_detected_raises(self):
         with pytest.raises(HypothesisNotDetected):
             solve_derivations_theorem(lca("current", g="sl2"), 3)

@@ -8,8 +8,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlca.derivations
 import qlca.extensions
-from qlca import catalog_build, solve_extensions_theorem
+from qlca import (QuadraticLCA, catalog_build, solve_derivations_direct,
+                  solve_derivations_theorem, solve_extensions_direct,
+                  solve_extensions_theorem)
 from qlca.poly import RatMatrix, nullspace_basis, rank, solve
 
 SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
@@ -25,31 +28,29 @@ def _dense(m):
     return sympy.Matrix(m.rows, m.cols, lambda r, c: _sym(m[r, c]))
 
 
-def _spans_equal(vectors, basis):
-    """Whether the columns ``vectors`` span the same space as ``basis``."""
-    k = len(basis)
-    if len(vectors) != k:
-        return False
-    if not k:
-        return True
-    ours = sympy.Matrix.hstack(*(sympy.Matrix([_sym(x) for x in v])
-                                 for v in vectors))
-    return ours.rank() == k == sympy.Matrix.hstack(ours, *basis).rank()
+def _exact(vector):
+    return tuple(_sym(x) for x in vector)
 
 
 def check_against_sympy(m, rhs):
+    """rank, nullspace_basis and solve against sympy, exactly: the basis is
+    sympy's RREF nullspace vector for vector, and the solution is sympy's
+    Gauss–Jordan solution with every free parameter set to 0."""
     ref = _dense(m)
     assert rank(m) == ref.rank()
     basis = nullspace_basis(m)
     for v in basis:
         assert all(x == 0 for x in m.matvec(v))
-    assert _spans_equal(basis, ref.nullspace())
+    assert [_exact(v) for v in basis] == [tuple(v) for v in ref.nullspace()]
     x = solve(m, rhs)
     b = sympy.Matrix([_sym(v) for v in rhs])
-    consistent = ref.row_join(b).rank() == ref.rank()
-    assert (x is not None) == consistent
-    if x is not None:
-        assert m.matvec(x) == list(rhs)
+    try:
+        sol, params = ref.gauss_jordan_solve(b)
+    except ValueError:  # inconsistent
+        assert x is None
+    else:
+        assert x is not None and m.matvec(x) == list(rhs)
+        assert _exact(x) == tuple(sol.subs({p: 0 for p in params}))
 
 
 @st.composite
@@ -79,20 +80,60 @@ def test_linear_algebra_matches_sympy(system):
     check_against_sympy(*system)
 
 
-@pytest.mark.parametrize("name, params", [
+CATALOG_SYSTEMS = pytest.mark.parametrize("name, params", [
     ("vir", {}),
     ("r_alpha_beta", {"alpha": 2, "beta": 0}),
 ])
-def test_theorem_extension_system_matches_sympy(monkeypatch, name, params):
+
+
+def _captured(monkeypatch, module, solver):
+    """The systems ``solver()`` hands to ``module.nullspace_basis``, in
+    call order."""
     systems = []
 
     def capture(m):
         systems.append(m)
         return nullspace_basis(m)
 
-    monkeypatch.setattr(qlca.extensions, "nullspace_basis", capture)
-    solve_extensions_theorem(catalog_build(name, **params))
-    (m,) = systems
+    monkeypatch.setattr(module, "nullspace_basis", capture)
+    solver()
+    return systems
+
+
+def check_system(m):
     check_against_sympy(m, [0] * m.rows)
     check_against_sympy(m, [1] + [0] * (m.rows - 1))
     check_against_sympy(m, m.matvec(range(m.cols)))
+
+
+@CATALOG_SYSTEMS
+def test_theorem_extension_system_matches_sympy(monkeypatch, name, params):
+    A = catalog_build(name, **params)
+    (m,) = _captured(monkeypatch, qlca.extensions,
+                     lambda: solve_extensions_theorem(A))
+    check_system(m)
+
+
+@CATALOG_SYSTEMS
+def test_direct_extension_system_matches_sympy(monkeypatch, name, params):
+    A = catalog_build(name, **params)
+    (m,) = _captured(monkeypatch, qlca.extensions,
+                     lambda: solve_extensions_direct(A, 3))
+    check_system(m)
+
+
+@CATALOG_SYSTEMS
+def test_direct_derivation_system_matches_sympy(monkeypatch, name, params):
+    R = QuadraticLCA(catalog_build(name, **params))
+    (m,) = _captured(monkeypatch, qlca.derivations,
+                     lambda: solve_derivations_direct(R, 3, 3))
+    check_system(m)
+
+
+@CATALOG_SYSTEMS
+def test_closed_derivation_system_matches_sympy(monkeypatch, name, params):
+    R = QuadraticLCA(catalog_build(name, **params))
+    # detect_unit_like eliminates its small systems first
+    *_, m = _captured(monkeypatch, qlca.derivations,
+                      lambda: solve_derivations_theorem(R, 4))
+    check_system(m)

@@ -100,6 +100,33 @@ class TestLinearAlgebra:
         bad = RatMatrix.from_rows([{0: Fraction(1)}, {0: Fraction(1)}], 1)
         assert solve(bad, [Fraction(1), Fraction(2)]) is None
 
+    def test_solve_rejects_a_rhs_of_the_wrong_length(self):
+        m = RatMatrix.from_rows([{0: 1}, {1: 1}], 2)
+        for rhs in ([1], [1, 2, 3]):
+            with pytest.raises(ValueError):
+                solve(m, rhs)
+
+    def test_entries_are_the_nonzero_entries(self):
+        """The read surface of a matrix: its shape and its nonzero
+        entries, the same from either constructor."""
+        entries = {(0, 0): 1, (0, 2): Fraction(-1, 2), (1, 1): 0, (2, 1): 3}
+        nonzero = {k: v for k, v in entries.items() if v}
+        m = RatMatrix(3, 3, entries)
+        rows = RatMatrix.from_rows([{0: 1, 2: Fraction(-1, 2)}, {1: 0}, {1: 3}], 3)
+        for a in (m, rows):
+            assert (a.rows, a.cols) == (3, 3)
+            assert dict(a.entries) == nonzero
+            assert len(a.entries) == 3
+            assert a[1, 1] == 0 and a[0, 2] == Fraction(-1, 2)
+            with pytest.raises(TypeError):
+                a.entries[1, 1] = 1
+        for bad in ({(0, 3): 1}, {(3, 0): 1}, {(0, -1): 1}, {(-1, 0): 1}):
+            with pytest.raises(IndexError):
+                RatMatrix(3, 3, bad)
+        for bad in ([{3: 1}], [{-1: 1}]):
+            with pytest.raises(IndexError):
+                RatMatrix.from_rows(bad, 3)
+
     def test_fractional_entries(self):
         m = RatMatrix.from_rows(
             [{0: Fraction(1, 3), 1: Fraction(1, 6)}], 2
