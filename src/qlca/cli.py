@@ -43,7 +43,11 @@ def _parse_params(blob):
         except ValueError:
             try:
                 params[k.strip()] = Fraction(v)
-            except (ValueError, ZeroDivisionError):
+            except ZeroDivisionError:
+                raise TargetError(
+                    f"catalog parameter {piece!r} has a zero denominator"
+                ) from None
+            except ValueError:
                 params[k.strip()] = v  # symbolic parameter, e.g. g=sl2
     return params
 

@@ -288,12 +288,12 @@ class RatMatrix:
         return out
 
 
-def _int_rows(matrix):
+def _int_rows(rows):
     """Clear denominators row by row and reduce by gcd; drops zero rows
     and duplicates."""
     seen = set()
     out = []
-    for row in matrix.row_dicts():
+    for row in rows:
         if not row:
             continue
         denom_lcm = 1
@@ -317,6 +317,25 @@ def _int_rows(matrix):
     return out
 
 
+def _peel(rows):
+    """Split off the columns that single-entry rows force to 0.
+
+    A row with one entry forces its column to 0; the forced columns are
+    dropped from every row and rows left empty are discarded, round after
+    round until a round forces nothing new. Returns (forced columns, the
+    remaining rows); a row that loses an entry is a new dict, so the
+    given rows are never mutated.
+    """
+    forced = set()
+    while new := {c for row in rows if len(row) == 1 for c in row}:
+        forced |= new
+        kept = (row if new.isdisjoint(row) else
+                {c: v for c, v in row.items() if c not in new}
+                for row in rows if len(row) > 1)
+        rows = [row for row in kept if row]
+    return forced, rows
+
+
 def _echelon(matrix):
     """Fraction-free (integer, gcd-reduced) Gauss–Jordan elimination.
 
@@ -326,8 +345,20 @@ def _echelon(matrix):
     no other pivot column: x[col] = −Σ row[c]·x[c] / row[col] over its
     free columns c. Pivot choice within a column is the entry of smallest
     absolute value, to limit coefficient growth.
+
+    Columns forced to 0 are peeled off first (``_peel``) and returned as
+    the unit pivot rows (c, {c: 1}); only the rows left over are swept.
+    That gives the same pivots as sweeping every row: the row space is
+    spanned by the unit rows of the forced columns together with the
+    leftover rows, which hold no forced column. A unit row in the row
+    space makes its column a pivot of the reduced row echelon form with
+    that unit row, and the reduced form for a fixed column order is
+    unique, so the sweep of the leftover rows gives exactly the other
+    pivot rows, up to the scale that ``nullspace_basis``/``solve``
+    divide out.
     """
-    pool = _int_rows(matrix)
+    forced, rows = _peel(matrix.row_dicts())
+    pool = _int_rows(rows)
     # column index: col -> set of pool slots whose row currently has col
     col_index = {}
     for idx, row in enumerate(pool):
@@ -372,7 +403,10 @@ def _echelon(matrix):
             pool[i] = new
             if not new:
                 alive.discard(i)
-    return [(col, pool[piv]) for col, piv in pivots]
+    pivots = [(col, pool[piv]) for col, piv in pivots]
+    pivots += ((c, {c: 1}) for c in forced)
+    pivots.sort(key=lambda p: p[0])
+    return pivots
 
 
 def rank(matrix):

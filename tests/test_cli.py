@@ -56,6 +56,13 @@ class TestCheck:
         assert code == 2
         assert "unknown catalog" in err
 
+    def test_zero_denominator_parameter_exit_2(self, capsys):
+        code, out, err = run(capsys, "check",
+                             "catalog:r_alpha_beta:alpha=1/0,beta=1")
+        assert code == 2 and out == ""
+        assert err == ("error: catalog parameter 'alpha=1/0' has a zero "
+                       "denominator\n")
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.alg"))
         assert code == 2
