@@ -7,8 +7,11 @@ OUTDIR: ``NAME.out`` (stdout), ``NAME.err`` (stderr) and ``NAME.exit``
 ``--degree 0..3``), ``derive`` (default, ``--partial-bound 1
 --lambda-bound 0``, ``--partial-bound 0 --lambda-bound 2`` and
 ``--assert-simple``) and ``coeff --cocycle-index 0 --window 3`` on the
-14 standard catalog entries and on ``trunc_poly`` n=6 κ∈{0,1}, which are
-written to OUTDIR as ``.alg`` files first.
+14 standard catalog entries, on ``trunc_poly`` n=6 κ∈{0,1} and on a
+2-dimensional table that breaks the axioms (so the reports hold its
+``check`` violations and the ``axiom violation:`` stderr of the other
+commands); the last three are written to OUTDIR as ``.alg`` files first.
+That is 17 targets × 11 questions = 187 reports.
 
 To compare two versions of the program, snapshot each and diff::
 
@@ -30,6 +33,10 @@ from perfbench.workloads import trunc_poly  # noqa: E402
 from qlca import entry_label, standard_entries  # noqa: E402
 from qlca.algfile import emit_algebra  # noqa: E402
 from qlca.cli import main as qlca_main  # noqa: E402
+
+# a Novikov table whose axioms fail at several basis triples
+INVALID = ("algebra bad\ndim 2\nbasis a b\n"
+           "novikov a b = b:1\nnovikov b a = a:1\nend\n")
 
 # (report name, command, options)
 VARIANTS = [
@@ -54,6 +61,9 @@ def targets(outdir):
         path.write_text(emit_algebra(trunc_poly(6, kappa), name="trunc_poly"),
                         encoding="utf-8")
         out.append((label, str(path)))
+    path = outdir / "invalid.alg"
+    path.write_text(INVALID, encoding="utf-8")
+    out.append(("invalid", str(path)))
     return out
 
 

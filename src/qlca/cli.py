@@ -295,16 +295,8 @@ def cmd_catalog(args):
     if args.action == "list":
         _emit({"command": "catalog", "names": catalog_names()}, args.json)
         return EXIT_OK
-    name, _, blob = args.name.partition(":")
-    if name not in catalog_names():
-        raise TargetError(
-            f"unknown catalog algebra {name!r}; known: {', '.join(catalog_names())}"
-        )
-    try:
-        A = catalog_build(name, **_parse_params(blob))
-    except (TypeError, ValueError) as exc:
-        raise TargetError(f"bad parameters for {name!r}: {exc}") from exc
-    sys.stdout.write(emit_algebra(A, name=name))
+    A, label = load_target("catalog:" + args.name)
+    sys.stdout.write(emit_algebra(A, name=label.partition(":")[0]))
     return EXIT_OK
 
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .conformal import (QuadraticLCA, _slot_brackets, bracket_general,
                         expr_add, expr_is_zero, expr_sub)
 from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
-                   nullspace_basis, span_rank, spans_equal)
+                   nullspace_basis, span_rank)
 
 
 class HypothesisNotDetected(ValueError):
@@ -81,17 +82,35 @@ class DerivationAnsatz:
 
 @dataclass(frozen=True)
 class DerivationSpace:
+    """Conformal derivations at ansatz bounds (P, D). The inner and outer
+    dimensions at these bounds are computed on first read: inner_dim
+    ranks the ad(∂^k a_v) that fit, outer_dim = dimension - inner_dim."""
+
     algebra: GDBialgebra
     partial_bound: int
     lambda_bound: int
     basis: tuple  # DerivationAnsatz
-    inner_dim: int
-    outer_dim: object  # int, or the string "not stabilized"
     method: str = "direct"
 
     @property
     def dimension(self):
         return len(self.basis)
+
+    @cached_property
+    def inner_dim(self):
+        R = QuadraticLCA(self.algebra)
+        n, P, D = R.dim, self.partial_bound, self.lambda_bound
+        vecs = []
+        for v in range(n):
+            for k in range(D + 1):  # ad(∂^k a_v) has λ-degree ≥ k
+                gen = inner_derivation(R, v, k)
+                if all(i <= P and kk <= D for (_, i, kk), _ in gen.coeffs):
+                    vecs.append(gen.as_vector(n, P, D))
+        return span_rank(vecs)
+
+    @property
+    def outer_dim(self):
+        return self.dimension - self.inner_dim
 
 
 def _unknown_indexer(n, P):
@@ -193,20 +212,11 @@ def _direct_rows(R: QuadraticLCA, P, D):
     return [eq for eq in rows.values() if eq]
 
 
-def _space(R, P, D, basis, method):
-    """DerivationSpace of ``basis`` at bounds (P, D), with the inner span
-    computed at those bounds."""
-    inner = _inner_vectors(R, P, D)
-    inner_dim = span_rank(inner) if inner else 0
-    return DerivationSpace(R.gd, P, D, basis, inner_dim,
-                           len(basis) - inner_dim, method)
-
-
 def _solve(R, rows, P, D, method):
     n = R.dim
     m = RatMatrix.from_rows(rows, n * (P + 1) * (D + 1) * n)
     basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
-    return _space(R, P, D, basis, method)
+    return DerivationSpace(R.gd, P, D, basis, method)
 
 
 def solve_derivations_direct(R: QuadraticLCA, partial_bound: int = 3,
@@ -240,20 +250,6 @@ def inner_derivation(R: QuadraticLCA, v: int, k: int = 0) -> DerivationAnsatz:
     return DerivationAnsatz.from_dict(1, k + 1, coeffs)
 
 
-def _inner_vectors(R, P, D):
-    """Flat vectors of every inner generator ad(∂^k a_v) that fits the
-    ansatz bounds (P, D). A nonzero term of ad(∂^k a_v) has λ-degree at
-    least k, so k ≤ D exhausts the candidates."""
-    n = R.dim
-    vecs = []
-    for v in range(n):
-        for k in range(D + 1):
-            gen = inner_derivation(R, v, k)
-            if all(i <= P and kk <= D for (_, i, kk), _ in gen.coeffs):
-                vecs.append(gen.as_vector(n, P, D))
-    return vecs
-
-
 def stabilized_outer(R: QuadraticLCA, partial_bound: int = 3,
                      lambda_bound: int = 4):
     """Solve the direct system once, at (P, D+2), and read the (P, D)
@@ -270,7 +266,7 @@ def stabilized_outer(R: QuadraticLCA, partial_bound: int = 3,
     probe = solve_derivations_direct(R, P, D + 2)
     basis = tuple(DerivationAnsatz(P, D, d.coeffs) for d in probe.basis
                   if all(k <= D for (_, _, k), _ in d.coeffs))
-    space = _space(R, P, D, basis, "direct")
+    space = DerivationSpace(R.gd, P, D, basis)
     outer = space.outer_dim
     if outer != probe.outer_dim:
         outer = ("not stabilized", outer, probe.outer_dim)
@@ -488,10 +484,13 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
 
 
 def spaces_agree(R: QuadraticLCA, a: DerivationSpace, b: DerivationSpace):
-    """Mutual-membership comparison of two derivation spaces at the
-    enclosing bounds."""
+    """Whether two derivation spaces are equal at the enclosing bounds.
+    Each basis is independent (an RREF nullspace basis or a leading
+    subset of one, and ``as_vector`` re-indexes injectively), so its span
+    has its dimension, and the spans are equal exactly when each has the
+    rank of their sum."""
     P = max(a.partial_bound, b.partial_bound)
     D = max(a.lambda_bound, b.lambda_bound)
     n = R.dim
-    return spans_equal([x.as_vector(n, P, D) for x in a.basis],
-                       [x.as_vector(n, P, D) for x in b.basis])
+    return a.dimension == b.dimension == span_rank(
+        [x.as_vector(n, P, D) for x in a.basis + b.basis])

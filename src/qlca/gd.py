@@ -196,12 +196,15 @@ def gd_build(dim, basis_names, novikov_table, lie_table, validate=True):
 
 
 def _residual(n, *signed):
-    """Dense coordinates of Σ sign·v over {k: coeff} vectors v."""
-    out = [ZERO] * n
+    """Σ sign·v over {k: coeff} vectors v: () when it is 0, else its
+    dense coordinates as Fractions."""
+    out = {}
     for sign, v in signed:
         for k, c in v.items():
-            out[k] += sign * c
-    return tuple(out)
+            out[k] = out.get(k, 0) + sign * c
+    if not any(out.values()):
+        return ()
+    return tuple(Fraction(out.get(k, 0)) for k in range(n))
 
 
 def _units(n):
@@ -222,10 +225,10 @@ def check_novikov(algebra):
                 left_sym = _residual(n, (1, lhs), (-1, _mul(C, e[i], C[j][k])),
                                      (-1, _mul(C, C[j][i], e[k])),
                                      (1, _mul(C, e[j], C[i][k])))
-                if any(left_sym):
+                if left_sym:
                     out.append(Violation("left-symmetry", i, j, k, left_sym))
                 right_comm = _residual(n, (1, lhs), (-1, _mul(C, C[i][k], e[j])))
-                if any(right_comm):
+                if right_comm:
                     out.append(Violation("right-commutativity", i, j, k, right_comm))
     return out
 
@@ -242,7 +245,7 @@ def check_lie(algebra):
                 res = _residual(n, (1, _mul(L, L[i][j], e[k])),
                                 (1, _mul(L, L[j][k], e[i])),
                                 (1, _mul(L, L[k][i], e[j])))
-                if any(res):
+                if res:
                     out.append(Violation("jacobi", i, j, k, res))
     return out
 
@@ -262,6 +265,6 @@ def check_gd_compat(algebra):
                                 (1, _mul(C, L[i][j], e[k])),
                                 (-1, _mul(C, L[i][k], e[j])),
                                 (-1, _mul(C, e[i], L[j][k])))
-                if any(res):
+                if res:
                     out.append(Violation("compatibility", i, j, k, res))
     return out

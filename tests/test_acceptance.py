@@ -15,7 +15,7 @@ from qlca import (CocycleQuadruple, DerivationAnsatz, QuadraticLCA,
                   solve_extensions_direct, solve_extensions_theorem,
                   span_coordinates, spaces_agree, spans_equal,
                   standard_entries, verify_cocycle, verify_derivation)
-from qlca.derivations import _inner_vectors
+from test_derivations import inner_vectors
 
 
 def report(capsys, ok, label, detail=""):
@@ -156,7 +156,7 @@ def test_criterion_7_derivation_grid(capsys):
     # the α=1 outer generator: L ↦ cW, W ↦ 0
     R = QuadraticLCA(catalog_build("r_alpha_beta", alpha=1, beta=0))
     Q = DerivationAnsatz.from_dict(1, 3, {(0, 0, 0): (Fraction(0), Fraction(1))})
-    inner = _inner_vectors(R, 3, 3)
+    inner = inner_vectors(R, 3, 3)
     sols = [d.as_vector(2, 3, 3) for d in solve_derivations_direct(R, 3, 3).basis]
     if verify_derivation(R, Q):
         problems.append("candidate outer generator is not a derivation")
@@ -191,7 +191,7 @@ def test_criterion_8_derivation_solver_agreement(capsys):
         if outer != D:
             problems.append(f"Cur(sl2) outer {outer} at λ-bound {D}, expected {D}")
             continue
-        pool = _inner_vectors(R, 1, D)
+        pool = inner_vectors(R, 1, D)
         for k in range(D):
             coeffs = {}
             for j in range(n):

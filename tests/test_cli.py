@@ -175,6 +175,14 @@ class TestCatalogCommand:
 
         assert parse_algebra(out) == catalog_build("loop_hv_cyclic", m=2)
 
+    @pytest.mark.parametrize("ref", ["loop_hv_cyclic:m=0", "nosuch", "vir:m=1",
+                                     "vir:x", "r_alpha_beta:alpha=1/0,beta=1"])
+    def test_emit_resolves_like_a_catalog_target(self, capsys, ref):
+        emit = run(capsys, "catalog", "emit", ref)
+        check = run(capsys, "check", "catalog:" + ref)
+        assert emit[0] == check[0] == 2
+        assert emit[2] == check[2] and emit[2].startswith("error: ")
+
     def test_emit_without_name_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["catalog", "emit"])

@@ -1,21 +1,38 @@
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from qlca import (DerivationAnsatz, HypothesisNotDetected, QuadraticLCA,
-                  RatMatrix, catalog_build, detect_unit_like, entry_label,
-                  inner_derivation, nullspace_basis, outer_dimension,
+from qlca import (DerivationAnsatz, DerivationSpace, HypothesisNotDetected,
+                  QuadraticLCA, RatMatrix, catalog_build, detect_unit_like,
+                  entry_label, inner_derivation, nullspace_basis, outer_dimension,
                   solve_derivations_direct, solve_derivations_theorem,
                   solve_extensions_direct, solve_extensions_theorem,
-                  spaces_agree, span_coordinates, span_rank, standard_entries,
-                  verify_derivation)
+                  spaces_agree, span_coordinates, span_rank, spans_equal,
+                  standard_entries, verify_derivation)
+from qlca import derivations
+from qlca.cli import main
 from qlca.derivations import _direct_rows, _unknown_indexer
 from test_catalog import _integral_algebras
 
 
 def lca(name, **params):
     return QuadraticLCA(catalog_build(name, **params))
+
+
+def inner_vectors(R, P, D):
+    """Dense vectors of the inner derivations ad(∂^k a_v) that fit the
+    bounds (P, D), tried for every k ≤ D + 1: the oracle for
+    DerivationSpace.inner_dim."""
+    n, out = R.dim, []
+    for v in range(n):
+        for k in range(D + 2):
+            try:
+                out.append(inner_derivation(R, v, k).as_vector(n, P, D))
+            except ValueError:  # does not fit the bounds
+                pass
+    return out
 
 
 class TestUnitDetection:
@@ -99,9 +116,7 @@ class TestOuterDimensions:
         )
         assert verify_derivation(R, Q) == []
         space = solve_derivations_direct(R, 3, 3)
-        from qlca.derivations import _inner_vectors
-
-        inner = _inner_vectors(R, 3, 3)
+        inner = inner_vectors(R, 3, 3)
         basis = [d.as_vector(2, 3, 3) for d in space.basis]
         assert span_coordinates(basis, Q.as_vector(2, 3, 3)) is not None
         assert span_coordinates(inner, Q.as_vector(2, 3, 3)) is None
@@ -109,6 +124,39 @@ class TestOuterDimensions:
         pool = inner + [Q.as_vector(2, 3, 3)]
         for v in basis:
             assert span_coordinates(pool, v) is not None
+
+    @pytest.mark.parametrize("P, D", [(0, 2), (1, 0), (3, 3), (3, 4), (3, 6)])
+    def test_inner_dim_is_the_dense_inner_rank(self, catalog_entry, P, D):
+        R = QuadraticLCA(catalog_entry.build())
+        space = solve_derivations_direct(R, P, D)
+        assert space.inner_dim == span_rank(inner_vectors(R, P, D))
+        assert space.outer_dim == space.dimension - space.inner_dim
+
+    def test_derive_ranks_the_direct_spaces_only(self, monkeypatch, capsys):
+        """derive reads the inner span of the (P, D+2) probe and of the
+        (P, D) space, n·((D+3) + (D+1)) generators at the default D = 4,
+        and never the closed solver's."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return inner_derivation(*args)
+
+        monkeypatch.setattr(derivations, "inner_derivation", counted)
+        assert main(["--json", "derive", "catalog:loop_hv_cyclic:m=3"]) == 0
+        assert len(calls) == 6 * ((4 + 3) + (4 + 1)) == 72
+
+    def test_spaces_are_ranked_on_first_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the inner span was ranked")
+
+        R = lca("loop_hv_cyclic", m=3)
+        monkeypatch.setattr(derivations, "inner_derivation", refuse)
+        direct = solve_derivations_direct(R, 3, 4)
+        theorem = solve_derivations_theorem(R, 4)
+        assert theorem.dimension == direct.dimension > 0
+        with pytest.raises(AssertionError):
+            theorem.inner_dim
 
     def test_current_family_does_not_stabilize(self):
         out = outer_dimension(lca("current", g="sl2"), 3, 3)
@@ -139,6 +187,34 @@ class TestSolverAgreement:
         assert theorem.partial_bound <= P
         assert theorem.dimension == direct.dimension
         assert spaces_agree(R, direct, theorem)
+
+    def test_spaces_agree_is_mutual_membership(self, catalog_entry):
+        """The one rank of spaces_agree answers what spans_equal's three
+        ranks of the dense bases do, on every pair of the direct, closed
+        and assert-simple spaces at (3, 3) and (1, 2)."""
+        A = catalog_entry.build()
+        R = QuadraticLCA(A)
+        spaces = []
+        for P, D in ((3, 3), (1, 2)):
+            spaces.append(solve_derivations_direct(R, P, D))
+            if detect_unit_like(A) is not None:
+                spaces.append(solve_derivations_theorem(R, D, partial_bound=P))
+            spaces.append(solve_derivations_theorem(
+                R, D, assert_simple=True, partial_bound=P))
+        n = R.dim
+        for a, b in combinations(spaces, 2):
+            P = max(a.partial_bound, b.partial_bound)
+            D = max(a.lambda_bound, b.lambda_bound)
+            dense = [[x.as_vector(n, P, D) for x in s.basis] for s in (a, b)]
+            assert spaces_agree(R, a, b) == spans_equal(*dense), (a.method, b.method)
+
+    def test_equal_dimensions_with_different_spans_disagree(self):
+        R = lca("vir")
+        a, b = (DerivationSpace(R.gd, 1, 2, (inner_derivation(R, 0, k),))
+                for k in (0, 1))
+        assert a.dimension == b.dimension
+        assert not spaces_agree(R, a, b)
+        assert spaces_agree(R, a, a)
 
     def test_hypothesis_not_detected_raises(self):
         with pytest.raises(HypothesisNotDetected):
@@ -183,8 +259,6 @@ class TestCurrentShape:
         R = lca("current", g="sl2")
         P, D = 1, 3
         n = R.dim
-        from qlca.derivations import _inner_vectors
-
         scalers = []
         for k in range(D):
             coeffs = {}
@@ -196,7 +270,7 @@ class TestCurrentShape:
             assert verify_derivation(R, d) == []
             scalers.append(d.as_vector(n, P, D))
         space = solve_derivations_direct(R, P, D)
-        pool = _inner_vectors(R, P, D) + scalers
+        pool = inner_vectors(R, P, D) + scalers
         for d in space.basis:
             assert span_coordinates(pool, d.as_vector(n, P, D)) is not None
 
@@ -265,7 +339,7 @@ def test_solvers_run_without_the_bracket_engine(catalog_entry, monkeypatch):
     R = QuadraticLCA(A)
     solve_extensions_theorem(A)
     solve_extensions_direct(A, 3)
-    solve_derivations_direct(R, 1, 2)
+    solve_derivations_direct(R, 1, 2).inner_dim
     solve_derivations_theorem(R, 2, assert_simple=True)
     detect_unit_like(A)
     for v in range(R.dim):
