@@ -7,11 +7,13 @@ OUTDIR: ``NAME.out`` (stdout), ``NAME.err`` (stderr) and ``NAME.exit``
 ``--degree 0..3``), ``derive`` (default, ``--partial-bound 1
 --lambda-bound 0``, ``--partial-bound 0 --lambda-bound 2`` and
 ``--assert-simple``) and ``coeff --cocycle-index 0 --window 3`` on the
-14 standard catalog entries, on ``trunc_poly`` n=6 κ∈{0,1} and on a
-2-dimensional table that breaks the axioms (so the reports hold its
+14 standard catalog entries, on ``trunc_poly`` n=6 κ∈{0,1} and on two
+tables that break the axioms: a 2-dimensional one that breaks Novikov
+alone, and a 3-dimensional one that breaks Novikov and compatibility, so
+its conformal Jacobi residuals mix ∂, λ and μ. Their reports hold the
 ``check`` violations and the ``axiom violation:`` stderr of the other
-commands); the last three are written to OUTDIR as ``.alg`` files first.
-That is 17 targets × 11 questions = 187 reports.
+commands. The last four targets are written to OUTDIR as ``.alg`` files
+first. That is 18 targets × 11 questions = 198 reports.
 
 To compare two versions of the program, snapshot each and diff::
 
@@ -38,6 +40,11 @@ from qlca.cli import main as qlca_main  # noqa: E402
 INVALID = ("algebra bad\ndim 2\nbasis a b\n"
            "novikov a b = b:1\nnovikov b a = a:1\nend\n")
 
+# a Novikov table and a Lie bracket that also break compatibility
+INCOMPATIBLE = ("algebra incompatible\ndim 3\nbasis a b c\n"
+                "novikov a a = a:1\nnovikov b a = b:1\nnovikov c a = c:2\n"
+                "lie a b = c:1\nlie b c = a:1/2\nend\n")
+
 # (report name, command, options)
 VARIANTS = [
     ("check", "check", []),
@@ -61,9 +68,10 @@ def targets(outdir):
         path.write_text(emit_algebra(trunc_poly(6, kappa), name="trunc_poly"),
                         encoding="utf-8")
         out.append((label, str(path)))
-    path = outdir / "invalid.alg"
-    path.write_text(INVALID, encoding="utf-8")
-    out.append(("invalid", str(path)))
+    for label, text in (("invalid", INVALID), ("incompatible", INCOMPATIBLE)):
+        path = outdir / f"{label}.alg"
+        path.write_text(text, encoding="utf-8")
+        out.append((label, str(path)))
     return out
 
 

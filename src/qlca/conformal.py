@@ -84,71 +84,91 @@ def _slot_brackets(R, slot):
 def bracket_general(R, x, y, slot):
     """[x_slot y] by bilinearity and sesquilinearity.
 
-    ``slot`` is a FormalPoly in λ and μ (typically λ, μ or λ+μ). Powers of
-    ∂ in x become powers of -slot; powers of ∂ in y become powers of
-    slot+∂ multiplying the basis bracket evaluated at the slot variable.
-    Powers of λ/μ riding along in either argument are treated as plain
-    scalars.
+    ``slot`` is a FormalPoly in λ and μ (typically λ, μ or λ+μ). ∂ in x
+    becomes -slot and ∂ in y becomes slot+∂, multiplying the basis
+    bracket evaluated at the slot variable. Powers of λ/μ riding along in
+    either argument are treated as plain scalars.
     """
     if not isinstance(slot, FormalPoly):
         raise ValueError("slot must be a FormalPoly")
     if not slot.uses_only((LAM, MU)):
         raise ValueError("slot expression may involve λ and μ only")
-    n = R.dim
-    d = FormalPoly.sym(DEL)
-    out = list(R.zero_expr())
+    xs = [p.substitute(DEL, -slot) for p in x]
+    ys = [p.substitute(DEL, slot + FormalPoly.sym(DEL)) for p in y]
     bb = _slot_brackets(R, slot)
-    neg_slot_pow = [FormalPoly.const(1)]
-    slot_plus_d_pow = [FormalPoly.const(1)]
-
-    def npow(cache, base, e):
-        while len(cache) <= e:
-            cache.append(cache[-1] * base)
-        return cache[e]
-
-    for a in range(n):
-        xa = x[a]
-        if xa.is_zero():
-            continue
-        for (exd, exl, exm), cx in xa.terms.items():
-            xfactor = FormalPoly({(0, exl, exm): cx}) * npow(
-                neg_slot_pow, -slot, exd
-            )
-            for b in range(n):
-                yb = y[b]
-                if yb.is_zero():
-                    continue
-                base = bb[a][b]
-                for (eyd, eyl, eym), cy in yb.terms.items():
-                    factor = (
-                        xfactor
-                        * FormalPoly({(0, eyl, eym): cy})
-                        * npow(slot_plus_d_pow, slot + d, eyd)
-                    )
-                    for k in range(n):
-                        if base[k].is_zero():
-                            continue
-                        out[k] = out[k] + factor * base[k]
+    out = list(R.zero_expr())
+    for a, xa in enumerate(xs):
+        for b, yb in enumerate(ys):
+            if xa and yb:
+                _accumulate(out, xa * yb, bb[a][b])
     return tuple(out)
+
+
+def _accumulate(out, c, expr):
+    """out += c·expr, coordinate by coordinate."""
+    for k, p in enumerate(expr):
+        if p:
+            out[k] = out[k] + c * p
 
 
 def check_skew(R):
     """Residuals of [a_i λ a_j] + ([a_j μ a_i] with μ := -λ-∂) over basis
     pairs; empty for every genuine quadratic Lie conformal algebra."""
     n = R.dim
-    minus = -(FormalPoly.sym(LAM) + FormalPoly.sym(DEL))
+    lam = FormalPoly.sym(LAM)
+    at_lam = _slot_brackets(R, lam)
+    at_minus = _slot_brackets(R, -(lam + FormalPoly.sym(DEL)))
     out = []
     for i in range(n):
         for j in range(n):
-            lhs = bracket_basis(R, i, j)
-            other = bracket_basis(R, j, i)
-            sub = tuple(
-                p.substitute(LAM, FormalPoly.sym(MU)).substitute(MU, minus)
-                for p in other
-            )
-            residual = expr_add(lhs, sub)
+            residual = expr_add(at_lam[i][j], at_minus[j][i])
             if not expr_is_zero(residual):
                 out.append((i, j, residual))
+    return out
+
+
+def _jacobi_tables(R):
+    """The three inner brackets of the Jacobi identity with their ∂ moved
+    out by sesquilinearity, as sparse ((x, coefficient), ...) coordinates:
+    [a_j μ a_k] as second argument at slot λ (∂ → λ+∂), [a_i λ a_j] as
+    first argument at slot λ+μ (∂ → -λ-μ) and [a_i λ a_k] as second
+    argument at slot μ (∂ → μ+∂). Built once per algebra object."""
+    derived = R.gd.derived
+    if "jacobi_tables" not in derived:
+        d, lam, mu = (FormalPoly.sym(s) for s in (DEL, LAM, MU))
+
+        def moved(slot, d_to):
+            return [[tuple((x, c) for x, p in enumerate(e)
+                           if (c := p.substitute(DEL, d_to)))
+                     for e in row] for row in _slot_brackets(R, slot)]
+
+        derived["jacobi_tables"] = (moved(mu, lam + d), moved(lam, -(lam + mu)),
+                                    moved(lam, mu + d))
+    return derived["jacobi_tables"]
+
+
+def _jacobi_residuals(R, at_lam, at_sum, at_mu):
+    """The Jacobi identity [a_i λ [a_j μ a_k]] - [[a_i λ a_j]_{λ+μ} a_k]
+    - [a_j μ [a_i λ a_k]] over basis triples, for outer brackets given as
+    tables of equal-length tuples of FormalPoly: at_lam[i][x] stands for
+    [a_i λ a_x], at_sum[x][k] for [a_x λ+μ a_k] and at_mu[j][x] for
+    [a_j μ a_x]. Returns the nonzero (i, j, k, residual) in triple order."""
+    inner, outer, right = _jacobi_tables(R)
+    n = R.dim
+    width = len(at_lam[0][0])
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = [FormalPoly.zero()] * width
+                for x, c in inner[j][k]:
+                    _accumulate(r, c, at_lam[i][x])
+                for x, c in outer[i][j]:
+                    _accumulate(r, -c, at_sum[x][k])
+                for x, c in right[i][k]:
+                    _accumulate(r, -c, at_mu[j][x])
+                if any(r):
+                    out.append((i, j, k, tuple(r)))
     return out
 
 
@@ -156,21 +176,6 @@ def check_jacobi(R):
     """Residuals of the conformal Jacobi identity
     [a_i λ [a_j μ a_k]] - [[a_i λ a_j]_{λ+μ} a_k] - [a_j μ [a_i λ a_k]]
     over basis triples, as identities in V ⊗ Q[∂, λ, μ]."""
-    n = R.dim
-    lam = FormalPoly.sym(LAM)
-    mu = FormalPoly.sym(MU)
-    lam_mu = lam + mu
-    basis = [R.basis_expr(i) for i in range(n)]
-    br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
-    br_mu = _slot_brackets(R, mu)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = bracket_general(R, basis[i], br_mu[j][k], lam)
-                rhs1 = bracket_general(R, br[i][j], basis[k], lam_mu)
-                rhs2 = bracket_general(R, basis[j], br[i][k], mu)
-                residual = expr_sub(lhs, expr_add(rhs1, rhs2))
-                if not expr_is_zero(residual):
-                    out.append((i, j, k, residual))
-    return out
+    lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
+    return _jacobi_residuals(R, _slot_brackets(R, lam),
+                             _slot_brackets(R, lam + mu), _slot_brackets(R, mu))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .conformal import QuadraticLCA, _slot_brackets, bracket_basis
+from .conformal import QuadraticLCA, _jacobi_residuals, bracket_basis
 from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
                    nullspace_basis, span_rank)
@@ -307,41 +307,14 @@ def solve_extensions_direct(A: GDBialgebra, degree_bound: int = 6) -> CocycleSpa
 # ---------------------------------------------------------------------
 
 
-def _dot(u, v):
-    """Σ_k u_k v_k for two tuples of FormalPoly."""
-    total = FormalPoly.zero()
-    for x, y in zip(u, v):
-        if x and y:
-            total = total + x * y
-    return total
-
-
-def _jacobi_brackets(A):
-    """The basis brackets that verify_cocycle feeds to α, with ∂ already
-    replaced by the form's variable: [b_μ c] as second argument of α_λ,
-    [a_λ b] as first argument of α_{λ+μ}, [a_λ c] as second argument of
-    α_μ. The engine's slot table supplies each bracket at its slot. They
-    do not depend on the cocycle, so each algebra object builds them once."""
-    if "jacobi_brackets" not in A.derived:
-        R = QuadraticLCA(A)
-        lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
-
-        def brackets(slot, d_to):  # [a_i slot a_j] with ∂ replaced by d_to
-            return [[tuple(p.substitute(DEL, d_to) for p in e) for e in row]
-                    for row in _slot_brackets(R, slot)]
-
-        A.derived["jacobi_brackets"] = (brackets(mu, lam),
-                                        brackets(lam, -(lam + mu)),
-                                        brackets(lam, mu))
-    return A.derived["jacobi_brackets"]
-
-
 def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
     """Check that α_λ(a_i, a_j) = Σ_k λ^k α_k(a_i, a_j) is a conformal
     2-cocycle, i.e. that adding α_λ(a, b)·𝔠 to the λ-bracket with a
     central 𝔠 keeps a Lie conformal algebra (Bakalov-Kac-Voronov). The
     brackets come from the λ-bracket engine, so the check shares no
-    formula with either extension solver.
+    formula with either extension solver: the Jacobi part is the engine's
+    own expansion, the one ``check_jacobi`` runs, with α in place of the
+    outer brackets.
 
     α is applied sesquilinearly: ∂ in its second argument becomes the
     form's variable, ∂ in its first argument becomes minus that variable
@@ -357,29 +330,24 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
     n = A.dim
     lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
 
-    def forms_at(slot):  # forms[a][b] = α_slot(a_a, a_b)
-        return [[q.lambda_poly(a, b).substitute(LAM, slot) for b in range(n)]
+    def forms_at(slot):  # forms[a][b] = (α_slot(a_a, a_b),)
+        return [[(q.lambda_poly(a, b).substitute(LAM, slot),) for b in range(n)]
                 for a in range(n)]
 
-    at_lam, at_mu, at_sum = forms_at(lam), forms_at(mu), forms_at(lam + mu)
-    at_neg = forms_at(-lam)
+    at_lam, at_neg = forms_at(lam), forms_at(-lam)
     out = []
     for i in range(n):
         for j in range(n):
-            r = at_lam[i][j] + at_neg[j][i]
+            r = at_lam[i][j][0] + at_neg[j][i][0]
             if r:
                 out.append(("skew", i, j, r))
 
-    inner, outer, right = _jacobi_brackets(A)
-    at_sum_cols = [tuple(row[c] for row in at_sum) for c in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                r = (_dot(at_lam[a], inner[b][c])
-                     - _dot(outer[a][b], at_sum_cols[c])
-                     - _dot(at_mu[b], right[a][c]))
-                if r:
-                    out.append(("jacobi", a, b, c, r))
+    # ∂ kills the centre
+    for a, b, c, (r,) in _jacobi_residuals(QuadraticLCA(A), at_lam,
+                                           forms_at(lam + mu), forms_at(mu)):
+        r = r.substitute(DEL, 0)
+        if r:
+            out.append(("jacobi", a, b, c, r))
     return out
 
 

@@ -55,8 +55,8 @@ class GDBialgebra:
     """Finite GD bialgebra given on a basis a_0..a_{n-1} by
     a_i ∘ a_j = Σ_k novikov[i][j][k] a_k and [a_i, a_j] = Σ_k lie[i][j][k] a_k.
 
-    The stored Lie table is rebuilt from its strictly upper part, so
-    antisymmetry (and [a_i, a_i] = 0) holds by construction.
+    ``gd_build`` validates that the Lie table is antisymmetric, diagonal
+    included, so [a_i, a_i] = 0.
     """
 
     dim: int
@@ -151,7 +151,7 @@ def gd_build(dim, basis_names, novikov_table, lie_table, validate=True):
 
     With validate on, the Novikov, Lie-Jacobi and compatibility axioms are
     all checked and any violation rejects the build. Antisymmetry of the
-    Lie table is always required and enforced structurally.
+    Lie table is always required.
     """
     if dim <= 0:
         raise GDValidationError("dimension must be positive")
@@ -164,24 +164,13 @@ def gd_build(dim, basis_names, novikov_table, lie_table, validate=True):
         raise GDValidationError("lie table must have shape n×n×n")
 
     novikov = _freeze_table(novikov_table, dim)
-    raw_lie = _freeze_table(lie_table, dim)
+    lie = _freeze_table(lie_table, dim)
     for i in range(dim):
-        for j in range(i, dim):
-            neg = tuple(-x for x in raw_lie[j][i])
-            if raw_lie[i][j] != neg:
+        for j in range(i, dim):  # the diagonal too: [a_i, a_i] = 0
+            if lie[i][j] != tuple(-x for x in lie[j][i]):
                 raise GDValidationError(
                     f"lie table is not antisymmetric at pair ({i},{j})"
                 )
-    # rebuild from the strictly upper part
-    zero = (0,) * dim
-    lie = tuple(
-        tuple(
-            raw_lie[i][j] if i < j
-            else (tuple(-x for x in raw_lie[j][i]) if i > j else zero)
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
 
     algebra = GDBialgebra(dim, basis_names, novikov, lie)
     if validate:

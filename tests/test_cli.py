@@ -94,6 +94,27 @@ class TestExtend:
         assert "dimension: 2" in out
         assert "λ^3" in out
 
+    def test_each_distinct_basis_cocycle_is_verified_once(self, capsys,
+                                                          monkeypatch):
+        # both solvers return the same 15 basis cocycles here
+        from qlca import cli
+
+        calls = []
+
+        def counted(A, q):
+            calls.append(q)
+            return verify(A, q)
+
+        verify = cli.verify_cocycle
+        monkeypatch.setattr(cli, "verify_cocycle", counted)
+        code, out, _ = run(capsys, "--json", "extend",
+                           "catalog:loop_hv_cyclic:m=3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["theorem"]["verified"] and data["direct"]["verified"]
+        assert data["theorem"]["dimension"] == 15
+        assert len(calls) == len(set(calls)) == 15
+
     def test_unbounded_warning_shown(self, capsys):
         code, out, _ = run(
             capsys, "--json", "extend", "catalog:current:g=abelian,n=2",

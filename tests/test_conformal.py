@@ -1,12 +1,19 @@
 import random
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qlca import (DEL, LAM, MU, FormalPoly, QuadraticLCA, bracket_basis,
-                  bracket_general, catalog_build, check_gd_compat,
-                  check_jacobi, check_lie, check_novikov, check_skew,
-                  gd_build)
+from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, QuadraticLCA,
+                  bracket_basis, bracket_general, catalog_build,
+                  check_gd_compat, check_jacobi, check_lie, check_novikov,
+                  check_skew, gd_build, parse_algebra,
+                  solve_extensions_theorem, verify_cocycle)
+from qlca.conformal import expr_add, expr_is_zero, expr_sub
+
+SNAPSHOT_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "snapshot_reports.py"
 
 
 def D():
@@ -148,3 +155,69 @@ class TestEquivalence:
             nov, lie = random_dim2_tables(rng)
             A = gd_build(2, ["a", "b"], nov, lie, validate=False)
             assert check_skew(QuadraticLCA(A)) == []
+
+
+def jacobi_through_bracket_general(R):
+    """check_jacobi written as three general products per basis triple,
+    the expansion the engine ran before it had one shared with
+    verify_cocycle."""
+    n = R.dim
+    lam, mu = L(), FormalPoly.sym(MU)
+    basis = [R.basis_expr(i) for i in range(n)]
+    br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                br_mu = bracket_general(R, basis[j], basis[k], mu)
+                lhs = bracket_general(R, basis[i], br_mu, lam)
+                rhs1 = bracket_general(R, br[i][j], basis[k], lam + mu)
+                rhs2 = bracket_general(R, basis[j], br[i][k], mu)
+                residual = expr_sub(lhs, expr_add(rhs1, rhs2))
+                if not expr_is_zero(residual):
+                    out.append((i, j, k, residual))
+    return out
+
+
+class TestOneJacobiExpansion:
+    """check_jacobi reads the shared expansion; its residual list must be
+    the one the general product gives, entry for entry and in order."""
+
+    def test_random_tables(self):
+        rng = random.Random(20260823)  # the tables of TestEquivalence
+        seen_bad = 0
+        for _ in range(200):
+            nov, lie = random_dim2_tables(rng)
+            R = QuadraticLCA(gd_build(2, ["a", "b"], nov, lie, validate=False))
+            expected = jacobi_through_bracket_general(R)
+            assert check_jacobi(R) == expected
+            seen_bad += bool(expected)
+        assert seen_bad > 0
+
+    @pytest.mark.parametrize("table", ["INVALID", "INCOMPATIBLE"])
+    def test_invalid_snapshot_tables(self, table):
+        text = runpy.run_path(str(SNAPSHOT_SCRIPT))[table]
+        R = QuadraticLCA(parse_algebra(text, validate=False))
+        expected = jacobi_through_bracket_general(R)
+        assert expected
+        assert check_jacobi(R) == expected
+
+
+def test_checkers_run_without_the_general_product(catalog_entry, monkeypatch):
+    """check_skew, check_jacobi and verify_cocycle read the slot tables
+    and the shared Jacobi expansion: with bracket_general raising in every
+    qlca namespace, they still run."""
+    def general(*args, **kwargs):
+        raise AssertionError("bracket_general was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "qlca" or name.startswith("qlca."):
+            if hasattr(module, "bracket_general"):
+                monkeypatch.setattr(module, "bracket_general", general)
+    A = catalog_entry.build()
+    R = QuadraticLCA(A)
+    assert check_skew(R) == []
+    assert check_jacobi(R) == []
+    for q in solve_extensions_theorem(A).basis:
+        assert verify_cocycle(A, q) == []
+    assert verify_cocycle(A, CocycleQuadruple.single(A.dim, 0, 0, 0))

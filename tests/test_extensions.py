@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from qlca import (LAM, MU, CocycleQuadruple, FormalPoly, catalog_build,
-                  entry_label, solve_extensions_direct,
-                  solve_extensions_theorem, span_rank, spans_equal,
-                  standard_entries, verify_cocycle)
+from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, QuadraticLCA,
+                  bracket_basis, catalog_build, entry_label,
+                  solve_extensions_direct, solve_extensions_theorem, span_rank,
+                  spans_equal, standard_entries, verify_cocycle)
 
 # dimensions established by both independent solvers and hand checks
 DERIVED_DIMENSIONS = {
@@ -133,6 +133,38 @@ class TestSolvers:
             solve_extensions_direct(catalog_build("vir"), degree_bound=-1)
 
 
+def central_jacobi_substituted_first(A, q):
+    """The central Jacobi residuals of α, with ∂ in every inner bracket
+    replaced by its form's variable before α is applied."""
+    R = QuadraticLCA(A)
+    n = A.dim
+    lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
+
+    def forms(slot):
+        return [[q.lambda_poly(a, b).substitute(LAM, slot) for b in range(n)]
+                for a in range(n)]
+
+    def brackets(slot, d_to):
+        return [[[p.substitute(LAM, slot).substitute(DEL, d_to)
+                  for p in bracket_basis(R, a, b)] for b in range(n)]
+                for a in range(n)]
+
+    inner, outer = brackets(mu, lam), brackets(lam, -(lam + mu))
+    right = brackets(lam, mu)
+    f_lam, f_sum, f_mu = forms(lam), forms(lam + mu), forms(mu)
+    out = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                r = sum((f_lam[a][x] * inner[b][c][x]
+                         - outer[a][b][x] * f_sum[x][c]
+                         - f_mu[b][x] * right[a][c][x] for x in range(n)),
+                        FormalPoly.zero())
+                if r:
+                    out.append(("jacobi", a, b, c, r))
+    return out
+
+
 class TestVerifierAgainstSolver:
     """verify_cocycle evaluates the Jacobi identity of the extension through
     the λ-bracket engine and shares no formula with either solver, so the
@@ -148,6 +180,19 @@ class TestVerifierAgainstSolver:
                     q = CocycleQuadruple.single(n, k, i, j)
                     in_span = span_rank(basis + [q.as_vector()]) == len(basis)
                     assert (verify_cocycle(A, q) == []) == in_span, (k, i, j)
+
+    def test_jacobi_residuals_equal_the_substituted_expansion(self, catalog_entry):
+        """verify_cocycle runs the engine's Jacobi expansion and sets ∂ = 0
+        at the end; substituting ∂ first, bracket by bracket, must give
+        the same residual list on every single-entry quadruple."""
+        A = catalog_entry.build()
+        n = A.dim
+        for k in range(4):
+            for i in range(n):
+                for j in range(i, n):
+                    q = CocycleQuadruple.single(n, k, i, j)
+                    got = [r for r in verify_cocycle(A, q) if r[0] == "jacobi"]
+                    assert got == central_jacobi_substituted_first(A, q), (k, i, j)
 
     def test_skew_residual_names_its_pair(self):
         # α_2(L, L) = 1 alone: α_λ(L,L) + α_{-λ}(L,L) = 2λ^2

@@ -103,6 +103,12 @@ class TestBuild:
         with pytest.raises(GDValidationError, match="antisymmetric"):
             gd_build(2, ["a", "b"], zero_table(2), lie)
 
+    def test_rejects_nonzero_lie_diagonal(self):
+        lie = zero_table(2)
+        lie[1][1][0] = Fraction(1)  # [b, b] = a
+        with pytest.raises(GDValidationError, match=r"antisymmetric at pair \(1,1\)"):
+            gd_build(2, ["a", "b"], zero_table(2), lie)
+
     def test_rejects_axiom_violation_with_locations(self):
         nov = zero_table(2)
         nov[0][1][1] = Fraction(1)
