@@ -17,9 +17,9 @@ from .catalog import catalog_build, catalog_names
 from .conformal import QuadraticLCA, bracket_basis, check_jacobi, check_skew
 from .derivations import (HypothesisNotDetected, solve_derivations_theorem,
                           spaces_agree, stabilized_outer)
-from .extensions import (check_coeff_cocycle, coeff_relation_consistency,
-                         solve_extensions_direct, solve_extensions_theorem,
-                         verify_cocycle)
+from .extensions import (_runs_exhaustive, check_coeff_cocycle,
+                         coeff_relation_consistency, solve_extensions_direct,
+                         solve_extensions_theorem, verify_cocycle)
 from .gd import GDValidationError, check_gd_compat, check_lie, check_novikov
 from .poly import span_coordinates
 
@@ -149,6 +149,12 @@ def _quadruple_report(A, q):
     return {"forms": mats, "central_brackets": brackets}
 
 
+def _conformal_violation(axiom, kind, where, residual):
+    """A conformal-axiom residual, worded like the GD axioms' Violation."""
+    return (f"{axiom} fails at basis {kind} ({','.join(map(str, where))}); "
+            f"residual ({', '.join(map(str, residual))})")
+
+
 def cmd_check(args):
     A, label = load_target(args.target, validate=False)
     R = QuadraticLCA(A)
@@ -156,8 +162,12 @@ def cmd_check(args):
         "novikov": check_novikov(A),
         "lie_jacobi": check_lie(A),
         "gd_compatibility": check_gd_compat(A),
-        "conformal_skew": check_skew(R),
-        "conformal_jacobi": check_jacobi(R),
+        "conformal_skew": [
+            _conformal_violation("conformal skew-symmetry", "pair", v[:2], v[2])
+            for v in check_skew(R)],
+        "conformal_jacobi": [
+            _conformal_violation("conformal Jacobi", "triple", v[:3], v[3])
+            for v in check_jacobi(R)],
     }
     violations = {k: [str(v) for v in vs] for k, vs in checks.items() if vs}
     ok = not violations
@@ -281,7 +291,8 @@ def cmd_coeff(args):
         "target": label,
         "cocycle_index": args.cocycle_index,
         "window": args.window,
-        "mode": "exhaustive" if args.samples is None else f"sampled({args.samples}, seed={args.seed})",
+        "mode": ("exhaustive" if _runs_exhaustive(A.dim, args.window, args.samples)
+                 else f"sampled({args.samples}, seed={args.seed})"),
         "cocycle": _quadruple_report(A, q),
         "mode_cocycle_check": "ok" if not failures else f"{len(failures)} failures",
         "closed_form_consistency": "ok" if not relation else f"{len(relation)} mismatches",

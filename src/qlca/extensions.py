@@ -401,50 +401,102 @@ def coeff_bracket(A: GDBialgebra, q: CocycleQuadruple, gen1, gen2):
     return terms, central
 
 
+# {(a, b) : a, b ≥ 0, a + b ≤ 4}, the principal lattice of degree 4: a
+# polynomial of total degree ≤ 4 in two variables that vanishes on it is 0
+_TRIANGLE = tuple((a, b) for a in range(5) for b in range(5 - a))
+
+
+def _runs_exhaustive(dim, window, samples):
+    """Whether ``check_coeff_cocycle`` walks every generator triple rather
+    than ``samples`` seeded ones."""
+    return samples is None or samples >= (dim * (2 * window + 1)) ** 3
+
+
 def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
                         samples: int | None = None, seed: int = 0):
     """Verify antisymmetry and the Lie 2-cocycle identity of the induced
-    mode cocycle on generators a_i ⊗ t^m with |m| ≤ window.
+    mode cocycle on generators a_i ⊗ t^m, for every mode m, and list the
+    failures with |m| ≤ window.
 
-    Every mode bracket is read from ``coeff_bracket``. Its central part is
-    supported on total modes -1..2, so the residual of a triple whose total
-    mode lies outside -1..3 is 0, and the exhaustive run skips it.
+    Every mode bracket is read from ``coeff_bracket``, whose module
+    coefficients are linear in the modes and whose central part is a
+    falling factorial of degree ≤ 3 in the first mode, supported on total
+    modes -1..2.
 
-    Runs exhaustively when ``samples`` is None or at least the number of
-    generator triples; otherwise checks ``samples`` seeded random triples.
-    Exact equality required; returns the list of failures.
+    Lemma. Fix a generator triple (i, j, k) and a total mode s. The
+    cyclic residual at (a_i ⊗ t^x, a_j ⊗ t^y, a_k ⊗ t^{s-x-y}) is 0
+    unless s ∈ {-1..3}, and is a polynomial of total degree ≤ 4 in (x, y):
+    a module coefficient of degree ≤ 1 times a central term of degree
+    ≤ 3, with every δ fixed by s. So it vanishes at every mode once it
+    vanishes on the 15 points {(a, b) : a, b ≥ 0, a + b ≤ 4}. The
+    residual is invariant under the rotation (x, y, z) → (y, z, x), so one
+    class per cyclic orbit of (i, j, k) is evaluated and the rotations
+    share its verdict. Likewise the antisymmetry residual of (a_i ⊗ t^m,
+    a_j ⊗ t^{t-m}) is symmetric in the pair, 0 unless t ∈ {-1..2}, and of
+    degree ≤ 3 in m, so the 4 points m = 0..3 decide it.
+
+    A class these points prove zero has no failure at any mode, and when
+    no class is flagged the window is not walked at all. The flagged
+    classes are walked inside the window, in generator order:
+    exhaustively when ``samples`` is None or at least the number of
+    generator triples, otherwise on ``samples`` seeded random triples.
+    From window 3 on, every class has a unisolvent point set inside the
+    window, so a flagged class always leaves a failure there and an empty
+    exhaustive result holds for all modes; at windows 1 and 2 its
+    failures may all lie outside. Exact equality required; returns the
+    list of failures.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     n = A.dim
-    modes = range(-window, window + 1)
-    gens = [(i, m) for i in range(n) for m in modes]
-    brackets = {}
+    # the module part (0) or the central part (1) of each bracket asked
+    parts = ({}, {})
 
-    def bracket(x, y):
-        if (x, y) not in brackets:
-            brackets[x, y] = coeff_bracket(A, q, x, y)
-        return brackets[x, y]
+    def bracket(x, y, part):
+        cache = parts[part]
+        if (x, y) not in cache:
+            cache[x, y] = coeff_bracket(A, q, x, y)[part]
+        return cache[x, y]
 
-    out = []
-    # antisymmetry of the central term on generator pairs (always exhaustive)
-    for x in gens:
-        for y in gens:
-            r = bracket(x, y)[1] + bracket(y, x)[1]
-            if r:
-                out.append(("antisymmetry", x, y, r))
+    def skew(x, y):
+        return bracket(x, y, 1) + bracket(y, x, 1)
 
     def residual(x, y, z):
         """Σ_cyc of the central part of [[u, v], w]."""
         r = ZERO
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            for g, c in bracket(u, v)[0].items():
-                central = bracket(g, w)[1]
+            for g, c in bracket(u, v, 0).items():
+                central = bracket(g, w, 1)
                 if central:
                     r += c * central
         return r
 
-    if samples is None or samples >= len(gens) ** 3:
+    # the certificate's generators, modes -5..4, one tuple each for the
+    # cache keys to share
+    gen = {(i, m): (i, m) for i in range(n) for m in range(-5, 5)}
+    skew_flags = {(i, j, t) for i in range(n) for j in range(i, n)
+                  for t in range(-1, 3)
+                  if any(skew(gen[i, m], gen[j, t - m]) for m in range(4))}
+    flags = set()
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                rotations = ((i, j, k), (j, k, i), (k, i, j))
+                if (i, j, k) != min(rotations):
+                    continue
+                for s in range(-1, 4):
+                    if any(residual(gen[i, a], gen[j, b], gen[k, s - a - b])
+                           for a, b in _TRIANGLE):
+                        flags.update(r + (s,) for r in rotations)
+    if not skew_flags and not flags:
+        return []
+
+    modes = range(-window, window + 1)
+    gens = [(i, m) for i in range(n) for m in modes]
+    out = [("antisymmetry", x, y, r) for x in gens for y in gens
+           if (min(x[0], y[0]), max(x[0], y[0]), x[1] + y[1]) in skew_flags
+           and (r := skew(x, y))]
+    if _runs_exhaustive(n, window, samples):
         # third generators z with -1 <= m_x + m_y + m_z <= 3, in gens order
         near = {s: [z for z in gens if -1 <= s + z[1] <= 3]
                 for s in range(-2 * window, 2 * window + 1)}
@@ -457,67 +509,92 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
             for _ in range(samples)
         )
     for x, y, z in triples:
-        r = residual(x, y, z)
-        if r:
-            out.append(("cocycle", x, y, z, r))
+        if (x[0], y[0], z[0], x[1] + y[1] + z[1]) in flags:
+            r = residual(x, y, z)
+            if r:
+                out.append(("cocycle", x, y, z, r))
     return out
 
 
 def coeff_relation_consistency(A: GDBialgebra, window: int,
                                q: CocycleQuadruple | None = None):
     """Recompute mode brackets from first principles and compare with the
-    closed form of coeff_bracket, for all |m|, |n| ≤ window.
+    closed form of coeff_bracket, for every pair of modes, and list the
+    mismatches with |m|, |n| ≤ window.
 
     The independent route reads the λ-expansion coefficients a_(0)b and
     a_(1)b off the λ-bracket on generators, applies the binomial mode
     formula, and reduces (∂x)_k = -k x_{k-1}. With a quadruple given, the
     central contributions are also derived independently from the falling
     factorials of the mode index.
+
+    Both routes give, per basis pair, module coefficients at the modes
+    m+n-d (d = 0..2) that are polynomials of degree ≤ 2 in (m, n), and a
+    central part supported on total modes m+n ∈ {-1..2}, of degree ≤ 3 in
+    m there. The 16 points (m, t-m), t ∈ {-1..2}, m ∈ {0..3}, put 4
+    points on each of 4 lines m+n = t, which settles both: a degree-≤2
+    polynomial zero on three such lines is 0, and each central line is a
+    cubic in m. A pair that agrees there agrees at every mode; only the
+    other pairs are walked inside the window. From window 3 on, the
+    window holds 4 points of each central line and a 3×3 grid, which is
+    unisolvent for degree ≤ 2, so a flagged pair always leaves a mismatch
+    there.
     """
     if q is None:
         q = CocycleQuadruple.zero(A.dim)
     R = QuadraticLCA(A)
     n = A.dim
+
+    def mismatch(i, j, expr, m, nn):
+        """The mismatch at modes (m, nn), or None where the routes agree."""
+        # split coords of [a_i λ a_j] into λ-degree 0/1 and ∂-degree 0/1
+        expected = {}
+        for k, pol in enumerate(expr):
+            for (ed, el, em), c in pol.terms.items():
+                mode = m + nn
+                if el == 0:
+                    coeff = c
+                elif el == 1:
+                    coeff = m * c
+                    mode -= 1
+                else:
+                    raise AssertionError("quadratic bracket has λ-degree ≤ 1")
+                if ed == 1:
+                    coeff = -mode * coeff
+                    mode -= 1
+                elif ed > 1:
+                    raise AssertionError("quadratic bracket has ∂-degree ≤ 1")
+                if coeff:
+                    key = (k, mode)
+                    s = expected.get(key, ZERO) + coeff
+                    if s:
+                        expected[key] = s
+                    else:
+                        expected.pop(key, None)
+        # central part: Σ_p m(m-1)…(m-p+1) α_p δ_{m+n-p+1,0}
+        central = ZERO
+        for p in range(4):
+            if m + nn - p + 1 == 0:
+                fall = 1
+                for t in range(p):
+                    fall *= m - t
+                central += fall * q.alpha[p][i][j]
+        got_terms, got_central = coeff_bracket(A, q, (i, m), (j, nn))
+        if got_terms != expected or got_central != central:
+            return ((i, m), (j, nn), expected, central, got_terms, got_central)
+        return None
+
+    modes = range(-window, window + 1)
     out = []
     for i in range(n):
         for j in range(n):
             expr = bracket_basis(R, i, j)
-            # split coords of [a_i λ a_j] into λ-degree 0/1 and ∂-degree 0/1
-            for m in range(-window, window + 1):
-                for nn in range(-window, window + 1):
-                    expected = {}
-                    for k, pol in enumerate(expr):
-                        for (ed, el, em), c in pol.terms.items():
-                            mode = m + nn
-                            if el == 0:
-                                coeff = c
-                            elif el == 1:
-                                coeff = m * c
-                                mode -= 1
-                            else:
-                                raise AssertionError("quadratic bracket has λ-degree ≤ 1")
-                            if ed == 1:
-                                coeff = -mode * coeff
-                                mode -= 1
-                            elif ed > 1:
-                                raise AssertionError("quadratic bracket has ∂-degree ≤ 1")
-                            if coeff:
-                                key = (k, mode)
-                                s = expected.get(key, ZERO) + coeff
-                                if s:
-                                    expected[key] = s
-                                else:
-                                    expected.pop(key, None)
-                    # central part: Σ_p m(m-1)…(m-p+1) α_p δ_{m+n-p+1,0}
-                    central = ZERO
-                    for p in range(4):
-                        if m + nn - p + 1 == 0:
-                            fall = 1
-                            for t in range(p):
-                                fall *= m - t
-                            central += fall * q.alpha[p][i][j]
-                    got_terms, got_central = coeff_bracket(A, q, (i, m), (j, nn))
-                    if got_terms != expected or got_central != central:
-                        out.append(((i, m), (j, nn), expected, central,
-                                    got_terms, got_central))
+            if all(mismatch(i, j, expr, m, t - m) is None
+                   for t in range(-1, 3) for m in range(4)):
+                continue
+            for m in modes:
+                for nn in modes:
+                    f = mismatch(i, j, expr, m, nn)
+                    if f is not None:
+                        out.append(f)
     return out

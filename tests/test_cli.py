@@ -37,6 +37,27 @@ class TestCheck:
         assert code == 1
         assert "violations found" in out
 
+    def test_conformal_violations_read_like_the_gd_ones(self, capsys,
+                                                        tmp_path):
+        bad = tmp_path / "bad.alg"
+        bad.write_text(
+            "algebra bad\ndim 2\nbasis a b\n"
+            "novikov a b = b:1\nnovikov b a = a:1\nend\n"
+        )
+        code, out, _ = run(capsys, "--json", "check", str(bad))
+        assert code == 1
+        jacobi = json.loads(out)["violations"]["conformal_jacobi"]
+        assert jacobi[0] == ("conformal Jacobi fails at basis triple (0,0,1); "
+                             "residual (-∂λ + ∂μ, 0)")
+        assert all("FormalPoly" not in v for v in jacobi)
+        # no GD bialgebra breaks conformal skew-symmetry, so word one directly
+        from qlca import LAM, FormalPoly
+        from qlca.cli import _conformal_violation
+        assert (_conformal_violation("conformal skew-symmetry", "pair", (0, 1),
+                                     (FormalPoly.sym(LAM), FormalPoly.zero()))
+                == "conformal skew-symmetry fails at basis pair (0,1); "
+                   "residual (λ, 0)")
+
     def test_syntax_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "syntax.alg"
         f.write_text("algebra x\ndim 1\nbasis L\nnovikov L L = L:1/0\nend\n")
@@ -175,6 +196,20 @@ class TestCoeff:
         data = json.loads(out)
         assert data["mode"] == "sampled(50, seed=3)"
 
+    def test_samples_covering_every_triple_report_exhaustive(self, capsys):
+        # 3 generators at window 1, so 27 triples: the exhaustive path runs
+        code, out, _ = run(
+            capsys, "--json", "coeff", "catalog:vir", "--cocycle-index", "0",
+            "--window", "1", "--samples", "100",
+        )
+        assert code == 0
+        assert json.loads(out)["mode"] == "exhaustive"
+        code, out, _ = run(
+            capsys, "--json", "coeff", "catalog:vir", "--cocycle-index", "0",
+            "--window", "1", "--samples", "26",
+        )
+        assert json.loads(out)["mode"] == "sampled(26, seed=0)"
+
     def test_index_out_of_range_exit_2(self, capsys):
         code, _, err = run(
             capsys, "coeff", "catalog:vir", "--cocycle-index", "9", "--window", "2"
@@ -309,7 +344,8 @@ def test_snapshot_script_writes_every_report_of_one_target(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = ["check", "extend", "extend-degree0", "extend-degree1",
              "extend-degree2", "extend-degree3", "derive", "derive-p1l0",
-             "derive-p0l2", "derive-simple", "coeff"]
+             "derive-p0l2", "derive-simple", "coeff", "coeff-window6",
+             "coeff-sampled"]
     # At --partial-bound 0 the closed solver solves at ∂-bound 0 too, so
     # vir's derive-p0l2 report says solvers_agree: true and exits 0.
     for name in names:

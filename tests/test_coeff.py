@@ -4,9 +4,12 @@ from itertools import product
 
 import pytest
 
-from qlca import (CocycleQuadruple, catalog_build, check_coeff_cocycle,
-                  coeff_bracket, coeff_relation_consistency,
-                  solve_extensions_theorem)
+from qlca import (CocycleQuadruple, QuadraticLCA, bracket_basis,
+                  catalog_build, check_coeff_cocycle, coeff_bracket,
+                  coeff_relation_consistency, entry_label,
+                  solve_extensions_theorem, standard_entries)
+from qlca import extensions as ext
+from qlca.poly import ZERO, RatMatrix, rank
 
 
 class TestCoeffBracket:
@@ -64,12 +67,16 @@ def brute_force_coeff_check(A, q, window, samples=None, seed=0):
         triples = [(rng.choice(gens), rng.choice(gens), rng.choice(gens))
                    for _ in range(samples)]
     for x, y, z in triples:
-        r = sum(c * central(g, w)
-                for u, v, w in ((x, y, z), (y, z, x), (z, x, y))
-                for g, c in coeff_bracket(A, q, u, v)[0].items())
+        r = cyclic_residual(A, q, x, y, z)
         if r:
             out.append(("cocycle", x, y, z, r))
     return out
+
+
+def cyclic_residual(A, q, x, y, z):
+    return sum((c * coeff_bracket(A, q, g, w)[1]
+                for u, v, w in ((x, y, z), (y, z, x), (z, x, y))
+                for g, c in coeff_bracket(A, q, u, v)[0].items()), ZERO)
 
 
 class TestCocycleIdentity:
@@ -129,3 +136,325 @@ class TestClosedFormConsistency:
         A = catalog_build("r_alpha_beta", alpha=0, beta=0)
         for q in solve_extensions_theorem(A).basis:
             assert coeff_relation_consistency(A, window=3, q=q) == []
+
+
+# ---------------------------------------------------------------------
+# The interpolation certificate against the window loops it replaced
+# ---------------------------------------------------------------------
+
+
+def window_coeff_check(A, q, window, samples=None, seed=0):
+    """check_coeff_cocycle as a window loop: every generator pair, and
+    every generator triple with total mode in [-1, 3] (or the seeded
+    sample), each residual read from coeff_bracket."""
+    n = A.dim
+    gens = [(i, m) for i in range(n) for m in range(-window, window + 1)]
+    brackets = {}
+
+    def bracket(x, y):
+        if (x, y) not in brackets:
+            brackets[x, y] = ext.coeff_bracket(A, q, x, y)
+        return brackets[x, y]
+
+    out = []
+    for x in gens:
+        for y in gens:
+            r = bracket(x, y)[1] + bracket(y, x)[1]
+            if r:
+                out.append(("antisymmetry", x, y, r))
+
+    def residual(x, y, z):
+        r = ZERO
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            for g, c in bracket(u, v)[0].items():
+                central = bracket(g, w)[1]
+                if central:
+                    r += c * central
+        return r
+
+    if samples is None or samples >= len(gens) ** 3:
+        near = {s: [z for z in gens if -1 <= s + z[1] <= 3]
+                for s in range(-2 * window, 2 * window + 1)}
+        triples = ((x, y, z) for x in gens for y in gens
+                   for z in near[x[1] + y[1]])
+    else:
+        rng = random.Random(seed)
+        triples = ((rng.choice(gens), rng.choice(gens), rng.choice(gens))
+                   for _ in range(samples))
+    for x, y, z in triples:
+        r = residual(x, y, z)
+        if r:
+            out.append(("cocycle", x, y, z, r))
+    return out
+
+
+def window_relation_consistency(A, window, q=None):
+    """coeff_relation_consistency as a loop over every mode pair of the
+    window, for every basis pair."""
+    if q is None:
+        q = CocycleQuadruple.zero(A.dim)
+    R = QuadraticLCA(A)
+    out = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            expr = bracket_basis(R, i, j)
+            for m in range(-window, window + 1):
+                for nn in range(-window, window + 1):
+                    expected = {}
+                    for k, pol in enumerate(expr):
+                        for (ed, el, _), c in pol.terms.items():
+                            mode, coeff = m + nn, c
+                            if el:
+                                coeff, mode = m * c, mode - 1
+                            if ed:
+                                coeff, mode = -mode * coeff, mode - 1
+                            s = expected.get((k, mode), ZERO) + coeff
+                            if s:
+                                expected[k, mode] = s
+                            else:
+                                expected.pop((k, mode), None)
+                    central = ZERO
+                    for p in range(4):
+                        if m + nn - p + 1 == 0:
+                            fall = 1
+                            for t in range(p):
+                                fall *= m - t
+                            central += fall * q.alpha[p][i][j]
+                    got_terms, got_central = ext.coeff_bracket(
+                        A, q, (i, m), (j, nn))
+                    if got_terms != expected or got_central != central:
+                        out.append(((i, m), (j, nn), expected, central,
+                                    got_terms, got_central))
+    return out
+
+
+def single_entries(n, fillings=(False, True)):
+    """Every distinct single-entry quadruple of dimension n with the given
+    ``symmetrize`` fillings (a diagonal entry, or an odd-λ-degree pair
+    filled in from either side, comes out the same either way)."""
+    return list(dict.fromkeys(
+        CocycleQuadruple.single(n, k, i, j, symmetrize=symmetrize)
+        for k in range(4) for i in range(n) for j in range(n)
+        for symmetrize in fillings))
+
+
+SMALL_ENTRIES = [pytest.param(e, id=entry_label(e))
+                 for e in standard_entries() if e.build().dim <= 4]
+
+
+def scaled_circ(A, q, gen1, gen2):
+    """coeff_bracket with its -n(b∘a)_{m+n-1} term doubled."""
+    terms, central = ORIGINAL_BRACKET(A, q, gen1, gen2)
+    terms = dict(terms)
+    (i, m), (j, n) = gen1, gen2
+    for k, c in A.circ_terms[j][i]:
+        v = terms.get((k, m + n - 1), ZERO) - n * c
+        if v:
+            terms[k, m + n - 1] = v
+        else:
+            terms.pop((k, m + n - 1), None)
+    return terms, central
+
+
+def alpha2_unfactored(A, q, gen1, gen2):
+    """coeff_bracket with α₂ entering as α₂ instead of m(m-1)α₂."""
+    terms, central = ORIGINAL_BRACKET(A, q, gen1, gen2)
+    (i, m), (j, n) = gen1, gen2
+    if m + n == 1:
+        central += (1 - m * (m - 1)) * q.alpha[2][i][j]
+    return terms, central
+
+
+def alpha3_doubled(A, q, gen1, gen2):
+    """coeff_bracket with its m(m-1)(m-2)α₃ term doubled, which it gets
+    right at m = 0, 1, 2 and wrong at every other mode."""
+    terms, central = ORIGINAL_BRACKET(A, q, gen1, gen2)
+    (i, m), (j, n) = gen1, gen2
+    if m + n == 2:
+        central += m * (m - 1) * (m - 2) * q.alpha[3][i][j]
+    return terms, central
+
+
+def alpha0_negated(A, q, gen1, gen2):
+    """coeff_bracket with the sign of its α₀ term (total mode -1) flipped."""
+    terms, central = ORIGINAL_BRACKET(A, q, gen1, gen2)
+    (i, m), (j, n) = gen1, gen2
+    if m + n == -1:
+        central -= 2 * q.alpha[0][i][j]
+    return terms, central
+
+
+CORRUPTIONS = [scaled_circ, alpha2_unfactored, alpha3_doubled, alpha0_negated]
+ORIGINAL_BRACKET = ext.coeff_bracket
+
+
+class TestCertificateEqualsWindowRun:
+    @pytest.mark.parametrize("entry", SMALL_ENTRIES)
+    def test_single_entry_quadruples(self, entry):
+        A = entry.build()
+        failing = 0
+        for t, q in enumerate(single_entries(A.dim)):
+            got = check_coeff_cocycle(A, q, 3)
+            assert got == window_coeff_check(A, q, 3)
+            failing += bool(got)
+            sampled = dict(samples=200, seed=t)
+            assert (check_coeff_cocycle(A, q, 3, **sampled)
+                    == window_coeff_check(A, q, 3, **sampled))
+        assert failing
+
+    @pytest.mark.parametrize("corrupt", [None, *CORRUPTIONS])
+    @pytest.mark.parametrize("name, params", [
+        ("vir", {}),
+        ("r_alpha_beta", dict(alpha=1, beta=1)),
+        ("loop_vir_cyclic", dict(m=3)),
+    ])
+    def test_relation_check(self, monkeypatch, corrupt, name, params):
+        if corrupt is not None:
+            monkeypatch.setattr(ext, "coeff_bracket", corrupt)
+        A = catalog_build(name, **params)
+        n = A.dim
+        quadruples = [None, *solve_extensions_theorem(A).basis,
+                      *(CocycleQuadruple.single(n, k, i, j) for k in range(4)
+                        for i in range(n) for j in range(i, n))]
+        mismatched = 0
+        for q in quadruples:
+            got = coeff_relation_consistency(A, 3, q)
+            assert got == window_relation_consistency(A, 3, q)
+            mismatched += bool(got)
+        assert bool(mismatched) == (corrupt is not None)
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_cocycle_check_under_a_corrupted_bracket(self, monkeypatch,
+                                                     corrupt):
+        monkeypatch.setattr(ext, "coeff_bracket", corrupt)
+        A = catalog_build("r_alpha_beta", alpha=1, beta=1)
+        for q in solve_extensions_theorem(A).basis:
+            assert check_coeff_cocycle(A, q, 3) == window_coeff_check(A, q, 3)
+
+    @pytest.mark.parametrize("name, params", [
+        ("vir", {}), ("r_alpha_beta", dict(alpha=1, beta=1))])
+    def test_window_three_lists_every_flagged_class(self, name, params):
+        # at window 5 the window holds every certificate point, so a clean
+        # run there proves nothing was flagged; window 3 must agree
+        A = catalog_build(name, **params)
+        for q in single_entries(A.dim):
+            assert (bool(check_coeff_cocycle(A, q, 3))
+                    == bool(check_coeff_cocycle(A, q, 5)))
+
+
+# ---------------------------------------------------------------------
+# The lemma behind the certificate, and what it costs
+# ---------------------------------------------------------------------
+
+
+def triangle_interpolant(values):
+    """The polynomial of total degree ≤ 4 through values[(a, b)] on
+    {(a, b) : a, b ≥ 0, a + b ≤ 4}, by Lagrange's formula in the
+    barycentric coordinates (x, y, 4 - x - y)."""
+    def at(x, y):
+        total = ZERO
+        for (a, b), v in values.items():
+            basis = Fraction(1)
+            for coord, node in ((x, a), (y, b), (4 - x - y, 4 - a - b)):
+                for t in range(node):
+                    basis *= Fraction(coord - t, node - t)
+            total += v * basis
+        return total
+    return at
+
+
+def line_interpolant(values):
+    """The polynomial of degree ≤ 3 through values[m], m = 0..3."""
+    def at(x):
+        total = ZERO
+        for m, v in values.items():
+            basis = Fraction(1)
+            for t in values:
+                if t != m:
+                    basis *= Fraction(x - t, m - t)
+            total += v * basis
+        return total
+    return at
+
+
+LEMMA_ENTRIES = [("vir", {}), ("r_alpha_beta", dict(alpha=3, beta=1)),
+                 ("current", dict(g="abelian", n=2))]
+
+
+class TestInterpolationLemma:
+    # Both residuals are linear in the quadruple, so the unfilled single
+    # entries, a basis of all quadruples, cover every one.
+
+    @pytest.mark.parametrize("name, params", LEMMA_ENTRIES)
+    def test_cyclic_residual_is_its_degree_four_interpolant(self, name,
+                                                            params):
+        A = catalog_build(name, **params)
+        n = A.dim
+        rng = random.Random(5)
+        for q in single_entries(n, (False,)):
+            for i, j, k in product(range(n), repeat=3):
+                for s in range(-1, 4):
+                    gens = ((i, 0), (j, 0), (k, s))
+                    at = triangle_interpolant({
+                        (a, b): cyclic_residual(A, q, (i, a), (j, b),
+                                                (k, s - a - b))
+                        for a in range(5) for b in range(5 - a)})
+                    for _ in range(20):
+                        x = rng.randint(-40, 40)
+                        y = rng.randint(max(-40, s - x - 40),
+                                        min(40, s - x + 40))
+                        assert (cyclic_residual(A, q, (i, x), (j, y),
+                                                (k, s - x - y))
+                                == at(x, y)), (q, gens, x, y)
+                # outside total modes -1..3 the residual is 0
+                x, y, z = (rng.randint(-40, 40) for _ in range(3))
+                if not -1 <= x + y + z <= 3:
+                    assert cyclic_residual(A, q, (i, x), (j, y), (k, z)) == 0
+
+    @pytest.mark.parametrize("name, params", LEMMA_ENTRIES)
+    def test_antisymmetry_is_its_degree_three_interpolant(self, name, params):
+        A = catalog_build(name, **params)
+        n = A.dim
+        rng = random.Random(6)
+
+        def skew(x, y):
+            return (coeff_bracket(A, q, x, y)[1]
+                    + coeff_bracket(A, q, y, x)[1])
+
+        for q in single_entries(n, (False,)):
+            for i in range(n):
+                for j in range(i, n):
+                    for t in range(-1, 3):
+                        at = line_interpolant({
+                            m: skew((i, m), (j, t - m)) for m in range(4)})
+                        for _ in range(20):
+                            m = rng.randint(max(-40, t - 40),
+                                            min(40, t + 40))
+                            assert skew((i, m), (j, t - m)) == at(m)
+
+    def test_certificate_points_are_unisolvent_for_degree_four(self):
+        # the 15 monomials x^p y^r, p + r ≤ 4, evaluated on the points the
+        # certificate reads: full rank, so only the zero polynomial
+        # vanishes on all of them
+        monomials = [(p, r) for p in range(5) for r in range(5 - p)]
+        rows = [{c: a ** p * b ** r for c, (p, r) in enumerate(monomials)
+                 if a ** p * b ** r} for a, b in ext._TRIANGLE]
+        assert len(rows) == len(monomials)
+        assert rank(RatMatrix.from_rows(rows, len(monomials))) == len(monomials)
+
+    def test_clean_check_costs_the_same_at_any_window(self, monkeypatch):
+        A = catalog_build("loop_hv_cyclic", m=3)
+        q = solve_extensions_theorem(A).basis[0]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:])
+            return ORIGINAL_BRACKET(*args)
+
+        monkeypatch.setattr(ext, "coeff_bracket", counted)
+        counts = []
+        for window in (3, 40):
+            calls.clear()
+            assert check_coeff_cocycle(A, q, window) == []
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
