@@ -7,14 +7,14 @@ OUTDIR: ``NAME.out`` (stdout), ``NAME.err`` (stderr) and ``NAME.exit``
 ``--degree 0..3``), ``derive`` (default, ``--partial-bound 1
 --lambda-bound 0``, ``--partial-bound 0 --lambda-bound 2`` and
 ``--assert-simple``) and ``coeff --cocycle-index 0`` (``--window 3``,
-``--window 6`` and ``--window 3 --samples 500 --seed 7``) on the 14
-standard catalog entries, on ``trunc_poly`` n=6 κ∈{0,1} and on two
-tables that break the axioms: a 2-dimensional one that breaks Novikov
+``--window 1``, ``--window 6`` and ``--window 3 --samples 500 --seed 7``)
+on the 14 standard catalog entries, on ``trunc_poly`` n=6 κ∈{0,1} and on
+two tables that break the axioms: a 2-dimensional one that breaks Novikov
 alone, and a 3-dimensional one that breaks Novikov and compatibility, so
 its conformal Jacobi residuals mix ∂, λ and μ. Their reports hold the
 ``check`` violations and the ``axiom violation:`` stderr of the other
 commands. The last four targets are written to OUTDIR as ``.alg`` files
-first. That is 18 targets × 13 questions = 234 reports.
+first. That is 18 targets × 14 questions = 252 reports.
 
 To compare two versions of the program, snapshot each and diff::
 
@@ -56,6 +56,7 @@ VARIANTS = [
     ("derive-p0l2", "derive", ["--partial-bound", "0", "--lambda-bound", "2"]),
     ("derive-simple", "derive", ["--assert-simple"]),
     ("coeff", "coeff", ["--cocycle-index", "0", "--window", "3"]),
+    ("coeff-window1", "coeff", ["--cocycle-index", "0", "--window", "1"]),
     ("coeff-window6", "coeff", ["--cocycle-index", "0", "--window", "6"]),
     ("coeff-sampled", "--seed 7 coeff",
      ["--cocycle-index", "0", "--window", "3", "--samples", "500"]),

@@ -193,7 +193,22 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
 
 def _direct_rows(A, N):
     """Rows of the linear system obtained by expanding skew-symmetry and
-    the cocycle functional equation with ansatz α_λ = Σ_{i<=N} λ^i α_i."""
+    the cocycle functional equation with ansatz α_λ = Σ_{i<=N} λ^i α_i,
+    at the basis pairs a ≤ b only.
+
+    Lemma. Swap (a, λ) ↔ (b, μ) in the functional equation
+    α_λ(a, [b_μ c]) − α_μ(b, [a_λ c]) − α_{λ+μ}([a_λ b], c). Skew-symmetry
+    gives [b_μ a] = −[a_{−μ−∂} b], and inside the first argument of
+    α_{λ+μ} the ∂ acts as −(λ+μ), so −μ−∂ becomes λ. The (b, a, c)
+    identity is therefore the (a, b, c) identity times −1 with λ and μ
+    exchanged: its rows are the (a, b, c) rows negated, with the λ- and
+    μ-powers swapped, and the pairs a > b add no equation. Likewise the
+    skew row of (q, p) at λ^i is (−1)^i times the row of (p, q). The
+    diagonal a = b is kept, since no other pair implies it. The lemma
+    uses only the skew-symmetry of the λ-bracket, which holds for every
+    table ``gd_build`` accepts, validated or not (its Lie table is always
+    antisymmetric). ``verify_cocycle`` still checks every triple.
+    """
     n = A.dim
 
     def unknown(i, p, q):
@@ -207,14 +222,14 @@ def _direct_rows(A, N):
 
     # skew: λ^i coefficient of α_λ(a,b) + α_{-λ}(b,a)
     for p in range(n):
-        for q in range(n):
+        for q in range(p, n):
             for i in range(N + 1):
                 add(("skew", p, q), i, 0, 1, i, _unit(p), _unit(q))
                 add(("skew", p, q), i, 0, (-1) ** i, i, _unit(q), _unit(p))
 
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
     for ia in range(n):
-        for ib in range(n):
+        for ib in range(ia, n):
             for ic in range(n):
                 tag = ("fe", ia, ib, ic)
                 a, b, c = _unit(ia), _unit(ib), _unit(ic)
@@ -416,7 +431,8 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
                         samples: int | None = None, seed: int = 0):
     """Verify antisymmetry and the Lie 2-cocycle identity of the induced
     mode cocycle on generators a_i ⊗ t^m, for every mode m, and list the
-    failures with |m| ≤ window.
+    failures with |m| ≤ window, then (exhaustive path) one failure for
+    each flagged class that left none there.
 
     Every mode bracket is read from ``coeff_bracket``, whose module
     coefficients are linear in the modes and whose central part is a
@@ -441,10 +457,14 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
     exhaustively when ``samples`` is None or at least the number of
     generator triples, otherwise on ``samples`` seeded random triples.
     From window 3 on, every class has a unisolvent point set inside the
-    window, so a flagged class always leaves a failure there and an empty
-    exhaustive result holds for all modes; at windows 1 and 2 its
-    failures may all lie outside. Exact equality required; returns the
-    list of failures.
+    window, so a flagged class always leaves a failure there; at windows
+    1 and 2 its failures may all lie outside. The exhaustive path then
+    appends the class's first failing certificate point, in the same
+    tuple shape (antisymmetry classes first, each kind in certificate
+    order), so an empty exhaustive result means that both identities hold
+    at every mode, at any window. The sampled path lists only the
+    failures it draws. Exact equality required; returns the list of
+    failures.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -471,13 +491,25 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
                     r += c * central
         return r
 
+    def first_failure(kind, check, points):
+        """The first failing certificate point, as a failure, or None."""
+        for point in points:
+            if r := check(*point):
+                return (kind, *point, r)
+        return None
+
     # the certificate's generators, modes -5..4, one tuple each for the
     # cache keys to share
     gen = {(i, m): (i, m) for i in range(n) for m in range(-5, 5)}
-    skew_flags = {(i, j, t) for i in range(n) for j in range(i, n)
-                  for t in range(-1, 3)
-                  if any(skew(gen[i, m], gen[j, t - m]) for m in range(4))}
-    flags = set()
+    # flagged class -> its first failing certificate point
+    skew_flags = {}
+    for i in range(n):
+        for j in range(i, n):
+            for t in range(-1, 3):
+                if f := first_failure("antisymmetry", skew, (
+                        (gen[i, m], gen[j, t - m]) for m in range(4))):
+                    skew_flags[i, j, t] = f
+    flags = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -485,18 +517,25 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
                 if (i, j, k) != min(rotations):
                     continue
                 for s in range(-1, 4):
-                    if any(residual(gen[i, a], gen[j, b], gen[k, s - a - b])
-                           for a, b in _TRIANGLE):
-                        flags.update(r + (s,) for r in rotations)
+                    if f := first_failure("cocycle", residual, (
+                            (gen[i, a], gen[j, b], gen[k, s - a - b])
+                            for a, b in _TRIANGLE)):
+                        flags.update((r + (s,), f) for r in rotations)
     if not skew_flags and not flags:
         return []
 
     modes = range(-window, window + 1)
     gens = [(i, m) for i in range(n) for m in modes]
-    out = [("antisymmetry", x, y, r) for x in gens for y in gens
-           if (min(x[0], y[0]), max(x[0], y[0]), x[1] + y[1]) in skew_flags
-           and (r := skew(x, y))]
-    if _runs_exhaustive(n, window, samples):
+    out = []
+    listed = set()  # the classes with a failure listed, by certificate point
+    for x in gens:
+        for y in gens:
+            f = skew_flags.get((min(x[0], y[0]), max(x[0], y[0]), x[1] + y[1]))
+            if f and (r := skew(x, y)):
+                out.append(("antisymmetry", x, y, r))
+                listed.add(f)
+    exhaustive = _runs_exhaustive(n, window, samples)
+    if exhaustive:
         # third generators z with -1 <= m_x + m_y + m_z <= 3, in gens order
         near = {s: [z for z in gens if -1 <= s + z[1] <= 3]
                 for s in range(-2 * window, 2 * window + 1)}
@@ -509,10 +548,14 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
             for _ in range(samples)
         )
     for x, y, z in triples:
-        if (x[0], y[0], z[0], x[1] + y[1] + z[1]) in flags:
-            r = residual(x, y, z)
-            if r:
-                out.append(("cocycle", x, y, z, r))
+        f = flags.get((x[0], y[0], z[0], x[1] + y[1] + z[1]))
+        if f and (r := residual(x, y, z)):
+            out.append(("cocycle", x, y, z, r))
+            listed.add(f)
+    if exhaustive:
+        out += (f for f in dict.fromkeys([*skew_flags.values(),
+                                          *flags.values()])
+                if f not in listed)
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 DEL, LAM, MU = 0, 1, 2
@@ -204,10 +205,25 @@ class FormalPoly:
 # ---------------------------------------------------------------------
 
 
+def _values(rows):
+    """The values of a list of {col: coeff} rows, one after another."""
+    return chain.from_iterable(map(dict.values, rows))
+
+
 def _exact_rows(rows, cols):
     """The {col: coeff} dicts of ``rows`` with zeros dropped and every
     coefficient exact (``_as_q``); a row of nonzero ints is kept as given.
-    Raises IndexError for a column outside [0, cols)."""
+    Raises IndexError for a column outside [0, cols).
+
+    A system whose values are all nonzero ints and whose columns all lie
+    in range, as the builders' systems are, is checked in one pass of
+    C-level builtins and returned as given; any other is walked row by
+    row."""
+    rows = list(rows)
+    if {int}.issuperset(map(type, _values(rows))) and all(_values(rows)):
+        used = set().union(*rows)
+        if not used or 0 <= min(used) and max(used) < cols:
+            return rows
     out = []
     for r, row in enumerate(rows):
         if row and not (0 <= min(row) and max(row) < cols):

@@ -344,8 +344,8 @@ def test_snapshot_script_writes_every_report_of_one_target(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = ["check", "extend", "extend-degree0", "extend-degree1",
              "extend-degree2", "extend-degree3", "derive", "derive-p1l0",
-             "derive-p0l2", "derive-simple", "coeff", "coeff-window6",
-             "coeff-sampled"]
+             "derive-p0l2", "derive-simple", "coeff", "coeff-window1",
+             "coeff-window6", "coeff-sampled"]
     # At --partial-bound 0 the closed solver solves at ∂-bound 0 too, so
     # vir's derive-p0l2 report says solvers_agree: true and exits 0.
     for name in names:

@@ -79,6 +79,36 @@ def cyclic_residual(A, q, x, y, z):
                 for g, c in coeff_bracket(A, q, u, v)[0].items()), ZERO)
 
 
+def failure_class(failure):
+    """The certificate class of a failure: the generator pair (i ≤ j) of
+    an antisymmetry failure, or the cyclic orbit of the generator triple
+    of a cocycle failure, with the total mode."""
+    kind, *gens, _ = failure
+    idx = tuple(i for i, _ in gens)
+    if kind == "antisymmetry":
+        idx = tuple(sorted(idx))
+    else:
+        idx = min(idx[r:] + idx[:r] for r in range(3))
+    return kind, idx, sum(m for _, m in gens)
+
+
+def assert_unlisted_classes_appended(A, q, window, listed, appended):
+    """``appended`` holds one real failure, outside the window, for each
+    failing class that ``listed`` (the window's failures) misses."""
+    seen = {failure_class(f) for f in listed}
+    for f in appended:
+        kind, *gens, r = f
+        assert any(abs(m) > window for _, m in gens), f
+        if kind == "antisymmetry":
+            x, y = gens
+            assert r == (coeff_bracket(A, q, x, y)[1]
+                         + coeff_bracket(A, q, y, x)[1]) != 0, f
+        else:
+            assert r == cyclic_residual(A, q, *gens) != 0, f
+        assert failure_class(f) not in seen, f
+        seen.add(failure_class(f))
+
+
 class TestCocycleIdentity:
     def test_exhaustive_on_small_algebras(self):
         for name, params in (("vir", {}), ("r_alpha_beta", dict(alpha=1, beta=0))):
@@ -115,7 +145,10 @@ class TestCocycleIdentity:
                 for j in range(n):
                     q = CocycleQuadruple.single(n, k, i, j, symmetrize=i < j)
                     got = check_coeff_cocycle(A, q, window)
-                    assert got == brute_force_coeff_check(A, q, window)
+                    listed = brute_force_coeff_check(A, q, window)
+                    assert got[:len(listed)] == listed
+                    assert_unlisted_classes_appended(A, q, window, listed,
+                                                     got[len(listed):])
                     failing += bool(got)
                     sampled = dict(samples=60, seed=k + i + j)
                     assert (check_coeff_cocycle(A, q, 3, **sampled)
@@ -340,6 +373,45 @@ class TestCertificateEqualsWindowRun:
         for q in single_entries(A.dim):
             assert (bool(check_coeff_cocycle(A, q, 3))
                     == bool(check_coeff_cocycle(A, q, 5)))
+
+
+# the single-entry quadruples (algebra, params, k, i, j, symmetrize) whose
+# failures all lie outside window 1
+OUTSIDE_WINDOW_ONE = [
+    ("vir", {}, 2, 0, 0, True),
+    *(("r_alpha_beta", dict(alpha=1, beta=1), *c) for c in [
+        (2, 0, 0, True), (3, 0, 1, True), (3, 1, 1, True),
+        (2, 0, 1, False), (3, 0, 1, False), (3, 1, 0, False)]),
+]
+
+
+class TestFlaggedClassesAreListed:
+    @pytest.mark.parametrize("name, params, k, i, j, symmetrize",
+                             OUTSIDE_WINDOW_ONE)
+    def test_failures_outside_window_one(self, name, params, k, i, j,
+                                         symmetrize):
+        A = catalog_build(name, **params)
+        q = CocycleQuadruple.single(A.dim, k, i, j, symmetrize=symmetrize)
+        assert brute_force_coeff_check(A, q, 1) == []
+        got = check_coeff_cocycle(A, q, 1)
+        assert got
+        assert_unlisted_classes_appended(A, q, 1, [], got)
+        # the sampled path lists only what it draws
+        sampled = dict(samples=20, seed=k + i + j)
+        assert (check_coeff_cocycle(A, q, 1, **sampled)
+                == brute_force_coeff_check(A, q, 1, **sampled))
+
+    @pytest.mark.parametrize("name, params", [
+        ("vir", {}), ("r_alpha_beta", dict(alpha=1, beta=1))])
+    def test_every_window_names_every_failing_class(self, name, params):
+        # window 5 holds every certificate point, so its failures name
+        # every flagged class
+        A = catalog_build(name, **params)
+        for q in single_entries(A.dim):
+            classes = {failure_class(f) for f in check_coeff_cocycle(A, q, 5)}
+            for window in (1, 2, 3):
+                got = check_coeff_cocycle(A, q, window)
+                assert {failure_class(f) for f in got} == classes
 
 
 # ---------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, QuadraticLCA,
-                  bracket_basis, catalog_build, entry_label,
+                  bracket_basis, catalog_build, entry_label, gd_build,
                   solve_extensions_direct, solve_extensions_theorem, span_rank,
                   spans_equal, standard_entries, verify_cocycle)
+from qlca.extensions import _bilinear_terms, _direct_rows, _unit
+from qlca.poly import RatMatrix, _int_rows, nullspace_basis
+from test_catalog import _trunc_poly
 
 # dimensions established by both independent solvers and hand checks
 DERIVED_DIMENSIONS = {
@@ -213,6 +218,140 @@ class TestVerifierAgainstSolver:
         #   = -(λ - μ)(λ + μ) - (μ + 2λ)μ = -λ^2 - 2λμ
         lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
         assert bad[0][4] == -(lam * lam) - 2 * lam * mu
+
+
+def direct_rows_all_triples(A, N):
+    """The direct extension system over every ordered pair and triple:
+    {(tag, λ-power, μ-power): row}, tags ("skew", p, q) and
+    ("fe", a, b, c), empty rows kept."""
+    n = A.dim
+
+    def unknown(i, p, q):
+        return (i * n + p) * n + q
+
+    rows = {}
+
+    def add(tag, lpow, mpow, sign, i, x, y):
+        _bilinear_terms(rows.setdefault((tag, lpow, mpow), {}), sign, i, x, y,
+                        unknown)
+
+    for p in range(n):
+        for q in range(n):
+            for i in range(N + 1):
+                add(("skew", p, q), i, 0, 1, i, _unit(p), _unit(q))
+                add(("skew", p, q), i, 0, (-1) ** i, i, _unit(q), _unit(p))
+
+    circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
+    for ia in range(n):
+        for ib in range(n):
+            for ic in range(n):
+                tag = ("fe", ia, ib, ic)
+                a, b, c = _unit(ia), _unit(ib), _unit(ic)
+                for i in range(N + 1):
+                    add(tag, i + 1, 0, 1, i, a, circ[ic][ib])
+                    add(tag, i, 1, 1, i, a, star[ib][ic])
+                    add(tag, i, 0, 1, i, a, br[ic][ib])
+                    add(tag, 0, i + 1, -1, i, b, circ[ic][ia])
+                    add(tag, 1, i, -1, i, b, star[ia][ic])
+                    add(tag, 0, i, -1, i, b, br[ic][ia])
+                    for s in range(i + 2):
+                        add(tag, s, i + 1 - s, comb(i + 1, s), i,
+                            circ[ib][ia], c)
+                    for s in range(i + 1):
+                        add(tag, s + 1, i - s, -comb(i, s), i, star[ia][ib], c)
+                    for s in range(i + 1):
+                        add(tag, s, i - s, -comb(i, s), i, br[ib][ia], c)
+    return rows
+
+
+def random_unvalidated_table(rng):
+    """A table of dimension 1..3 with small rational entries, an
+    antisymmetric Lie part and no axiom checked."""
+    n = rng.randint(1, 3)
+
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+
+    nov = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    lie = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                c = entry()
+                lie[i][j][k], lie[j][i][k] = c, -c
+    return gd_build(n, [f"e{i}" for i in range(n)], nov, lie, validate=False)
+
+
+def _pair_lemma_cases():
+    cases = [pytest.param(e.build, id=entry_label(e)) for e in standard_entries()]
+    cases += [pytest.param(lambda n=n, k=k: _trunc_poly(n, k),
+                           id=f"trunc_poly:n={n},kappa={k}")
+              for n in (3, 6) for k in (0, 1)]
+    return cases
+
+
+def _row_set(matrix):
+    return {tuple(sorted(row.items())) for row in _int_rows(matrix.row_dicts())}
+
+
+def assert_pair_system_is_the_full_one(A, N):
+    full = direct_rows_all_triples(A, N)
+    pairs = _direct_rows(A, N)
+    # the pairs a ≤ b, in the order the all-triples loop meets them
+    assert pairs == [row for (tag, _, _), row in full.items()
+                     if tag[1] <= tag[2] and row]
+    cols = (N + 1) * A.dim * A.dim
+    pairs = RatMatrix.from_rows(pairs, cols)
+    full = RatMatrix.from_rows((row for row in full.values() if row), cols)
+    assert _row_set(pairs) == _row_set(full)
+    assert nullspace_basis(pairs) == nullspace_basis(full)
+
+
+def assert_mirror_identity(A, N):
+    """Row (b, a, c) at λ^l μ^m is minus row (a, b, c) at λ^m μ^l; skew
+    row (q, p) at λ^i is (−1)^i times skew row (p, q)."""
+    rows = direct_rows_all_triples(A, N)
+    for (tag, lpow, mpow), row in rows.items():
+        if tag[0] == "fe":
+            _, a, b, c = tag
+            mirror, sign = rows.get((("fe", b, a, c), mpow, lpow), {}), -1
+        else:
+            _, p, q = tag
+            mirror, sign = rows.get((("skew", q, p), lpow, 0), {}), (-1) ** lpow
+        assert row == {u: sign * v for u, v in mirror.items()}, (tag, lpow, mpow)
+
+
+class TestPairLemma:
+    """The direct extension system is built at the pairs a ≤ b only; the
+    (b, a, c) rows are the (a, b, c) rows negated with λ and μ swapped."""
+
+    @pytest.mark.parametrize("build", _pair_lemma_cases())
+    def test_pair_system_is_the_full_one(self, build):
+        # N = 7 is the bound solve_extensions_direct eliminates at by default
+        assert_pair_system_is_the_full_one(build(), 7)
+
+    @pytest.mark.parametrize("build", _pair_lemma_cases())
+    def test_mirror_identity(self, build):
+        assert_mirror_identity(build(), 4)
+
+    def test_random_unvalidated_tables(self):
+        rng = random.Random(20261019)
+        for t in range(120):
+            A = random_unvalidated_table(rng)
+            N = (0, 1, 3, 4)[t % 4]
+            assert_pair_system_is_the_full_one(A, N)
+            assert_mirror_identity(A, N)
+
+    @pytest.mark.parametrize("build", _pair_lemma_cases())
+    def test_pair_system_loses_no_equation(self, build):
+        """Fewer rows can only enlarge the solution space, so if every basis
+        cocycle passes verify_cocycle, which checks all n³ triples, the
+        space of the pair system is the full one."""
+        A = build()
+        for q in solve_extensions_direct(A).basis:
+            assert verify_cocycle(A, q) == []
 
 
 class TestStandardSweepIsFast:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlca.poly import (DEL, LAM, MU, FormalPoly, RatMatrix, nullspace_basis,
-                       rank, solve, span_coordinates, span_rank, spans_equal)
+from qlca.poly import (DEL, LAM, MU, FormalPoly, RatMatrix, _as_q,
+                       _exact_rows, nullspace_basis, rank, solve,
+                       span_coordinates, span_rank, spans_equal)
 
 
 def P(**kw):
@@ -185,3 +186,69 @@ class TestLinearAlgebra:
         assert rank(m) + len(basis) == 4
         for v in basis:
             assert all(x == 0 for x in m.matvec(v))
+
+
+def exact_rows_per_row(rows, cols):
+    """Reference for ``_exact_rows``: every row checked on its own."""
+    out = []
+    for r, row in enumerate(rows):
+        if row and not (0 <= min(row) and max(row) < cols):
+            raise IndexError(f"row {r} has a column outside [0, {cols})")
+        if not all(type(v) is int and v for v in row.values()):
+            row = {c: q for c, v in row.items() if (q := _as_q(v))}
+        out.append(row)
+    return out
+
+
+COLS = 4
+
+
+def _systems(columns, values):
+    return st.lists(st.dictionaries(columns, values, max_size=4), max_size=6)
+
+
+_CLEAN = st.integers(-3, 3).filter(bool)
+_ANY = st.one_of(st.integers(-3, 3),
+                 st.fractions(-3, 3, max_denominator=3), st.booleans())
+_IN_RANGE, _ANY_COLUMN = st.integers(0, COLS - 1), st.integers(-2, COLS + 1)
+
+
+def _typed(rows):
+    return [[(c, type(v), v) for c, v in row.items()] for row in rows]
+
+
+class TestExactRows:
+    @given(st.one_of(_systems(_IN_RANGE, _CLEAN), _systems(_IN_RANGE, _ANY),
+                     _systems(_ANY_COLUMN, _CLEAN), _systems(_ANY_COLUMN, _ANY)),
+           st.booleans())
+    @example([{0: 1}, {COLS: 1}, {-1: 2}], False)
+    @example([{0: 1}, {-1: 1}, {COLS: 2}], True)
+    @example([{0: 2, 1: -1}, {2: 0, 3: 1}], False)
+    @example([{0: Fraction(4, 2)}, {1: True, 2: False}], True)
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_check_equals_the_per_row_loop(self, rows, as_generator):
+        given_rows = (row for row in rows) if as_generator else rows
+        try:
+            expected = exact_rows_per_row(rows, COLS)
+        except IndexError as e:
+            with pytest.raises(IndexError) as got:
+                _exact_rows(given_rows, COLS)
+            assert str(got.value) == str(e)
+            return
+        got = _exact_rows(given_rows, COLS)
+        assert _typed(got) == _typed(expected)
+        # a row of nonzero ints comes back as the same object
+        assert ([g is r for g, r in zip(got, rows)]
+                == [e is r for e, r in zip(expected, rows)])
+
+    def test_values_are_made_exact(self):
+        clean = [{0: 1, 3: -2}, {1: 5}]
+        assert all(g is r for g, r in zip(_exact_rows(clean, COLS), clean))
+        got = _exact_rows([{0: Fraction(6, 3), 1: 0, 2: True, 3: False},
+                           {1: Fraction(1, 2), 2: Fraction(0)}], COLS)
+        assert _typed(got) == [[(0, int, 2), (2, int, 1)],
+                               [(1, Fraction, Fraction(1, 2))]]
+        for bad, first in (([{0: 1}, {COLS: 1}], 1), ([{-1: 0}], 0)):
+            with pytest.raises(IndexError,
+                               match=rf"^row {first} has a column outside \[0, {COLS}\)$"):
+                _exact_rows(bad, COLS)
