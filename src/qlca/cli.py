@@ -21,7 +21,7 @@ from .extensions import (_runs_exhaustive, check_coeff_cocycle,
                          coeff_relation_consistency, solve_extensions_direct,
                          solve_extensions_theorem, verify_cocycle)
 from .gd import GDValidationError, check_gd_compat, check_lie, check_novikov
-from .poly import span_coordinates
+from .poly import span_coordinates_many
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
@@ -215,18 +215,12 @@ def cmd_extend(args):
         vt = [q.as_vector() for q in spaces["theorem"].basis]
         vd = [q.as_vector() for q in spaces["direct"].basis]
         cert = {
-            "theorem_in_direct": [
-                None if (c := span_coordinates(vd, v)) is None else [str(x) for x in c]
-                for v in vt
-            ],
-            "direct_in_theorem": [
-                None if (c := span_coordinates(vt, v)) is None else [str(x) for x in c]
-                for v in vd
-            ],
+            key: [None if c is None else [str(x) for x in c]
+                  for c in span_coordinates_many(basis, targets)]
+            for key, basis, targets in (("theorem_in_direct", vd, vt),
+                                        ("direct_in_theorem", vt, vd))
         }
-        agree = all(c is not None for c in cert["theorem_in_direct"]) and all(
-            c is not None for c in cert["direct_in_theorem"]
-        )
+        agree = all(None not in coords for coords in cert.values())
         report["agreement"] = (
             f"dimension {spaces['theorem'].dimension}, methods agree"
             if agree and spaces["theorem"].dimension == spaces["direct"].dimension

@@ -18,7 +18,7 @@ so it shares no formula with either solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -26,8 +26,8 @@ from math import comb
 from .conformal import (QuadraticLCA, _slot_brackets, bracket_general,
                         expr_add, expr_is_zero, expr_sub)
 from .gd import GDBialgebra
-from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
-                   nullspace_basis, span_rank)
+from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, nullspace_basis,
+                   span_rank)
 
 
 class HypothesisNotDetected(ValueError):
@@ -68,29 +68,27 @@ class DerivationAnsatz:
         return tuple(out)
 
     def as_vector(self, n, P, D):
-        """Flat coefficient vector at bounds (P, D); own bounds must fit."""
+        """Sparse coefficient vector at bounds (P, D); own bounds must fit."""
         if any(i > P or k > D for (_, i, k), _ in self.coeffs):
             raise ValueError("ansatz does not fit the requested bounds")
         idx = _unknown_indexer(n, P)
-        vec = [ZERO] * (n * (P + 1) * (D + 1) * n)
-        for (j, i, k), v in self.coeffs:
-            for r, c in enumerate(v):
-                if c:
-                    vec[idx(j, i, k, r)] = c
-        return tuple(vec)
+        return {idx(j, i, k, r): c for (j, i, k), v in self.coeffs
+                for r, c in enumerate(v) if c}
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
     """Conformal derivations at ansatz bounds (P, D). The inner and outer
     dimensions at these bounds are computed on first read: inner_dim
-    ranks the ad(∂^k a_v) that fit, outer_dim = dimension - inner_dim."""
+    ranks the ad(∂^k a_v) that fit, outer_dim = dimension - inner_dim.
+    A caller that has ranked them already passes the rank as inner_rank."""
 
     algebra: GDBialgebra
     partial_bound: int
     lambda_bound: int
     basis: tuple  # DerivationAnsatz
     method: str = "direct"
+    inner_rank: int | None = field(default=None, compare=False)
 
     @property
     def dimension(self):
@@ -98,15 +96,10 @@ class DerivationSpace:
 
     @cached_property
     def inner_dim(self):
-        R = QuadraticLCA(self.algebra)
-        n, P, D = R.dim, self.partial_bound, self.lambda_bound
-        vecs = []
-        for v in range(n):
-            for k in range(D + 1):  # ad(∂^k a_v) has λ-degree ≥ k
-                gen = inner_derivation(R, v, k)
-                if all(i <= P and kk <= D for (_, i, kk), _ in gen.coeffs):
-                    vecs.append(gen.as_vector(n, P, D))
-        return span_rank(vecs)
+        if self.inner_rank is not None:
+            return self.inner_rank
+        P, D = self.partial_bound, self.lambda_bound
+        return span_rank(_inner_vectors(QuadraticLCA(self.algebra), P, D, D)[0])
 
     @property
     def outer_dim(self):
@@ -123,15 +116,14 @@ def _unknown_indexer(n, P):
 
 
 def _ansatz_from_vector(n, P, D, vec):
-    """The ansatz of a flat vector: each nonzero column is decoded by
-    inverting _unknown_indexer's ((k·(P+1)+i)·n+j)·n+r."""
+    """The ansatz of a sparse vector: each column is decoded by inverting
+    _unknown_indexer's ((k·(P+1)+i)·n+j)·n+r."""
     coeffs = {}
-    for col, c in enumerate(vec):
-        if c:
-            rest, r = divmod(col, n)
-            rest, j = divmod(rest, n)
-            k, i = divmod(rest, P + 1)
-            coeffs.setdefault((j, i, k), [0] * n)[r] = c
+    for col, c in vec.items():
+        rest, r = divmod(col, n)
+        rest, j = divmod(rest, n)
+        k, i = divmod(rest, P + 1)
+        coeffs.setdefault((j, i, k), [0] * n)[r] = c
     return DerivationAnsatz.from_dict(P, D, coeffs)
 
 
@@ -150,7 +142,8 @@ def _bracket_terms(A, i, j):
 
 def _direct_rows(R: QuadraticLCA, P, D):
     """Linear system rows for the Leibniz identity over the basis pairs
-    (a_p, a_q) with p ≤ q, one row per (pair, coordinate, ∂λμ-monomial).
+    (a_p, a_q) with p ≤ q, one row per (pair, coordinate, ∂λμ-monomial),
+    yielded pair by pair: no two pairs share a row.
 
     The identity at (a, b) implies it at (b, a), so the pairs p > q add
     no equation. Write the (a, b) identity in a variable ν, set
@@ -173,7 +166,6 @@ def _direct_rows(R: QuadraticLCA, P, D):
     idx = _unknown_indexer(n, P)
     brk = [[_bracket_terms(A, i, j) for j in range(n)] for i in range(n)]
     binom = [[comb(a, s) for s in range(a + 1)] for a in range(P + 2)]
-    rows = {}  # (p, q, coordinate, ∂-, λ-, μ-power) -> {unknown: coeff}
 
     def add(key, x, c):
         eq = rows.setdefault(key, {})
@@ -185,6 +177,7 @@ def _direct_rows(R: QuadraticLCA, P, D):
 
     for p in range(n):
         for q in range(p, n):
+            rows = {}  # (coordinate, ∂-, λ-, μ-power) -> {unknown: coeff}
             # d_λ[a_p μ a_q]: c ∂^e μ^f a_m becomes c μ^f (∂+λ)^e d_λ(a_m);
             # e ≤ 1, so every binomial is 1
             for m, c, e, f in brk[p][q]:
@@ -192,7 +185,7 @@ def _direct_rows(R: QuadraticLCA, P, D):
                     for i in range(P + 1):
                         for k in range(D + 1):
                             for r in range(n):
-                                add((p, q, r, i + e - s, k + s, f),
+                                add((r, i + e - s, k + s, f),
                                     idx(m, i, k, r), c)
             for i in range(P + 1):
                 sign = (-1) ** i
@@ -201,15 +194,15 @@ def _direct_rows(R: QuadraticLCA, P, D):
                     for t, c, e, f in brk[rr][q]:
                         for s, b in enumerate(binom[i + f]):
                             for k in range(D + 1):
-                                add((p, q, t, e, k + s, i + f - s),
+                                add((t, e, k + s, i + f - s),
                                     idx(p, i, k, rr), -sign * b * c)
                     # −λ^k (μ+∂)^i [a_p μ a_rr]
                     for t, c, e, f in brk[p][rr]:
                         for s, b in enumerate(binom[i]):
                             for k in range(D + 1):
-                                add((p, q, t, i - s + e, k, s + f),
+                                add((t, i - s + e, k, s + f),
                                     idx(q, i, k, rr), -b * c)
-    return [eq for eq in rows.values() if eq]
+            yield from (eq for eq in rows.values() if eq)
 
 
 def _solve(R, rows, P, D, method):
@@ -250,6 +243,19 @@ def inner_derivation(R: QuadraticLCA, v: int, k: int = 0) -> DerivationAnsatz:
     return DerivationAnsatz.from_dict(1, k + 1, coeffs)
 
 
+def _inner_vectors(R: QuadraticLCA, P, D, top):
+    """The ad(∂^k a_v) that fit the bounds (P, top), top ≥ D, as vectors
+    at those bounds: (the ones that fit at λ-bound D, the others)."""
+    n, fit, late = R.dim, [], []
+    for v in range(n):
+        for k in range(top + 1):  # ad(∂^k a_v) has λ-degree ≥ k
+            gen = inner_derivation(R, v, k)
+            if all(i <= P and kk <= top for (_, i, kk), _ in gen.coeffs):
+                degree = max((kk for (_, _, kk), _ in gen.coeffs), default=0)
+                (fit if degree <= D else late).append(gen.as_vector(n, P, top))
+    return fit, late
+
+
 def stabilized_outer(R: QuadraticLCA, partial_bound: int = 3,
                      lambda_bound: int = 4):
     """Solve the direct system once, at (P, D+2), and read the (P, D)
@@ -261,15 +267,18 @@ def stabilized_outer(R: QuadraticLCA, partial_bound: int = 3,
     unknowns, so the system at λ-bound D is the one at D+2 with every
     unknown of λ-degree > D set to 0. The columns are λ-degree major, so
     the elements of λ-degree ≤ D of the larger RREF basis are exactly the
-    RREF basis at D."""
+    RREF basis at D. The inner derivations are built once for both
+    λ-bounds (``_inner_vectors``)."""
     P, D = partial_bound, lambda_bound
     probe = solve_derivations_direct(R, P, D + 2)
     basis = tuple(DerivationAnsatz(P, D, d.coeffs) for d in probe.basis
                   if all(k <= D for (_, _, k), _ in d.coeffs))
-    space = DerivationSpace(R.gd, P, D, basis)
+    fit, late = _inner_vectors(R, P, D, D + 2)
+    space = DerivationSpace(R.gd, P, D, basis, inner_rank=span_rank(fit))
     outer = space.outer_dim
-    if outer != probe.outer_dim:
-        outer = ("not stabilized", outer, probe.outer_dim)
+    probe_outer = probe.dimension - span_rank(fit + late)
+    if outer != probe_outer:
+        outer = ("not stabilized", outer, probe_outer)
     return space, outer
 
 
@@ -334,9 +343,8 @@ def detect_unit_like(A: GDBialgebra):
         # any solution with k ≠ 0 rescales to k = 1, and the k-axis is never
         # a solution on its own, so scanning the nullspace basis suffices
         for vec in nullspace_basis(m):
-            if vec[n]:
-                scale = 1 / vec[n]
-                return side, tuple(v * scale for v in vec[:n]), 1
+            if k := vec.get(n):
+                return side, tuple(vec.get(i, 0) / k for i in range(n)), 1
     return None
 
 

@@ -43,25 +43,27 @@ class CocycleQuadruple:
 
     @classmethod
     def from_vector(cls, n, vec):
-        """Unpack a flat vector indexed by (k, i, j)."""
-        return cls(tuple(tuple(tuple(vec[(k * n + i) * n + j] for j in range(n))
-                               for i in range(n)) for k in range(4)))
+        """Unpack a sparse vector indexed by (k, i, j)."""
+        mats = [[[ZERO] * n for _ in range(n)] for _ in range(4)]
+        for col, x in vec.items():
+            rest, j = divmod(col, n)
+            k, i = divmod(rest, n)
+            mats[k][i][j] = x
+        return cls(tuple(tuple(map(tuple, m)) for m in mats))
 
     @classmethod
     def zero(cls, n):
-        z = tuple(tuple([ZERO] * n) for _ in range(n))
-        return cls((z, z, z, z))
+        return cls.from_vector(n, {})
 
     @classmethod
     def single(cls, n, k, i, j, value=1, symmetrize=True):
         """Quadruple with α_k(a_i, a_j) = value; by default the pair entry
         is filled in with the parity sign (-1)^{k+1}."""
         value = Fraction(value)
-        mats = [[[ZERO] * n for _ in range(n)] for _ in range(4)]
-        mats[k][i][j] = value
-        if symmetrize and (i, j) != (j, i):
-            mats[k][j][i] = value if k % 2 else -value
-        return cls(tuple(tuple(tuple(r) for r in m) for m in mats))
+        vec = {(k * n + i) * n + j: value}
+        if symmetrize and i != j:
+            vec[(k * n + j) * n + i] = value if k % 2 else -value
+        return cls.from_vector(n, vec)
 
     def lambda_poly(self, i, j):
         """Σ_k λ^k α_k(a_i, a_j) as a FormalPoly."""
@@ -73,16 +75,12 @@ class CocycleQuadruple:
         return out
 
     def as_vector(self):
+        """The sparse vector indexed by (k, i, j) that from_vector reads."""
         n = len(self.alpha[0])
-        return tuple(
-            self.alpha[k][i][j]
-            for k in range(4)
-            for i in range(n)
-            for j in range(n)
-        )
-
-    def is_zero(self):
-        return not any(self.as_vector())
+        return {(k * n + i) * n + j: x
+                for k, mat in enumerate(self.alpha)
+                for i, row in enumerate(mat)
+                for j, x in enumerate(row) if x}
 
 
 @dataclass(frozen=True)
@@ -267,21 +265,17 @@ def _direct_nullspace(A, N):
 
 def _leading(basis, size):
     """The vectors of a ``nullspace_basis`` result that vanish past the
-    first ``size`` coordinates, cut to that length. Each basis vector is
-    supported on the columns up to its own free one, so this is the
-    ``nullspace_basis`` of the system with the unknowns past ``size`` set
-    to 0: the same vectors, not only the same span."""
-    return [v[:size] for v in basis if not any(v[size:])]
+    first ``size`` coordinates. Each ends at its own free column, so this
+    is the ``nullspace_basis`` of the system with the unknowns past
+    ``size`` set to 0: the same vectors, not only the same span."""
+    return [v for v in basis if max(v) < size]
 
 
 def _per_degree_profile(basis, n, maxdeg):
     """Rank of the degree-k projection of the solution span, k = 0..maxdeg,
-    for flat vectors indexed by (k, i, j)."""
-    dims = []
-    for k in range(maxdeg + 1):
-        mats = [tuple(b[k * n * n : (k + 1) * n * n]) for b in basis]
-        dims.append(span_rank(mats) if mats else 0)
-    return tuple(dims)
+    for sparse vectors indexed by (k, i, j) with k ≤ maxdeg."""
+    return tuple(span_rank([{c: x for c, x in v.items() if c // (n * n) == k}
+                            for v in basis]) for k in range(maxdeg + 1))
 
 
 def solve_extensions_direct(A: GDBialgebra, degree_bound: int = 6) -> CocycleSpace:
@@ -581,7 +575,9 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
     other pairs are walked inside the window. From window 3 on, the
     window holds 4 points of each central line and a 3×3 grid, which is
     unisolvent for degree ≤ 2, so a flagged pair always leaves a mismatch
-    there.
+    there. At windows 1 and 2, a flagged pair with no mismatch inside
+    gets its first mismatching certificate point listed, in the same
+    tuple shape, so an empty result holds at every mode at any window.
     """
     if q is None:
         q = CocycleQuadruple.zero(A.dim)
@@ -632,12 +628,11 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
     for i in range(n):
         for j in range(n):
             expr = bracket_basis(R, i, j)
-            if all(mismatch(i, j, expr, m, t - m) is None
-                   for t in range(-1, 3) for m in range(4)):
+            first = next((f for t in range(-1, 3) for m in range(4)
+                          if (f := mismatch(i, j, expr, m, t - m))), None)
+            if first is None:
                 continue
-            for m in modes:
-                for nn in modes:
-                    f = mismatch(i, j, expr, m, nn)
-                    if f is not None:
-                        out.append(f)
+            found = [f for m in modes for nn in modes
+                     if (f := mismatch(i, j, expr, m, nn))]
+            out += found or [first]
     return out

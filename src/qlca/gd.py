@@ -13,8 +13,6 @@ from functools import cached_property
 
 from .poly import ZERO, _as_q
 
-VElem = tuple  # coordinate vector over Fraction in the chosen basis
-
 
 class GDValidationError(ValueError):
     """Raised by gd_build when a table violates shape, antisymmetry or one

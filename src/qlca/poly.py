@@ -2,8 +2,9 @@
 rational linear algebra (nullspace, rank, span utilities).
 
 Scalars are exact, never float: ``int`` when integral, ``Fraction`` otherwise
-(``_as_q``); ``nullspace_basis``/``solve`` vectors hold ``Fraction``s. A ``/``
-on scalars keeps a ``Fraction`` operand, since ``int / int`` is a float.
+(``_as_q``); a ``/`` on scalars keeps a ``Fraction`` operand, as int / int
+is a float. Vectors (``nullspace_basis`` results, span-utility inputs) are
+sparse ``{col: Fraction}`` dicts of their nonzero entries.
 """
 
 from __future__ import annotations
@@ -296,13 +297,6 @@ class RatMatrix:
         """The stored {col: coeff} rows; callers must not mutate them."""
         return self._rows
 
-    def matvec(self, x):
-        out = [ZERO] * self.rows
-        for r, row in enumerate(self._rows):
-            for c, v in row.items():
-                out[r] += v * x[c]
-        return out
-
 
 def _int_rows(rows):
     """Clear denominators row by row and reduce by gcd; drops zero rows
@@ -430,21 +424,20 @@ def rank(matrix):
 
 
 def nullspace_basis(matrix):
-    """Exact basis of {x : Mx = 0}, normalized so that each basis vector
-    has a 1 in its own free coordinate and 0 in every other basis
-    vector's free coordinate; ordered by that coordinate."""
+    """Exact basis of {x : Mx = 0} as sparse vectors, normalized so that
+    each basis vector has a 1 in its own free coordinate and 0 in every
+    other basis vector's free coordinate; ordered by that coordinate. A
+    pivot row holds no column left of its pivot but its own, so each
+    vector's support ends at its free column."""
     pivots = _echelon(matrix)
     pivot_cols = {col for col, _ in pivots}
-    basis = {}
-    for free in range(matrix.cols):
-        if free not in pivot_cols:
-            basis[free] = vec = [ZERO] * matrix.cols
-            vec[free] = ONE
+    basis = {free: {free: ONE} for free in range(matrix.cols)
+             if free not in pivot_cols}
     for col, row in pivots:
         for free, v in row.items():
             if free != col:
                 basis[free][col] = Fraction(-v, row[col])
-    return [tuple(vec) for vec in basis.values()]
+    return list(basis.values())
 
 
 def solve(matrix, rhs):
@@ -466,28 +459,45 @@ def solve(matrix, rhs):
 
 
 # ---------------------------------------------------------------------
-# Span utilities (vectors are sequences of Fractions)
+# Span utilities (sparse vectors)
 # ---------------------------------------------------------------------
 
 
 def _columns_matrix(vectors):
-    return RatMatrix.from_rows(({j: x for j, x in enumerate(row) if x}
-                                for row in zip(*vectors)), len(vectors))
+    """The matrix whose j-th column is vectors[j]. A plain sequence, as
+    the benchmark's own tests still pass, is read as {index: entry}; the
+    matrix drops its zeros."""
+    rows = {}
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
+            rows.setdefault(i, {})[j] = x
+    return RatMatrix.from_rows(rows.values(), len(vectors))
 
 
 def span_rank(vectors):
-    vectors = [v for v in vectors if any(v)]
-    if not vectors:
-        return 0
     return rank(_columns_matrix(vectors))
+
+
+def span_coordinates_many(vectors, targets):
+    """Each target's coordinates in span(vectors) as a tuple, or None if
+    outside, from one elimination of [vectors | targets]. In the RREF a
+    non-pivot column is the combination of the pivot columns with its
+    entries in their rows, so a target is in the span iff it is no pivot
+    and has no entry in a target pivot's row; its coordinates are then
+    ``solve``'s: row_c[target]/row_c[c] at each vector pivot c, else 0."""
+    m, cols = len(vectors), range(len(vectors), len(vectors) + len(targets))
+    pivots = _echelon(_columns_matrix([*vectors, *targets]))
+    outside = {c for col, row in pivots if col >= m for c in row}
+    coords = {t: [ZERO] * m for t in cols if t not in outside}
+    for col, row in pivots:  # a target pivot's row holds only outside columns
+        for t in coords.keys() & row.keys():
+            coords[t][col] = Fraction(row[t], row[col])
+    return [tuple(coords[t]) if t in coords else None for t in cols]
 
 
 def span_coordinates(vectors, target):
     """Coordinates of target in span(vectors), or None if outside."""
-    vectors = list(vectors)
-    if not vectors:
-        return None if any(target) else ()
-    return solve(_columns_matrix(vectors), list(target))
+    return span_coordinates_many(list(vectors), [target])[0]
 
 
 def spans_equal(a, b):

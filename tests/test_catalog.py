@@ -87,7 +87,7 @@ def test_integral_algebras_compute_in_exact_scalars(build):
 
     theorem = solve_extensions_theorem(A)
     for sp in (theorem, solve_extensions_direct(A, 3)):
-        assert all(_exact(x) for q in sp.basis for x in q.as_vector())
+        assert all(_exact(x) for q in sp.basis for x in q.as_vector().values())
     for sp in (solve_derivations_direct(R, 1, 2),
                solve_derivations_theorem(R, 2, assert_simple=True)):
         assert all(_exact(x) for d in sp.basis for _, v in d.coeffs for x in v)

@@ -414,6 +414,32 @@ class TestFlaggedClassesAreListed:
                 assert {failure_class(f) for f in got} == classes
 
 
+class TestFlaggedPairsAreListed:
+    @pytest.mark.parametrize("name, params", [
+        ("vir", {}), ("r_alpha_beta", dict(alpha=1, beta=1))])
+    def test_corrupted_bracket_is_caught_at_every_window(self, monkeypatch,
+                                                        name, params):
+        """Doubling α₃ goes wrong only at modes outside windows 1 and 2,
+        yet every window names the basis pairs that window 5 (which holds
+        every certificate point) names: the window's mismatches in window
+        order, then a real mismatch of each flagged pair left without one."""
+        monkeypatch.setattr(ext, "coeff_bracket", alpha3_doubled)
+        A = catalog_build(name, **params)
+        caught = 0
+        for q in solve_extensions_theorem(A).basis:
+            everywhere = coeff_relation_consistency(A, 5, q)
+            assert everywhere == window_relation_consistency(A, 5, q)
+            pairs = {(f[0][0], f[1][0]) for f in everywhere}
+            for window in (1, 2, 3):
+                got = coeff_relation_consistency(A, window, q)
+                inside = window_relation_consistency(A, window, q)
+                assert [f for f in got if f in inside] == inside
+                assert all(f in everywhere for f in got)
+                assert {(f[0][0], f[1][0]) for f in got} == pairs
+                caught += bool(got) and not inside
+        assert caught
+
+
 # ---------------------------------------------------------------------
 # The lemma behind the certificate, and what it costs
 # ---------------------------------------------------------------------

@@ -13,8 +13,19 @@ from qlca import (DerivationAnsatz, DerivationSpace, HypothesisNotDetected,
                   standard_entries, verify_derivation)
 from qlca import derivations
 from qlca.cli import main
-from qlca.derivations import _direct_rows, _unknown_indexer
-from test_catalog import _integral_algebras
+from qlca.derivations import _direct_rows, _inner_vectors, _unknown_indexer
+from test_catalog import _integral_algebras, _trunc_poly
+
+
+@pytest.fixture(params=[
+    *(pytest.param(e.build, id=entry_label(e)) for e in standard_entries()),
+    *(pytest.param(lambda n=n, k=k: _trunc_poly(n, k),
+                   id=f"trunc_poly:n={n},kappa={k}")
+      for n in (3, 6) for k in (0, 1))])
+def inner_case(request):
+    """A builder of each catalog entry and of trunc_poly n ∈ {3, 6},
+    κ ∈ {0, 1}."""
+    return request.param
 
 
 def lca(name, **params):
@@ -22,7 +33,7 @@ def lca(name, **params):
 
 
 def inner_vectors(R, P, D):
-    """Dense vectors of the inner derivations ad(∂^k a_v) that fit the
+    """Sparse vectors of the inner derivations ad(∂^k a_v) that fit the
     bounds (P, D), tried for every k ≤ D + 1: the oracle for
     DerivationSpace.inner_dim."""
     n, out = R.dim, []
@@ -133,9 +144,9 @@ class TestOuterDimensions:
         assert space.outer_dim == space.dimension - space.inner_dim
 
     def test_derive_ranks_the_direct_spaces_only(self, monkeypatch, capsys):
-        """derive reads the inner span of the (P, D+2) probe and of the
-        (P, D) space, n·((D+3) + (D+1)) generators at the default D = 4,
-        and never the closed solver's."""
+        """derive ranks the inner span of the (P, D+2) probe and of the
+        (P, D) space from one build of the n·(D+3) generators at the
+        default D = 4, and never the closed solver's."""
         calls = []
 
         def counted(*args):
@@ -144,7 +155,17 @@ class TestOuterDimensions:
 
         monkeypatch.setattr(derivations, "inner_derivation", counted)
         assert main(["--json", "derive", "catalog:loop_hv_cyclic:m=3"]) == 0
-        assert len(calls) == 6 * ((4 + 3) + (4 + 1)) == 72
+        assert len(calls) == 6 * (4 + 3) == 42
+
+    def test_one_build_ranks_both_lambda_bounds(self, inner_case):
+        """The generators built once for λ-bound D+2 and split at D have
+        the ranks of the ones that fit each bound on their own."""
+        R = QuadraticLCA(inner_case())
+        for P, D in ((0, 1), (1, 2), (3, 4)):
+            fit, late = _inner_vectors(R, P, D, D + 2)
+            assert (span_rank(fit), span_rank(fit + late)) == (
+                span_rank(inner_vectors(R, P, D)),
+                span_rank(inner_vectors(R, P, D + 2))), (P, D)
 
     def test_spaces_are_ranked_on_first_read(self, monkeypatch):
         def refuse(*args):
@@ -190,7 +211,7 @@ class TestSolverAgreement:
 
     def test_spaces_agree_is_mutual_membership(self, catalog_entry):
         """The one rank of spaces_agree answers what spans_equal's three
-        ranks of the dense bases do, on every pair of the direct, closed
+        ranks of the basis vectors do, on every pair of the direct, closed
         and assert-simple spaces at (3, 3) and (1, 2)."""
         A = catalog_entry.build()
         R = QuadraticLCA(A)
@@ -205,8 +226,8 @@ class TestSolverAgreement:
         for a, b in combinations(spaces, 2):
             P = max(a.partial_bound, b.partial_bound)
             D = max(a.lambda_bound, b.lambda_bound)
-            dense = [[x.as_vector(n, P, D) for x in s.basis] for s in (a, b)]
-            assert spaces_agree(R, a, b) == spans_equal(*dense), (a.method, b.method)
+            vecs = [[x.as_vector(n, P, D) for x in s.basis] for s in (a, b)]
+            assert spaces_agree(R, a, b) == spans_equal(*vecs), (a.method, b.method)
 
     def test_equal_dimensions_with_different_spans_disagree(self):
         R = lca("vir")

@@ -15,7 +15,8 @@ from qlca import (QuadraticLCA, catalog_build, solve_derivations_direct,
                   solve_derivations_theorem, solve_extensions_direct,
                   solve_extensions_theorem)
 from qlca.poly import (RatMatrix, _echelon, _peel, nullspace_basis, rank,
-                       solve)
+                       solve, span_coordinates_many)
+from test_poly import apply, densify
 
 SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
                     st.fractions(-3, 3, max_denominator=6))
@@ -42,8 +43,9 @@ def check_against_sympy(m, rhs):
     assert rank(m) == ref.rank()
     basis = nullspace_basis(m)
     for v in basis:
-        assert all(x == 0 for x in m.matvec(v))
-    assert [_exact(v) for v in basis] == [tuple(v) for v in ref.nullspace()]
+        assert all(x == 0 for x in apply(m, v))
+    assert ([_exact(densify(v, m.cols)) for v in basis]
+            == [tuple(v) for v in ref.nullspace()])
     x = solve(m, rhs)
     b = sympy.Matrix([_sym(v) for v in rhs])
     try:
@@ -51,7 +53,7 @@ def check_against_sympy(m, rhs):
     except ValueError:  # inconsistent
         assert x is None
     else:
-        assert x is not None and m.matvec(x) == list(rhs)
+        assert x is not None and apply(m, dict(enumerate(x))) == list(rhs)
         assert _exact(x) == tuple(sol.subs({p: 0 for p in params}))
 
 
@@ -72,7 +74,8 @@ def sparse_systems(draw):
     if draw(st.booleans()):
         rhs = draw(st.lists(SCALARS, min_size=rows, max_size=rows))
     else:
-        rhs = m.matvec(draw(st.lists(SCALARS, min_size=cols, max_size=cols)))
+        rhs = apply(m, dict(enumerate(draw(
+            st.lists(SCALARS, min_size=cols, max_size=cols)))))
     return m, rhs
 
 
@@ -80,6 +83,60 @@ def sparse_systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_linear_algebra_matches_sympy(system):
     check_against_sympy(*system)
+
+
+@st.composite
+def span_questions(draw):
+    """Up to 5 sparse vectors in Q^dim, dim ≤ 6, where each vector past
+    the first may be a combination of the ones before it, and up to 5
+    targets that are each a combination of the vectors or drawn freely
+    (so often outside their span). Zero entries are dropped."""
+    dim = draw(st.integers(1, 6))
+    free = st.dictionaries(st.integers(0, dim - 1), SCALARS, max_size=dim).map(
+        lambda v: {i: x for i, x in v.items() if x})
+
+    def combination(vectors):
+        out = {}
+        for v in vectors:
+            c = draw(SCALARS)
+            for i, x in v.items():
+                out[i] = out.get(i, 0) + c * x
+        return {i: x for i, x in out.items() if x}
+
+    vectors = []
+    for _ in range(draw(st.integers(0, 5))):
+        dependent = vectors and draw(st.booleans())
+        vectors.append(combination(vectors) if dependent else draw(free))
+    targets = [combination(vectors) if draw(st.booleans()) else draw(free)
+               for _ in range(draw(st.integers(0, 5)))]
+    return dim, vectors, targets
+
+
+@given(span_questions())
+@settings(max_examples=200, deadline=None)
+def test_span_coordinates_match_solve_and_sympy(question):
+    """The one elimination of [vectors | targets] gives, for every target,
+    what ``solve`` gives on the matrix with the vectors as columns (free
+    coordinates 0, None outside the span), and that is sympy's
+    Gauss–Jordan solution with every free parameter set to 0."""
+    dim, vectors, targets = question
+    m = RatMatrix(dim, len(vectors), {(i, j): x for j, v in enumerate(vectors)
+                                      for i, x in v.items()})
+    got = span_coordinates_many(vectors, targets)
+    assert len(got) == len(targets)
+    for coords, target in zip(got, targets):
+        rhs = [target.get(i, 0) for i in range(dim)]
+        assert coords == solve(m, rhs)
+        if coords is not None:
+            assert apply(m, dict(enumerate(coords))) == rhs
+        if vectors:
+            try:
+                sol, params = _dense(m).gauss_jordan_solve(
+                    sympy.Matrix([_sym(x) for x in rhs]))
+            except ValueError:  # inconsistent
+                assert coords is None
+            else:
+                assert _exact(coords) == tuple(sol.subs({p: 0 for p in params}))
 
 
 NONZERO = st.one_of(st.integers(-3, -1), st.integers(1, 3),
@@ -115,7 +172,8 @@ def singleton_cascades(draw):
     if kind == "arbitrary":
         rhs = draw(st.lists(SCALARS, min_size=m.rows, max_size=m.rows))
     elif kind == "consistent":
-        rhs = m.matvec(draw(st.lists(SCALARS, min_size=cols, max_size=cols)))
+        rhs = apply(m, dict(enumerate(draw(
+            st.lists(SCALARS, min_size=cols, max_size=cols)))))
     else:
         rhs = [int(set(row) == set(chain)) for row in rows]
     return m, rhs, chain
@@ -175,7 +233,7 @@ def _captured(monkeypatch, module, solver):
 def check_system(m):
     check_against_sympy(m, [0] * m.rows)
     check_against_sympy(m, [1] + [0] * (m.rows - 1))
-    check_against_sympy(m, m.matvec(range(m.cols)))
+    check_against_sympy(m, apply(m, dict(enumerate(range(m.cols)))))
 
 
 @CATALOG_SYSTEMS

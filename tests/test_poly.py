@@ -4,9 +4,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlca.poly import (DEL, LAM, MU, FormalPoly, RatMatrix, _as_q,
+from qlca.poly import (DEL, LAM, MU, FormalPoly, RatMatrix, _as_q, _echelon,
                        _exact_rows, nullspace_basis, rank, solve,
-                       span_coordinates, span_rank, spans_equal)
+                       span_coordinates, span_coordinates_many, span_rank,
+                       spans_equal)
+
+
+def densify(vec, cols):
+    """The sparse vector ``vec`` as a tuple of ``cols`` Fractions."""
+    return tuple(Fraction(vec.get(c, 0)) for c in range(cols))
+
+
+def apply(m, vec):
+    """M·v for a sparse vector v, computed from the stored rows."""
+    return [sum(c * vec.get(col, 0) for col, c in row.items())
+            for row in m.row_dicts()]
+
+
+def sparse(vec):
+    """The sequence ``vec`` as a sparse vector."""
+    return {c: Fraction(x) for c, x in enumerate(vec) if x}
 
 
 def P(**kw):
@@ -83,11 +100,11 @@ class TestLinearAlgebra:
         basis = nullspace_basis(m)
         assert len(basis) == 2
         for v in basis:
-            assert all(x == 0 for x in m.matvec(v))
+            assert all(x == 0 for x in apply(m, v))
 
     def test_nullspace_normalization_deterministic(self):
         m = RatMatrix.from_rows([{0: Fraction(1), 2: Fraction(-1)}], 3)
-        basis = nullspace_basis(m)
+        basis = [densify(v, 3) for v in nullspace_basis(m)]
         # free columns are 1 and 2; each vector has 1 at its own free slot
         assert basis[0][1] == 1 and basis[0][2] == 0
         assert basis[1][2] == 1 and basis[1][1] == 0
@@ -134,17 +151,22 @@ class TestLinearAlgebra:
         )
         (v,) = nullspace_basis(m)
         assert Fraction(1, 3) * v[0] + Fraction(1, 6) * v[1] == 0
+        assert v == {0: Fraction(-1, 2), 1: 1}
 
     def test_span_utilities(self):
-        a = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-        b = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))]
+        a = [{0: Fraction(1)}, {1: Fraction(1)}]
+        b = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
         assert span_rank(a) == span_rank(b) == 2
         assert spans_equal(a, b)
-        assert span_coordinates(b, (Fraction(2), Fraction(0))) == (
+        assert span_coordinates(b, {0: Fraction(2)}) == (
             Fraction(1),
             Fraction(1),
         )
-        assert span_coordinates([a[0]], (Fraction(0), Fraction(1))) is None
+        assert span_coordinates([a[0]], {1: Fraction(1)}) is None
+        assert span_coordinates_many([], [{}, a[0]]) == [(), None]
+        assert span_coordinates_many(b, a + [{}]) == [
+            (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)),
+            (0, 0)]
 
     @given(
         st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
@@ -162,13 +184,29 @@ class TestLinearAlgebra:
     @settings(max_examples=80, deadline=None)
     def test_spans_equal_is_mutual_membership(self, a, mix, extra):
         """b mixes the vectors of a (so span b ⊆ span a) plus extra ones."""
-        a = [tuple(Fraction(x) for x in v) for v in a]
-        b = [tuple(sum(c * v[t] for c, v in zip(row, a)) + Fraction(0)
-                   for t in range(3)) for row in mix]
-        b += [tuple(Fraction(x) for x in v) for v in extra]
-        mutual = (all(span_coordinates(b, v) is not None for v in a)
-                  and all(span_coordinates(a, v) is not None for v in b))
+        b = [[sum(c * v[t] for c, v in zip(row, a)) for t in range(3)]
+             for row in mix]
+        a, b = [sparse(v) for v in a], [sparse(v) for v in b + extra]
+        mutual = (None not in span_coordinates_many(b, a)
+                  and None not in span_coordinates_many(a, b))
         assert spans_equal(a, b) == spans_equal(b, a) == mutual
+
+    @given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-3, 3),
+                                    max_size=4), max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_nullspace_vectors_end_at_their_free_column(self, rows):
+        """Each basis vector holds no zero, maps its free column to 1 and
+        ends there, and the free columns increase: what ``_leading``
+        reads."""
+        m = RatMatrix.from_rows(rows, 8)
+        basis = nullspace_basis(m)
+        pivots = {col for col, _ in _echelon(m)}
+        free = [c for c in range(8) if c not in pivots]
+        assert [max(v) for v in basis] == free
+        for v, f in zip(basis, free):
+            assert v[f] == 1 and all(v.values())
+            assert all(type(x) is Fraction for x in v.values())
+            assert set(v) & set(free) == {f}
 
     @given(
         st.lists(
@@ -185,7 +223,7 @@ class TestLinearAlgebra:
         basis = nullspace_basis(m)
         assert rank(m) + len(basis) == 4
         for v in basis:
-            assert all(x == 0 for x in m.matvec(v))
+            assert all(x == 0 for x in apply(m, v))
 
 
 def exact_rows_per_row(rows, cols):
