@@ -17,9 +17,9 @@ from .catalog import catalog_build, catalog_names
 from .conformal import QuadraticLCA, bracket_basis, check_jacobi, check_skew
 from .derivations import (HypothesisNotDetected, solve_derivations_theorem,
                           spaces_agree, stabilized_outer)
-from .extensions import (_runs_exhaustive, check_coeff_cocycle,
-                         coeff_relation_consistency, solve_extensions_direct,
-                         solve_extensions_theorem, verify_cocycle)
+from .extensions import (check_coeff_cocycle, coeff_relation_consistency,
+                         solve_extensions_direct, solve_extensions_theorem,
+                         verify_cocycle)
 from .gd import GDValidationError, check_gd_compat, check_lie, check_novikov
 from .poly import span_coordinates_many
 
@@ -275,9 +275,7 @@ def cmd_coeff(args):
             f"space has dimension {space.dimension}"
         )
     q = space.basis[args.cocycle_index]
-    failures = check_coeff_cocycle(
-        A, q, args.window, samples=args.samples, seed=args.seed
-    )
+    failures = check_coeff_cocycle(A, q, args.window)
     relation = coeff_relation_consistency(A, args.window, q)
     ok = not failures and not relation
     report = {
@@ -285,8 +283,7 @@ def cmd_coeff(args):
         "target": label,
         "cocycle_index": args.cocycle_index,
         "window": args.window,
-        "mode": ("exhaustive" if _runs_exhaustive(A.dim, args.window, args.samples)
-                 else f"sampled({args.samples}, seed={args.seed})"),
+        "mode": "exhaustive",
         "cocycle": _quadruple_report(A, q),
         "mode_cocycle_check": "ok" if not failures else f"{len(failures)} failures",
         "closed_form_consistency": "ok" if not relation else f"{len(relation)} mismatches",
@@ -329,7 +326,6 @@ def build_parser():
         ),
     )
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("check", help="verify all bialgebra and conformal axioms")
@@ -354,7 +350,6 @@ def build_parser():
     sp.add_argument("target")
     sp.add_argument("--cocycle-index", type=int, required=True)
     sp.add_argument("--window", type=_bounded_int(1), required=True)
-    sp.add_argument("--samples", type=_bounded_int(1), default=None)
     sp.set_defaults(func=cmd_coeff)
 
     sp = sub.add_parser("catalog", help="list or emit built-in algebras")

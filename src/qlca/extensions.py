@@ -21,7 +21,6 @@ computed and verified exactly as well.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -415,18 +414,11 @@ def coeff_bracket(A: GDBialgebra, q: CocycleQuadruple, gen1, gen2):
 _TRIANGLE = tuple((a, b) for a in range(5) for b in range(5 - a))
 
 
-def _runs_exhaustive(dim, window, samples):
-    """Whether ``check_coeff_cocycle`` walks every generator triple rather
-    than ``samples`` seeded ones."""
-    return samples is None or samples >= (dim * (2 * window + 1)) ** 3
-
-
-def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
-                        samples: int | None = None, seed: int = 0):
+def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int):
     """Verify antisymmetry and the Lie 2-cocycle identity of the induced
     mode cocycle on generators a_i ⊗ t^m, for every mode m, and list the
-    failures with |m| ≤ window, then (exhaustive path) one failure for
-    each flagged class that left none there.
+    failures with |m| ≤ window, then one failure for each flagged class
+    that left none there.
 
     Every mode bracket is read from ``coeff_bracket``, whose module
     coefficients are linear in the modes and whose central part is a
@@ -447,18 +439,14 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
 
     A class these points prove zero has no failure at any mode, and when
     no class is flagged the window is not walked at all. The flagged
-    classes are walked inside the window, in generator order:
-    exhaustively when ``samples`` is None or at least the number of
-    generator triples, otherwise on ``samples`` seeded random triples.
-    From window 3 on, every class has a unisolvent point set inside the
+    classes are walked inside the window, in generator order. From
+    window 3 on, every class has a unisolvent point set inside the
     window, so a flagged class always leaves a failure there; at windows
-    1 and 2 its failures may all lie outside. The exhaustive path then
-    appends the class's first failing certificate point, in the same
-    tuple shape (antisymmetry classes first, each kind in certificate
-    order), so an empty exhaustive result means that both identities hold
-    at every mode, at any window. The sampled path lists only the
-    failures it draws. Exact equality required; returns the list of
-    failures.
+    1 and 2 its failures may all lie outside. The walk then appends the
+    class's first failing certificate point, in the same tuple shape
+    (antisymmetry classes first, each kind in certificate order), so an
+    empty result means that both identities hold at every mode, at any
+    window. Exact equality required; returns the list of failures.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -528,28 +516,19 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int,
             if f and (r := skew(x, y)):
                 out.append(("antisymmetry", x, y, r))
                 listed.add(f)
-    exhaustive = _runs_exhaustive(n, window, samples)
-    if exhaustive:
-        # third generators z with -1 <= m_x + m_y + m_z <= 3, in gens order
-        near = {s: [z for z in gens if -1 <= s + z[1] <= 3]
-                for s in range(-2 * window, 2 * window + 1)}
-        triples = ((x, y, z) for x in gens for y in gens
-                   for z in near[x[1] + y[1]])
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.choice(gens), rng.choice(gens), rng.choice(gens))
-            for _ in range(samples)
-        )
-    for x, y, z in triples:
-        f = flags.get((x[0], y[0], z[0], x[1] + y[1] + z[1]))
-        if f and (r := residual(x, y, z)):
-            out.append(("cocycle", x, y, z, r))
-            listed.add(f)
-    if exhaustive:
-        out += (f for f in dict.fromkeys([*skew_flags.values(),
-                                          *flags.values()])
-                if f not in listed)
+    # third generators z with -1 <= m_x + m_y + m_z <= 3, in gens order
+    near = {s: [z for z in gens if -1 <= s + z[1] <= 3]
+            for s in range(-2 * window, 2 * window + 1)}
+    for x in gens:
+        for y in gens:
+            for z in near[x[1] + y[1]]:
+                f = flags.get((x[0], y[0], z[0], x[1] + y[1] + z[1]))
+                if f and (r := residual(x, y, z)):
+                    out.append(("cocycle", x, y, z, r))
+                    listed.add(f)
+    out += (f for f in dict.fromkeys([*skew_flags.values(),
+                                      *flags.values()])
+            if f not in listed)
     return out
 
 

@@ -64,9 +64,6 @@ class GDBialgebra:
 
     # -- element operations -------------------------------------------
 
-    def basis_elem(self, i):
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
-
     def circ(self, x, y):
         """x ∘ y for coordinate vectors."""
         return self._dense(_mul(self.circ_terms, _terms(x), _terms(y)))
@@ -74,12 +71,6 @@ class GDBialgebra:
     def bracket(self, x, y):
         """[x, y] for coordinate vectors."""
         return self._dense(_mul(self.lie_terms, _terms(x), _terms(y)))
-
-    def star(self, x, y):
-        """Symmetrized product x∘y + y∘x."""
-        a = self.circ(x, y)
-        b = self.circ(y, x)
-        return tuple(u + v for u, v in zip(a, b))
 
     def _dense(self, vec):
         return tuple(vec.get(k, ZERO) for k in range(self.dim))

@@ -64,9 +64,8 @@ def test_criterion_2_extension_dimension_table(capsys):
 def _products_span(A):
     from qlca import span_rank
 
-    prods = [A.circ(A.basis_elem(i), A.basis_elem(j))
-             for i in range(A.dim) for j in range(A.dim)]
-    return span_rank([{k: x for k, x in enumerate(v) if x} for v in prods]) == A.dim
+    prods = [dict(A.circ_terms[i][j]) for i in range(A.dim) for j in range(A.dim)]
+    return span_rank(prods) == A.dim
 
 
 def test_criterion_3_extension_oracle_equivalence(capsys):

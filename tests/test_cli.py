@@ -187,29 +187,6 @@ class TestCoeff:
         assert code == 0
         assert "induced 2-cocycle verified" in out
 
-    def test_sampled_with_seed(self, capsys):
-        code, out, _ = run(
-            capsys, "--json", "--seed", "3", "coeff", "catalog:vir_current:g=sl2",
-            "--cocycle-index", "0", "--window", "2", "--samples", "50",
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["mode"] == "sampled(50, seed=3)"
-
-    def test_samples_covering_every_triple_report_exhaustive(self, capsys):
-        # 3 generators at window 1, so 27 triples: the exhaustive path runs
-        code, out, _ = run(
-            capsys, "--json", "coeff", "catalog:vir", "--cocycle-index", "0",
-            "--window", "1", "--samples", "100",
-        )
-        assert code == 0
-        assert json.loads(out)["mode"] == "exhaustive"
-        code, out, _ = run(
-            capsys, "--json", "coeff", "catalog:vir", "--cocycle-index", "0",
-            "--window", "1", "--samples", "26",
-        )
-        assert json.loads(out)["mode"] == "sampled(26, seed=0)"
-
     def test_index_out_of_range_exit_2(self, capsys):
         code, _, err = run(
             capsys, "coeff", "catalog:vir", "--cocycle-index", "9", "--window", "2"
@@ -279,10 +256,17 @@ class TestBadBounds:
                             "--lambda-bound", "-1")
         assert "error: argument --lambda-bound: must be >= 0" in err
 
-    def test_negative_samples(self, capsys):
-        err = self.rejected(capsys, "coeff", "catalog:vir", "--cocycle-index",
-                            "0", "--window", "2", "--samples", "-5")
-        assert "error: argument --samples: must be >= 1" in err
+    @pytest.mark.parametrize("argv", [
+        ["coeff", "catalog:vir", "--cocycle-index", "0", "--window", "3",
+         "--samples", "5"],
+        ["--seed", "3", "coeff", "catalog:vir", "--cocycle-index", "0",
+         "--window", "3"],
+    ])
+    def test_sampling_options_are_gone(self, capsys, argv):
+        # coeff checks every mode; there is no sampled run to ask for
+        err = self.rejected(capsys, *argv)
+        assert err.splitlines()[-1].startswith("qlca: error: ")
+        assert "Traceback" not in err
 
     def test_library_value_error_exit_2(self, capsys, monkeypatch):
         import qlca.cli
@@ -345,7 +329,7 @@ def test_snapshot_script_writes_every_report_of_one_target(tmp_path):
     names = ["check", "extend", "extend-degree0", "extend-degree1",
              "extend-degree2", "extend-degree3", "derive", "derive-p1l0",
              "derive-p0l2", "derive-simple", "coeff", "coeff-window1",
-             "coeff-window6", "coeff-sampled"]
+             "coeff-window6"]
     # At --partial-bound 0 the closed solver solves at ∂-bound 0 too, so
     # vir's derive-p0l2 report says solvers_agree: true and exits 0.
     for name in names:

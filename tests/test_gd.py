@@ -129,10 +129,10 @@ class TestBuild:
 class TestElementOps:
     def test_circ_and_star(self):
         A = catalog_build("r_alpha_beta", alpha=3, beta=1)
-        L, W = A.basis_elem(0), A.basis_elem(1)
+        L, W = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
         assert A.circ(L, W) == (Fraction(0), Fraction(2))  # (α-1)W
         assert A.circ(W, L) == (Fraction(0), Fraction(1))
-        assert A.star(L, W) == (Fraction(0), Fraction(3))  # αW
+        assert A.star_terms[0][1] == ((1, 3),)  # L∘W + W∘L = αW
         assert A.bracket(W, L) == (Fraction(0), Fraction(1))  # βW
         assert A.bracket(L, W) == (Fraction(0), Fraction(-1))
 

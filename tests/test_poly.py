@@ -42,7 +42,7 @@ class TestFormalPoly:
     def test_ring_identities(self):
         d, lam = FormalPoly.sym(DEL), FormalPoly.sym(LAM)
         assert (d + lam) * (d - lam) == d * d - lam * lam
-        assert (d + lam) ** 2 == d * d + 2 * d * lam + lam * lam
+        assert (d + lam) * (d + lam) == d * d + 2 * d * lam + lam * lam
         assert d - d == FormalPoly.zero()
 
     def test_scalar_ops(self):
@@ -55,12 +55,12 @@ class TestFormalPoly:
         d, lam, mu = (FormalPoly.sym(s) for s in (DEL, LAM, MU))
         p = lam * lam + d * lam
         q = p.substitute(LAM, lam + mu)
-        assert q == (lam + mu) ** 2 + d * (lam + mu)
+        assert q == (lam + mu) * (lam + mu) + d * (lam + mu)
 
     def test_substitute_eliminates_symbol(self):
         lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
-        p = (lam ** 3).substitute(LAM, -mu)
-        assert p == -(mu ** 3)
+        p = FormalPoly.sym(LAM, 3).substitute(LAM, -mu)
+        assert p == -FormalPoly.sym(MU, 3)
         assert p.uses_only((MU,))
 
     def test_degree_and_str(self):
@@ -69,10 +69,6 @@ class TestFormalPoly:
         assert p.degree(DEL) == 1
         assert str(p) == "∂ + 3λ^2"
         assert str(FormalPoly.zero()) == "0"
-
-    def test_pow_rejects_negative(self):
-        with pytest.raises(ValueError):
-            FormalPoly.sym(DEL) ** -1
 
     @given(
         st.lists(
