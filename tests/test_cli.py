@@ -187,6 +187,24 @@ class TestCoeff:
         assert code == 0
         assert "induced 2-cocycle verified" in out
 
+    def test_report_mode_is_exhaustive(self, capsys):
+        for window in ("1", "3"):
+            code, out, _ = run(
+                capsys, "--json", "coeff", "catalog:vir", "--cocycle-index", "0",
+                "--window", window,
+            )
+            assert code == 0
+            assert json.loads(out)["mode"] == "exhaustive"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["coeff", "--help"]])
+    def test_help_lists_no_sampling_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "usage: qlca" in out
+        assert "--samples" not in out and "--seed" not in out
+
     def test_index_out_of_range_exit_2(self, capsys):
         code, _, err = run(
             capsys, "coeff", "catalog:vir", "--cocycle-index", "9", "--window", "2"
@@ -255,6 +273,11 @@ class TestBadBounds:
         err = self.rejected(capsys, "derive", "catalog:vir",
                             "--lambda-bound", "-1")
         assert "error: argument --lambda-bound: must be >= 0" in err
+
+    def test_negative_samples(self, capsys):
+        err = self.rejected(capsys, "coeff", "catalog:vir", "--cocycle-index",
+                            "0", "--window", "2", "--samples", "-5")
+        assert "error: unrecognized arguments: --samples -5" in err
 
     @pytest.mark.parametrize("argv", [
         ["coeff", "catalog:vir", "--cocycle-index", "0", "--window", "3",

@@ -7,7 +7,7 @@ import pytest
 from qlca import (CocycleQuadruple, QuadraticLCA, bracket_basis,
                   catalog_build, check_coeff_cocycle, coeff_bracket,
                   coeff_relation_consistency, entry_label,
-                  solve_extensions_theorem, standard_entries)
+                  solve_extensions_theorem, standard_entries, verify_cocycle)
 from qlca import extensions as ext
 from qlca.poly import ZERO, RatMatrix, rank
 
@@ -114,6 +114,22 @@ class TestCocycleIdentity:
         A = catalog_build("vir")
         fake = CocycleQuadruple.single(1, 2, 0, 0, symmetrize=False)
         assert check_coeff_cocycle(A, fake, window=2)
+
+    def test_false_cocycle_is_reported_on_every_call(self):
+        # every mode is checked, so a quadruple that fails the conformal
+        # identity lists the same failures inside the window on each call
+        A = catalog_build("r_alpha_beta", alpha=1, beta=1)
+        q = CocycleQuadruple.single(2, 0, 0, 1)
+        assert verify_cocycle(A, q)
+        got = check_coeff_cocycle(A, q, 3)
+        assert len(got) == 102
+        assert check_coeff_cocycle(A, q, 3) == got
+
+    @pytest.mark.parametrize("option", [dict(samples=5), dict(seed=0)])
+    def test_takes_a_window_only(self, option):
+        A = catalog_build("vir")
+        with pytest.raises(TypeError):
+            check_coeff_cocycle(A, CocycleQuadruple.zero(1), 3, **option)
 
     @pytest.mark.parametrize("name, params", [
         ("vir", {}),
