@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algfile import MAX_DIM
 from .gd import GDBialgebra, gd_build
 from .poly import _as_q
 
@@ -23,6 +24,22 @@ class CatalogEntry:
 
     def build(self):
         return catalog_build(self.name, **self.params)
+
+
+def _size(name, value, dim_per_unit=1):
+    """``value`` as an integer ≥ 1 whose algebra, of dimension
+    dim_per_unit·value, fits ``MAX_DIM``: a build allocates n³-cell
+    tables, so catalog builds get the cap that files get."""
+    try:
+        k = _as_q(value)
+    except (TypeError, ValueError):
+        k = None
+    if type(k) is not int or k < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+    if dim_per_unit * k > MAX_DIM:
+        raise ValueError(f"{name}={k} gives dim {dim_per_unit * k}, "
+                         f"which exceeds the maximum {MAX_DIM}")
+    return k
 
 
 def _zero_table(n):
@@ -57,9 +74,7 @@ def _current(g="sl2", n=None):
         # reversed bracket: makes [a_λ b] equal the g-bracket [a,b]
         return gd_build(3, ["e", "f", "h"], _zero_table(3), _negate(_sl2_bracket()))
     if g == "abelian":
-        if n is None or int(n) < 1:
-            raise ValueError("abelian current algebra needs n >= 1")
-        n = int(n)
+        n = _size("n", n)
         names = [f"a{i}" for i in range(n)]
         return gd_build(n, names, _zero_table(n), _zero_table(n))
     raise ValueError(f"unknown coefficient Lie algebra {g!r}")
@@ -97,9 +112,7 @@ def _r_alpha_beta(alpha, beta):
 
 
 def _loop_vir_cyclic(m):
-    m = int(m)
-    if m < 1:
-        raise ValueError("cyclic order m must be >= 1")
+    m = _size("m", m)
     names = [f"L{i}" for i in range(m)]
     nov = _zero_table(m)
     for i in range(m):
@@ -109,9 +122,7 @@ def _loop_vir_cyclic(m):
 
 
 def _loop_hv_cyclic(m):
-    m = int(m)
-    if m < 1:
-        raise ValueError("cyclic order m must be >= 1")
+    m = _size("m", m, dim_per_unit=2)
     n = 2 * m
     names = [f"L{i}" for i in range(m)] + [f"H{i}" for i in range(m)]
     nov = _zero_table(n)

@@ -283,7 +283,6 @@ def cmd_coeff(args):
         "target": label,
         "cocycle_index": args.cocycle_index,
         "window": args.window,
-        "mode": "exhaustive",
         "cocycle": _quadruple_report(A, q),
         "mode_cocycle_check": "ok" if not failures else f"{len(failures)} failures",
         "closed_form_consistency": "ok" if not relation else f"{len(relation)} mismatches",

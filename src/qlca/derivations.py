@@ -7,10 +7,11 @@ identity
     d_λ[a_μ b] = [(d_λ a)_{λ+μ} b] + [a_μ (d_λ b)]
 
 in V ⊗ Q[∂, λ, μ] and solves the resulting exact linear system; the
-closed-system solver uses the reduced equations available when the Novikov
-part has a unit-like element (or is asserted simple), and is cross-checked
-against the direct one. Both systems and the inner derivations are read
-off the product grids (``circ_terms``, ``lie_terms``, ``star_terms``).
+closed-system solver writes that identity as operator equations on the
+Gel'fand–Dorfman bialgebra, valid when the Novikov part has a unit-like
+element (or is asserted simple), and is cross-checked against the direct
+one. Both systems and the inner derivations are read off the product
+grids (``circ_terms``, ``lie_terms``, ``star_terms``).
 Only ``verify_derivation`` runs the λ-bracket engine: it checks a concrete
 ansatz against the same identity with brackets from ``bracket_general``,
 so it shares no formula with either solver.
@@ -348,11 +349,12 @@ def detect_unit_like(A: GDBialgebra):
     return None
 
 
-def _closed_rows(A: GDBialgebra, order, P, D):
-    """Rows of the closed derivation system of ∂-order ``order`` for
-    d = Σ_{i≤order} ∂^i d^i, with every d^i of i > P set to 0 and the
-    other unknowns indexed like the direct system at bounds (P, D).
-    order = 1 gives the reduced left-unit system, order = 3 the full one.
+def _closed_rows(A: GDBialgebra, P, D):
+    """Rows of the closed derivation system for d = Σ_{i≤3} ∂^i d^i, with
+    every d^i of i > P set to 0 and the other unknowns indexed like the
+    direct system at bounds (P, D). Its blocks are grouped by the
+    ∂-order of their leading unknowns; at P = 1 only the ∂-order 1 and 0
+    blocks keep a summand.
 
     Each call to ``emit`` sums summands (c, s, i, u, f) standing for
     c·λ^s·f(d^i(u)): u is a sparse ((j, coeff), ...) element, and the
@@ -396,21 +398,6 @@ def _closed_rows(A: GDBialgebra, order, P, D):
             o_p, s_p, l_p = right(circ, p), right(star, p), right(br, p)
             s_q = right(star, q)
             p_o, q_o, q_l = circ[p], circ[q], br[q]
-
-            if order == 1:
-                # reduced system for a left-unit-like Novikov part:
-                # d = d^0 + ∂ d^1
-                emit((1, 0, 1, ba, ID), (-1, 0, 1, b, o_p))  # d1 of product
-                emit((1, 0, 1, a, s_q), (-1, 0, 1, b, s_p))  # d1 star symmetry
-                # ∂ row reduced
-                emit((1, 0, 0, ba, ID), (1, 1, 1, ba, ID), (1, 0, 1, lba, ID),
-                     (-1, 0, 0, a, q_o), (1, 1, 1, a, q_o), (-1, 0, 0, b, o_p),
-                     (-1, 0, 1, b, l_p))
-                # constant row reduced
-                emit((1, 1, 0, ba, ID), (1, 0, 0, lba, ID), (-1, 1, 0, a, s_q),
-                     (1, 2, 1, a, s_q), (-1, 0, 0, a, q_l), (1, 1, 1, a, q_l),
-                     (-1, 0, 0, b, l_p))
-                continue
 
             # ∂-order 3 block
             emit((1, 0, 3, ba, ID), (-1, 0, 3, ab, ID))  # d3 symmetric in product
@@ -468,12 +455,13 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
     """Closed-system derivation solver.
 
     Applicable when the Novikov part has a unit-like element on either
-    side (detected automatically) or is asserted simple by the caller; a
-    left unit-like element allows the reduced ∂-order ≤ 1 system, any
-    other hypothesis the full ∂-order ≤ 3 system. Raises
-    HypothesisNotDetected otherwise.
+    side (detected automatically) or is asserted simple by the caller.
+    Raises HypothesisNotDetected otherwise. The hypothesis bounds the
+    ∂-order of a derivation: by 1 with a left unit-like element, by 3
+    otherwise.
 
-    The unknowns of ∂-power above min(order, partial_bound) are set to 0.
+    The unknowns of ∂-power above min(that bound, partial_bound) are set
+    to 0 in the one closed system.
     Each row collects one coefficient of an identity linear in the
     unknowns, so this is the restriction ``stabilized_outer`` makes on
     the λ-bound, and the space is the direct one at the same bounds.
@@ -486,9 +474,9 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
             "no element x with x∘b = kb or b∘x = kb (k ≠ 0) for all basis b; "
             "pass assert_simple=True if the Novikov part is known simple"
         )
-    order = 1 if found is not None and found[0] == "left" else 3
-    P = min(order, partial_bound)
-    return _solve(R, _closed_rows(A, order, P, D), P, D, "theorem")
+    P = min(1 if found is not None and found[0] == "left" else 3,
+            partial_bound)
+    return _solve(R, _closed_rows(A, P, D), P, D, "theorem")
 
 
 def spaces_agree(R: QuadraticLCA, a: DerivationSpace, b: DerivationSpace):

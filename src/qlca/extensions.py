@@ -87,9 +87,8 @@ class CocycleSpace:
     algebra: GDBialgebra
     basis: tuple  # CocycleQuadruples
     method: str  # "theorem-system" | "direct-expansion"
-    degree_probe: int = MAX_CLOSED_DEGREE
     stable: bool = True
-    per_degree: tuple = ()  # dims of the degree-k projections, k = 0..probe
+    per_degree: tuple = ()  # dims of the degree-k projections, k = 0..bound
     warnings: tuple = ()
 
     @property
@@ -180,7 +179,7 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
     sols = nullspace_basis(m)
     basis = tuple(CocycleQuadruple.from_vector(n, v) for v in sols)
     per_degree = _per_degree_profile(sols, n, MAX_CLOSED_DEGREE)
-    return CocycleSpace(A, basis, "theorem-system", MAX_CLOSED_DEGREE, True, per_degree)
+    return CocycleSpace(A, basis, "theorem-system", True, per_degree)
 
 
 # ---------------------------------------------------------------------
@@ -307,7 +306,7 @@ def solve_extensions_direct(A: GDBialgebra, degree_bound: int = 6) -> CocycleSpa
     deg3 = _leading(full, (MAX_CLOSED_DEGREE + 1) * n * n)
     basis = tuple(CocycleQuadruple.from_vector(n, v) for v in deg3)
     per_degree = _per_degree_profile(sols, n, N)
-    return CocycleSpace(A, basis, "direct-expansion", N, stable, per_degree, warnings)
+    return CocycleSpace(A, basis, "direct-expansion", stable, per_degree, warnings)
 
 
 # ---------------------------------------------------------------------

@@ -84,6 +84,34 @@ class TestCheck:
         assert err == ("error: catalog parameter 'alpha=1/0' has a zero "
                        "denominator\n")
 
+    @pytest.mark.parametrize("target, message", [
+        ("loop_vir_cyclic:m=5/2", "m must be an integer >= 1, got 5/2"),
+        ("current:g=abelian,n=3/2", "n must be an integer >= 1, got 3/2"),
+    ])
+    def test_non_integral_size_exit_2(self, capsys, target, message):
+        code, out, err = run(capsys, "--json", "check", "catalog:" + target)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("target, message", [
+        ("current:g=abelian,n=129", "n=129 gives dim 129"),
+        ("loop_hv_cyclic:m=65", "m=65 gives dim 130"),
+    ])
+    def test_catalog_dim_over_cap_exit_2_before_building(
+            self, capsys, monkeypatch, target, message):
+        """The cap is checked on the parameter, so no n³-cell table of
+        the refused size is ever allocated."""
+        import qlca.catalog
+
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(qlca.catalog, "_zero_table", refuse)
+        monkeypatch.setattr(qlca.catalog, "gd_build", refuse)
+        code, out, err = run(capsys, "check", "catalog:" + target)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}, which exceeds the maximum 128\n"
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.alg"))
         assert code == 2
@@ -187,14 +215,15 @@ class TestCoeff:
         assert code == 0
         assert "induced 2-cocycle verified" in out
 
-    def test_report_mode_is_exhaustive(self, capsys):
+    def test_report_has_no_mode_key(self, capsys):
+        """There is one mode-cocycle walk, so the report names none."""
         for window in ("1", "3"):
             code, out, _ = run(
                 capsys, "--json", "coeff", "catalog:vir", "--cocycle-index", "0",
                 "--window", window,
             )
             assert code == 0
-            assert json.loads(out)["mode"] == "exhaustive"
+            assert "mode" not in json.loads(out)
 
     @pytest.mark.parametrize("argv", [["--help"], ["coeff", "--help"]])
     def test_help_lists_no_sampling_option(self, capsys, argv):

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from qlca import (DerivationAnsatz, DerivationSpace, HypothesisNotDetected,
-                  QuadraticLCA, RatMatrix, catalog_build, detect_unit_like,
+from qlca import (CatalogEntry, DerivationAnsatz, DerivationSpace,
+                  HypothesisNotDetected, QuadraticLCA, RatMatrix, catalog_build, detect_unit_like,
                   entry_label, inner_derivation, nullspace_basis, outer_dimension,
                   solve_derivations_direct, solve_derivations_theorem,
                   solve_extensions_direct, solve_extensions_theorem,
@@ -13,7 +13,8 @@ from qlca import (DerivationAnsatz, DerivationSpace, HypothesisNotDetected,
                   standard_entries, verify_derivation)
 from qlca import derivations
 from qlca.cli import main
-from qlca.derivations import _direct_rows, _inner_vectors, _unknown_indexer
+from qlca.derivations import (_closed_rows, _direct_rows, _inner_vectors,
+                              _unknown_indexer)
 from test_catalog import _integral_algebras, _trunc_poly
 
 
@@ -185,6 +186,15 @@ class TestOuterDimensions:
         assert out[1:] == (3, 5)
 
 
+# the standard entries and three more left unit-like ones
+CLOSED_CASES = [pytest.param(e, id=entry_label(e)) for e in [
+    *standard_entries(),
+    CatalogEntry("r_alpha_beta", {"alpha": 2, "beta": 1}),
+    CatalogEntry("r_alpha_beta", {"alpha": 2, "beta": Fraction(1, 3)}),
+    CatalogEntry("loop_vir_cyclic", {"m": 5}),
+]]
+
+
 class TestSolverAgreement:
     def test_direct_and_theorem_agree(self, catalog_entry):
         A = catalog_entry.build()
@@ -195,19 +205,37 @@ class TestSolverAgreement:
         theorem = solve_derivations_theorem(R, 3)
         assert spaces_agree(R, direct, theorem)
 
+    @pytest.mark.parametrize("D", (2, 4))
     @pytest.mark.parametrize("P", range(4))
-    def test_capped_closed_space_is_the_direct_one(self, catalog_entry, P):
-        """At a partial bound below the closed system's ∂-order, the closed
-        solver solves at that bound, so it answers the direct question."""
-        A = catalog_entry.build()
-        if detect_unit_like(A) is None:
+    @pytest.mark.parametrize("entry", CLOSED_CASES)
+    def test_capped_closed_space_is_the_direct_one(self, entry, P, D):
+        """At a partial bound below the closed system's ∂-order bound (1
+        with a left unit-like element, else 3), the closed solver solves
+        at that bound, so it answers the direct question."""
+        A = entry.build()
+        found = detect_unit_like(A)
+        if found is None:
             return
         R = QuadraticLCA(A)
-        direct = solve_derivations_direct(R, P, 2)
-        theorem = solve_derivations_theorem(R, 2, partial_bound=P)
-        assert theorem.partial_bound <= P
+        direct = solve_derivations_direct(R, P, D)
+        theorem = solve_derivations_theorem(R, D, partial_bound=P)
+        assert theorem.partial_bound == (min(1, P) if found[0] == "left" else P)
         assert theorem.dimension == direct.dimension
         assert spaces_agree(R, direct, theorem)
+
+    @pytest.mark.parametrize("P, D", [(3, 4), (1, 3)])
+    def test_direct_solutions_satisfy_every_closed_row(self, catalog_entry,
+                                                       P, D):
+        """The closed rows are consequences of the Leibniz identity, with
+        or without a unit-like element, so truncating them at a ∂-bound
+        can only keep the true derivations or add to them."""
+        R = QuadraticLCA(catalog_entry.build())
+        n = R.dim
+        rows = _closed_rows(R.gd, P, D)
+        for d in solve_derivations_direct(R, P, D).basis:
+            v = d.as_vector(n, P, D)
+            assert [row for row in rows
+                    if sum(c * v.get(x, 0) for x, c in row.items())] == []
 
     def test_spaces_agree_is_mutual_membership(self, catalog_entry):
         """The one rank of spaces_agree answers what spans_equal's three
