@@ -70,14 +70,16 @@ def _vir():
 
 
 def _current(g="sl2", n=None):
-    if g == "sl2":
-        # reversed bracket: makes [a_λ b] equal the g-bracket [a,b]
-        return gd_build(3, ["e", "f", "h"], _zero_table(3), _negate(_sl2_bracket()))
     if g == "abelian":
         n = _size("n", n)
         names = [f"a{i}" for i in range(n)]
         return gd_build(n, names, _zero_table(n), _zero_table(n))
-    raise ValueError(f"unknown coefficient Lie algebra {g!r}")
+    if g != "sl2":
+        raise ValueError(f"unknown coefficient Lie algebra {g!r}")
+    if n is not None:
+        raise TypeError("n applies only to g=abelian")
+    # reversed bracket: makes [a_λ b] equal the g-bracket [a,b]
+    return gd_build(3, ["e", "f", "h"], _zero_table(3), _negate(_sl2_bracket()))
 
 
 def _vir_current(g="sl2"):

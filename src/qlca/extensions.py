@@ -436,6 +436,22 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int):
     a_j ⊗ t^{t-m}) is symmetric in the pair, 0 unless t ∈ {-1..2}, and of
     degree ≤ 3 in m, so the 4 points m = 0..3 decide it.
 
+    Support lemma. The antisymmetry points read both orders of each pair
+    i ≤ j, so each order meets every line m+n = t ∈ {-1..2} at 4
+    distinct first modes; the central part is a cubic there and 0 off
+    these lines, so ``central``, the generator pairs with a nonzero
+    central value at those points, is exactly where it is not identically
+    0. A module coefficient is affine in the modes and its two mode
+    offsets never share a key at one point, so ``module[u][v]``, the
+    basis indices in the module parts at the modes (0, 0), (1, 0) and
+    (0, 1) (antisymmetry points too), holds every index [a_u ⊗ t^x,
+    a_v ⊗ t^y] ever reaches. A class where no rotation (u, v, w) has
+    some g ∈ module[u][v] with (g, w) ∈ central has a zero factor in
+    every term at every mode, so its residual is 0 and it is skipped; the
+    15 points would clear it, so the result is unchanged. Both supports
+    are read off ``coeff_bracket``, never off q.alpha or the product
+    grids, so a wrong bracket is still caught.
+
     A class these points prove zero has no failure at any mode, and when
     no class is flagged the window is not walked at all. The flagged
     classes are walked inside the window, in generator order. From
@@ -450,24 +466,22 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int):
     if window < 1:
         raise ValueError("window must be >= 1")
     n = A.dim
-    # the module part (0) or the central part (1) of each bracket asked
-    parts = ({}, {})
+    cache = {}  # (x, y) -> coeff_bracket(A, q, x, y)
 
-    def bracket(x, y, part):
-        cache = parts[part]
+    def bracket(x, y):
         if (x, y) not in cache:
-            cache[x, y] = coeff_bracket(A, q, x, y)[part]
+            cache[x, y] = coeff_bracket(A, q, x, y)
         return cache[x, y]
 
     def skew(x, y):
-        return bracket(x, y, 1) + bracket(y, x, 1)
+        return bracket(x, y)[1] + bracket(y, x)[1]
 
     def residual(x, y, z):
         """Σ_cyc of the central part of [[u, v], w]."""
         r = ZERO
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            for g, c in bracket(u, v, 0).items():
-                central = bracket(g, w, 1)
+            for g, c in bracket(u, v)[0].items():
+                central = bracket(g, w)[1]
                 if central:
                     r += c * central
         return r
@@ -487,15 +501,24 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int):
     for i in range(n):
         for j in range(i, n):
             for t in range(-1, 3):
-                if f := first_failure("antisymmetry", skew, (
-                        (gen[i, m], gen[j, t - m]) for m in range(4))):
+                points = [(gen[i, m], gen[j, t - m]) for m in range(4)]
+                for x, y in points:  # both orders, even after a failure
+                    bracket(x, y), bracket(y, x)
+                if f := first_failure("antisymmetry", skew, points):
                     skew_flags[i, j, t] = f
+    # the supports of the lemma; the cache holds the antisymmetry points
+    central = {(x[0], y[0]) for (x, y), b in cache.items() if b[1]}
+    module = [[{g for x, y in ((0, 0), (1, 0), (0, 1))
+                for g, _ in bracket(gen[u, x], gen[v, y])[0]}
+               for v in range(n)] for u in range(n)]
     flags = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 rotations = ((i, j, k), (j, k, i), (k, i, j))
-                if (i, j, k) != min(rotations):
+                if (i, j, k) != min(rotations) or not any(
+                        (g, w) in central
+                        for u, v, w in rotations for g in module[u][v]):
                     continue
                 for s in range(-1, 4):
                     if f := first_failure("cocycle", residual, (

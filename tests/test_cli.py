@@ -112,6 +112,19 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err == f"error: {message}, which exceeds the maximum 128\n"
 
+    @pytest.mark.parametrize("target, message", [
+        ("current:g=sl2,n=5", "bad parameters for 'current': "
+                              "n applies only to g=abelian"),
+        ("vir_current:g=sl2,n=7", "bad parameters for 'vir_current': "
+                                  "_vir_current() got an unexpected keyword "
+                                  "argument 'n'"),
+    ])
+    def test_size_for_a_fixed_dim_algebra_exit_2(self, capsys, target,
+                                                 message):
+        code, out, err = run(capsys, "--json", "check", "catalog:" + target)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.alg"))
         assert code == 2

@@ -312,7 +312,19 @@ def alpha0_negated(A, q, gen1, gen2):
     return terms, central
 
 
-CORRUPTIONS = [scaled_circ, alpha2_unfactored, alpha3_doubled, alpha0_negated]
+def central_off_alpha(A, q, gen1, gen2):
+    """coeff_bracket with a central term m at total mode 0 added on every
+    pair whose α entries are all 0, where a support read off q.alpha
+    would see no central term."""
+    terms, central = ORIGINAL_BRACKET(A, q, gen1, gen2)
+    (i, m), (j, n) = gen1, gen2
+    if m + n == 0 and not any(a[i][j] for a in q.alpha):
+        central += m
+    return terms, central
+
+
+CORRUPTIONS = [scaled_circ, alpha2_unfactored, alpha3_doubled, alpha0_negated,
+               central_off_alpha]
 ORIGINAL_BRACKET = ext.coeff_bracket
 
 
@@ -326,6 +338,45 @@ class TestCertificateEqualsWindowRun:
             assert got == window_coeff_check(A, q, 3)
             failing += bool(got)
         assert failing
+
+    @pytest.mark.parametrize("entry", SMALL_ENTRIES)
+    def test_dense_quadruples(self, entry):
+        # the sum of all single entries, and random rational combinations
+        # of them, reach every central support at once
+        A = entry.build()
+        singles = [q.as_vector() for q in single_entries(A.dim)]
+        rng = random.Random(18)
+        weights = [[1] * len(singles)] + [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in singles]
+            for _ in range(5)]
+        for w in weights:
+            vec = {}
+            for c, single in zip(w, singles):
+                for col, x in single.items():
+                    vec[col] = vec.get(col, ZERO) + c * x
+            q = CocycleQuadruple.from_vector(
+                A.dim, {col: x for col, x in vec.items() if x})
+            assert check_coeff_cocycle(A, q, 3) == window_coeff_check(A, q, 3)
+
+    @pytest.mark.parametrize("entry", SMALL_ENTRIES)
+    def test_central_term_off_alpha_is_caught(self, monkeypatch, entry):
+        # the supports are read off coeff_bracket, so a central term on
+        # pairs whose α entries are all 0 is still certified
+        monkeypatch.setattr(ext, "coeff_bracket", central_off_alpha)
+        A = entry.build()
+        n = A.dim
+        # the zero quadruple, and single entries that leave α = 0 on
+        # every pair but one
+        for q in [CocycleQuadruple.zero(n),
+                  *(CocycleQuadruple.single(n, k, 0, j, symmetrize=False)
+                    for k in range(4) for j in {0, n - 1})]:
+            assert check_coeff_cocycle(A, q, 3) == window_coeff_check(A, q, 3)
+
+    def test_central_term_off_alpha_fails_the_zero_quadruple(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(ext, "coeff_bracket", central_off_alpha)
+        A = catalog_build("r_alpha_beta", alpha=1, beta=1)
+        assert check_coeff_cocycle(A, CocycleQuadruple.zero(2), 3)
 
     @pytest.mark.parametrize("corrupt", [None, *CORRUPTIONS])
     @pytest.mark.parametrize("name, params", [
@@ -544,3 +595,19 @@ class TestInterpolationLemma:
             assert check_coeff_cocycle(A, q, window) == []
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_clean_check_asks_few_brackets_once_each(self, monkeypatch):
+        # only 3 of the 76 cyclic classes can reach a central term; the
+        # other classes are skipped (3,099 calls when all were certified)
+        A = catalog_build("loop_hv_cyclic", m=3)
+        q = solve_extensions_theorem(A).basis[0]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:])
+            return ORIGINAL_BRACKET(*args)
+
+        monkeypatch.setattr(ext, "coeff_bracket", counted)
+        assert check_coeff_cocycle(A, q, 3) == []
+        assert 0 < len(calls) <= 1000
+        assert len(set(calls)) == len(calls)
