@@ -23,7 +23,8 @@ def run(checkout, workload, seed, seconds):
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.splitlines()[-1])
-    return {**result["metrics"], "failed": result["failed"]}
+    return {**{m: v["value"] for m, v in result["metrics"].items()},
+            "failed": result["failed"]}
 
 
 def main():
