@@ -9,6 +9,7 @@ algebra so that the λ-bracket on generators comes out as [a_λ b] = [a,b].
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -150,9 +151,19 @@ def catalog_names():
 
 
 def catalog_build(name, **params) -> GDBialgebra:
+    """Build a catalog entry; an unknown or missing parameter raises
+    TypeError naming it."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown catalog algebra {name!r}; known: {catalog_names()}")
-    return _BUILDERS[name](**params)
+    builder = _BUILDERS[name]
+    known = inspect.signature(builder).parameters
+    for k in params:
+        if k not in known:
+            raise TypeError(f"unknown parameter {k!r}")
+    for k, p in known.items():
+        if k not in params and p.default is p.empty:
+            raise TypeError(f"missing parameter {k!r}")
+    return builder(**params)
 
 
 def standard_entries():

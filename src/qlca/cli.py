@@ -38,17 +38,20 @@ def _parse_params(blob):
         if "=" not in piece:
             raise TargetError(f"catalog parameter {piece!r} is not k=v")
         k, _, v = piece.partition("=")
+        k = k.strip()
+        if k in params:
+            raise TargetError(f"catalog parameter {k!r} given twice")
         try:
-            params[k.strip()] = int(v)
+            params[k] = int(v)
         except ValueError:
             try:
-                params[k.strip()] = Fraction(v)
+                params[k] = Fraction(v)
             except ZeroDivisionError:
                 raise TargetError(
                     f"catalog parameter {piece!r} has a zero denominator"
                 ) from None
             except ValueError:
-                params[k.strip()] = v  # symbolic parameter, e.g. g=sl2
+                params[k] = v  # symbolic parameter, e.g. g=sl2
     return params
 
 

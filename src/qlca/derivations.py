@@ -56,7 +56,7 @@ class DerivationAnsatz:
         return cls(P, D, tuple(sorted(clean)))
 
     def image(self, R, j):
-        """d_λ(a_j) as a ConformalExpr in ∂ and λ."""
+        """d_λ(a_j) as a length-n tuple of FormalPoly in ∂ and λ."""
         n = R.dim
         out = [FormalPoly.zero() for _ in range(n)]
         for (jj, i, k), vec in self.coeffs:
@@ -310,10 +310,9 @@ def verify_derivation(R: QuadraticLCA, dmap: DerivationAnsatz):
     for p in range(n):
         for q in range(n):
             lhs = R.zero_expr()
-            for m, pol in enumerate(at_mu[p][q]):
-                if not pol.is_zero():
-                    shifted = pol.substitute(DEL, d + lam)
-                    lhs = expr_add(lhs, tuple(shifted * x for x in images[m]))
+            for m, pol in at_mu[p][q]:
+                shifted = pol.substitute(DEL, d + lam)
+                lhs = expr_add(lhs, tuple(shifted * x for x in images[m]))
             rhs = expr_add(
                 bracket_general(R, images[p], R.basis_expr(q), lam + mu),
                 bracket_general(R, R.basis_expr(p), images[q], mu))

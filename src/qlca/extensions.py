@@ -321,7 +321,8 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
     brackets come from the λ-bracket engine, so the check shares no
     formula with either extension solver: the Jacobi part is the engine's
     own expansion, the one ``check_jacobi`` runs, with α in place of the
-    outer brackets.
+    outer brackets: tables of width-1 sparse entries that leave out the
+    zero forms, so the expansion never visits them.
 
     α is applied sesquilinearly: ∂ in its second argument becomes the
     form's variable, ∂ in its first argument becomes minus that variable
@@ -337,21 +338,23 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
     n = A.dim
     lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
 
-    def forms_at(slot):  # forms[a][b] = (α_slot(a_a, a_b),)
-        return [[(q.lambda_poly(a, b).substitute(LAM, slot),) for b in range(n)]
-                for a in range(n)]
+    polys = [[q.lambda_poly(a, b) for b in range(n)] for a in range(n)]
+
+    def forms_at(slot):  # forms[a][b] = ((0, α_slot(a_a, a_b)),), or () if 0
+        return [[((0, f.substitute(LAM, slot)),) if f else () for f in row]
+                for row in polys]
 
     at_lam, at_neg = forms_at(lam), forms_at(-lam)
     out = []
     for i in range(n):
         for j in range(n):
-            r = at_lam[i][j][0] + at_neg[j][i][0]
+            r = sum((f for _, f in at_lam[i][j] + at_neg[j][i]), FormalPoly())
             if r:
                 out.append(("skew", i, j, r))
 
     # ∂ kills the centre
     for a, b, c, (r,) in _jacobi_residuals(QuadraticLCA(A), at_lam,
-                                           forms_at(lam + mu), forms_at(mu)):
+                                           forms_at(lam + mu), forms_at(mu), 1):
         r = r.substitute(DEL, 0)
         if r:
             out.append(("jacobi", a, b, c, r))

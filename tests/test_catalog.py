@@ -27,6 +27,13 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog_build("loop_vir_cyclic", m=0)
 
+    def test_missing_or_unknown_parameter_is_named(self):
+        with pytest.raises(TypeError, match=r"^missing parameter 'beta'$"):
+            catalog_build("r_alpha_beta", alpha=1)
+        with pytest.raises(TypeError, match=r"^unknown parameter 'gamma'$"):
+            catalog_build("r_alpha_beta", alpha=1, beta=0, gamma=2)
+        assert catalog_build("current").dim == 3  # defaults need no key
+
     def test_standard_entries_cover_spec_fixtures(self):
         labels = {entry_label(e) for e in standard_entries()}
         assert len(labels) == 14

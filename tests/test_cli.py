@@ -116,11 +116,28 @@ class TestCheck:
         ("current:g=sl2,n=5", "bad parameters for 'current': "
                               "n applies only to g=abelian"),
         ("vir_current:g=sl2,n=7", "bad parameters for 'vir_current': "
-                                  "_vir_current() got an unexpected keyword "
-                                  "argument 'n'"),
+                                  "unknown parameter 'n'"),
     ])
     def test_size_for_a_fixed_dim_algebra_exit_2(self, capsys, target,
                                                  message):
+        code, out, err = run(capsys, "--json", "check", "catalog:" + target)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("target, message", [
+        ("loop_hv_cyclic:m=3,m=4", "catalog parameter 'm' given twice"),
+        ("r_alpha_beta:alpha=1, alpha =2,beta=0",
+         "catalog parameter 'alpha' given twice"),
+        ("r_alpha_beta:alpha=1", "bad parameters for 'r_alpha_beta': "
+                                 "missing parameter 'beta'"),
+        ("r_alpha_beta:alpha=1,beta=0,gamma=2",
+         "bad parameters for 'r_alpha_beta': unknown parameter 'gamma'"),
+        ("vir:m=2", "bad parameters for 'vir': unknown parameter 'm'"),
+    ])
+    def test_bad_catalog_parameter_is_named_exit_2(self, capsys, target,
+                                                   message):
+        """A repeated key is refused, not overwritten, and a missing or
+        unknown key is named without the builder's Python signature."""
         code, out, err = run(capsys, "--json", "check", "catalog:" + target)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"

@@ -5,13 +5,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, QuadraticLCA,
-                  bracket_basis, bracket_general, catalog_build,
+from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, GDBialgebra,
+                  QuadraticLCA, bracket_basis, bracket_general, catalog_build,
                   check_gd_compat, check_jacobi, check_lie, check_novikov,
                   check_skew, gd_build, parse_algebra,
                   solve_extensions_theorem, verify_cocycle)
-from qlca.conformal import expr_add, expr_is_zero, expr_sub
+from qlca.conformal import (_grid_table, _jacobi_tables, _slot_brackets,
+                            expr_add, expr_is_zero, expr_sub)
+from test_catalog import _integral_algebras
 
 SNAPSHOT_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "snapshot_reports.py"
 
@@ -221,3 +225,197 @@ def test_checkers_run_without_the_general_product(catalog_entry, monkeypatch):
     for q in solve_extensions_theorem(A).basis:
         assert verify_cocycle(A, q) == []
     assert verify_cocycle(A, CocycleQuadruple.single(A.dim, 0, 0, 0))
+
+
+# -- the engine against a copy of its earlier dense route ----------------
+# The route the engine took before its tables were built from the product
+# grids: the dense n-tuple [a_i λ a_j] read off the structure tables, λ put
+# in for the slot and then ∂ moved by a second substitution, and residuals
+# summed as n-tuples of FormalPoly. Kept here, written against the dense
+# tables, as the oracle of the sparse tables and the one-dict residuals.
+
+def dense_bracket(A, i, j):
+    """[a_i λ a_j] = ∂(a_j∘a_i) + [a_j, a_i] + λ(a_i∗a_j) as an n-tuple."""
+    return tuple(FormalPoly({(1, 0, 0): A.novikov[j][i][k],
+                             (0, 0, 0): A.lie[j][i][k],
+                             (0, 1, 0): A.novikov[i][j][k] + A.novikov[j][i][k]})
+                 for k in range(A.dim))
+
+
+def dense_table(A, slot, d_to=None):
+    """λ ↦ slot, then (if given) ∂ ↦ d_to, one substitution after the
+    other, on every dense basis bracket."""
+    n = A.dim
+    table = [[tuple(p.substitute(LAM, slot) for p in dense_bracket(A, a, b))
+              for b in range(n)] for a in range(n)]
+    if d_to is not None:
+        table = [[tuple(p.substitute(DEL, d_to) for p in e) for e in row]
+                 for row in table]
+    return table
+
+
+def dense_accumulate(out, c, expr):
+    for k, p in enumerate(expr):
+        if p:
+            out[k] = out[k] + c * p
+
+
+def dense_skew(A):
+    n = A.dim
+    at_lam, at_minus = dense_table(A, L()), dense_table(A, -(L() + D()))
+    return [(i, j, r) for i in range(n) for j in range(n)
+            if not expr_is_zero(r := expr_add(at_lam[i][j], at_minus[j][i]))]
+
+
+def dense_jacobi_tables(A):
+    lam, mu = L(), FormalPoly.sym(MU)
+    return (dense_table(A, mu, lam + D()), dense_table(A, lam, -(lam + mu)),
+            dense_table(A, lam, mu + D()))
+
+
+def dense_jacobi(A, at_lam, at_sum, at_mu, width):
+    inner, outer, right = dense_jacobi_tables(A)
+    n = A.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = [FormalPoly.zero()] * width
+                for x, c in enumerate(inner[j][k]):
+                    dense_accumulate(r, c, at_lam[i][x])
+                for x, c in enumerate(outer[i][j]):
+                    dense_accumulate(r, -c, at_sum[x][k])
+                for x, c in enumerate(right[i][k]):
+                    dense_accumulate(r, -c, at_mu[j][x])
+                if any(r):
+                    out.append((i, j, k, tuple(r)))
+    return out
+
+
+def dense_check_jacobi(A):
+    lam, mu = L(), FormalPoly.sym(MU)
+    return dense_jacobi(A, dense_table(A, lam), dense_table(A, lam + mu),
+                        dense_table(A, mu), A.dim)
+
+
+def dense_general(A, x, y, slot):
+    xs = [p.substitute(DEL, -slot) for p in x]
+    ys = [p.substitute(DEL, slot + D()) for p in y]
+    bb = dense_table(A, slot)
+    out = [FormalPoly.zero()] * A.dim
+    for a, xa in enumerate(xs):
+        for b, yb in enumerate(ys):
+            if xa and yb:
+                dense_accumulate(out, xa * yb, bb[a][b])
+    return tuple(out)
+
+
+def dense_verify_cocycle(A, q):
+    n = A.dim
+    lam, mu = L(), FormalPoly.sym(MU)
+
+    def forms_at(slot):
+        return [[(q.lambda_poly(a, b).substitute(LAM, slot),)
+                 for b in range(n)] for a in range(n)]
+
+    at_lam, at_neg = forms_at(lam), forms_at(-lam)
+    out = [("skew", i, j, r) for i in range(n) for j in range(n)
+           if (r := at_lam[i][j][0] + at_neg[j][i][0])]
+    for a, b, c, (r,) in dense_jacobi(A, at_lam, forms_at(lam + mu),
+                                      forms_at(mu), 1):
+        if r := r.substitute(DEL, 0):
+            out.append(("jacobi", a, b, c, r))
+    return out
+
+
+def as_dense(entry, n):
+    coords = dict(entry)
+    return tuple(coords.get(k, FormalPoly.zero()) for k in range(n))
+
+
+def assert_engine_matches_dense_route(A):
+    R = QuadraticLCA(A)
+    n = A.dim
+    lam, mu = L(), FormalPoly.sym(MU)
+    for slot in (lam, lam + mu, mu, -(lam + D())):
+        table = _slot_brackets(R, slot)
+        for a, (row, dense_row) in enumerate(zip(table, dense_table(A, slot))):
+            for b, (entry, dense_entry) in enumerate(zip(row, dense_row)):
+                # sparse: the nonzero coordinates only, in coordinate order
+                assert [k for k, _ in entry] == [k for k, p in
+                                                 enumerate(dense_entry) if p]
+                assert as_dense(entry, n) == dense_entry, (slot, a, b)
+    for table, dense in zip(_jacobi_tables(A), dense_jacobi_tables(A)):
+        assert [[as_dense(e, n) for e in row] for row in table] == dense
+    assert check_skew(R) == dense_skew(A)
+    assert check_jacobi(R) == dense_check_jacobi(A)
+    x = tuple(FormalPoly.const(k + 1) + k * D() for k in range(n))
+    y = tuple(FormalPoly.const(1) - k * D() * D() + mu for k in range(n))
+    for slot in (lam, mu, lam + mu):
+        assert bracket_general(R, x, y, slot) == dense_general(A, x, y, slot)
+    for a in range(n):
+        for b in range(n):
+            assert (bracket_general(R, R.basis_expr(a), R.basis_expr(b), lam)
+                    == dense_general(A, R.basis_expr(a), R.basis_expr(b), lam)
+                    == bracket_basis(R, a, b))
+    for k in range(4):
+        for i in range(n):
+            for j in range(i, n):
+                q = CocycleQuadruple.single(n, k, i, j)
+                assert verify_cocycle(A, q) == dense_verify_cocycle(A, q)
+
+
+class TestEngineAgainstDenseRoute:
+    """Every slot table, every Jacobi table, check_skew, check_jacobi,
+    bracket_general and verify_cocycle on single entries give exactly what
+    the earlier dense route gives."""
+
+    @pytest.mark.parametrize("build", _integral_algebras())
+    def test_valid_algebras(self, build):
+        assert_engine_matches_dense_route(build())
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_invalid_tables(self, data):
+        """Random tables, most of them breaking the axioms. The Lie table
+        is drawn without antisymmetry and the algebra is made directly,
+        past gd_build, so that check_skew meets nonzero residuals too."""
+        n = data.draw(st.integers(1, 3))
+        scalar = st.one_of(st.just(0), st.just(0), st.integers(-2, 2),
+                           st.fractions(-2, 2, max_denominator=3))
+        table = st.lists(st.lists(st.lists(scalar, min_size=n, max_size=n),
+                                  min_size=n, max_size=n),
+                         min_size=n, max_size=n)
+        nov, lie = (tuple(tuple(tuple(map(Fraction, cell)) for cell in row)
+                          for row in data.draw(table)) for _ in range(2))
+        A = GDBialgebra(n, tuple(f"a{i}" for i in range(n)), nov, lie)
+        assert_engine_matches_dense_route(A)
+
+    def test_snapshot_tables_break_both_checks(self):
+        """The invalid snapshot tables reach nonzero Jacobi residuals that
+        mix ∂, λ and μ; a table with an asymmetric Lie part breaks skew."""
+        for name in ("INVALID", "INCOMPATIBLE"):
+            text = runpy.run_path(str(SNAPSHOT_SCRIPT))[name]
+            A = parse_algebra(text, validate=False)
+            assert dense_check_jacobi(A)
+            assert_engine_matches_dense_route(A)
+        lie = ((((Fraction(1),),),))
+        A = GDBialgebra(1, ("a",), ((((Fraction(0),),),)), lie)
+        assert dense_skew(A) and check_skew(QuadraticLCA(A)) == dense_skew(A)
+
+
+def test_simultaneous_substitution_is_the_two_step_route():
+    """A table is built by putting d for ∂ and slot for λ at once; the
+    earlier route put in the slot first and moved ∂ after. The two agree
+    whenever the slot holds no ∂, since the second step then meets only
+    the ∂ of the bracket itself, and no Jacobi slot (μ, λ, λ) holds one.
+    A slot holding ∂ (here -λ-∂, the skew slot) makes them differ, which
+    is why the skew table keeps d = ∂."""
+    A = catalog_build("vir")  # [L λ L] = ∂ + 2λ
+    lam, mu = L(), FormalPoly.sym(MU)
+    for d, slot in ((lam + D(), mu), (-(lam + mu), lam), (mu + D(), lam)):
+        ((_, p),) = _grid_table(A, d, slot)[0][0]
+        assert p == dense_table(A, slot, d)[0][0][0] == d + 2 * slot
+    d, slot = mu + D(), -(lam + D())
+    ((_, p),) = _grid_table(A, d, slot)[0][0]
+    assert p == d + 2 * slot != dense_table(A, slot, d)[0][0][0]

@@ -381,7 +381,8 @@ def test_solvers_run_without_the_bracket_engine(catalog_entry, monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name == "qlca" or name.startswith("qlca."):
-            for attr in ("bracket_basis", "bracket_general", "_slot_brackets"):
+            for attr in ("bracket_basis", "bracket_general", "_slot_brackets",
+                         "_grid_table"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, engine)
     A = catalog_entry.build()
