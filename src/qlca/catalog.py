@@ -31,6 +31,8 @@ def _size(name, value, dim_per_unit=1):
     """``value`` as an integer ≥ 1 whose algebra, of dimension
     dim_per_unit·value, fits ``MAX_DIM``: a build allocates n³-cell
     tables, so catalog builds get the cap that files get."""
+    if value is None:
+        raise TypeError(f"missing parameter {name!r}")
     try:
         k = _as_q(value)
     except (TypeError, ValueError):

@@ -133,6 +133,8 @@ class TestCheck:
         ("r_alpha_beta:alpha=1,beta=0,gamma=2",
          "bad parameters for 'r_alpha_beta': unknown parameter 'gamma'"),
         ("vir:m=2", "bad parameters for 'vir': unknown parameter 'm'"),
+        ("current:g=abelian", "bad parameters for 'current': "
+                              "missing parameter 'n'"),
     ])
     def test_bad_catalog_parameter_is_named_exit_2(self, capsys, target,
                                                    message):
