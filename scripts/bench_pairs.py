@@ -35,6 +35,8 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=55)
     args = ap.parse_args()
+    if args.pairs < 2:  # the quartiles need two runs a side
+        ap.error(f"--pairs must be at least 2, got {args.pairs}")
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
         for side in ("parent", "change")[::1 if k % 2 == 0 else -1]:

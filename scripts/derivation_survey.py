@@ -10,9 +10,8 @@ solver's verdict where its hypothesis is detected.
 import argparse
 import time
 
-from qlca import (HypothesisNotDetected, QuadraticLCA, detect_unit_like,
-                  entry_label, solve_derivations_theorem, spaces_agree,
-                  standard_entries)
+from qlca import (HypothesisNotDetected, detect_unit_like, entry_label,
+                  solve_derivations_theorem, spaces_agree, standard_entries)
 from qlca.derivations import stabilized_outer
 
 
@@ -29,14 +28,13 @@ def main():
     t0 = time.time()
     for entry in standard_entries():
         A = entry.build()
-        R = QuadraticLCA(A)
         unit = detect_unit_like(A)
-        direct, outer = stabilized_outer(R, P, D)
+        direct, outer = stabilized_outer(A, P, D)
         outer_s = str(outer[0]) if isinstance(outer, tuple) else str(outer)
         try:
-            thm = solve_derivations_theorem(R, D, partial_bound=P)
+            thm = solve_derivations_theorem(A, D, partial_bound=P)
             closed = f"dim {thm.dimension}" + (
-                " (agree)" if spaces_agree(R, direct, thm) else " (DISAGREE)"
+                " (agree)" if spaces_agree(direct, thm) else " (DISAGREE)"
             )
         except HypothesisNotDetected:
             closed = "no unit-like"

@@ -11,8 +11,7 @@ from .algfile import (AlgebraFile, ParseError, emit_algebra, parse_algebra,
                       parse_algebra_file)
 from .catalog import (CatalogEntry, catalog_build, catalog_names, entry_label,
                       standard_entries)
-from .conformal import (QuadraticLCA, bracket_basis, bracket_general,
-                        check_jacobi, check_skew)
+from .conformal import bracket_basis, bracket_general, check_jacobi, check_skew
 from .derivations import (DerivationAnsatz, DerivationSpace,
                           HypothesisNotDetected, detect_unit_like,
                           inner_derivation, outer_dimension,
@@ -34,8 +33,7 @@ __all__ = [
     "parse_algebra_file",
     "CatalogEntry", "catalog_build", "catalog_names", "entry_label",
     "standard_entries",
-    "QuadraticLCA", "bracket_basis", "bracket_general", "check_jacobi",
-    "check_skew",
+    "bracket_basis", "bracket_general", "check_jacobi", "check_skew",
     "DerivationAnsatz", "DerivationSpace", "HypothesisNotDetected",
     "detect_unit_like", "inner_derivation", "outer_dimension",
     "solve_derivations_direct", "solve_derivations_theorem", "spaces_agree",

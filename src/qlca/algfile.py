@@ -12,7 +12,8 @@ Grammar (line-based; ``#`` starts a comment; blank lines ignored)::
 
 * ``I``, ``J``, ``K`` are declared basis names; ``COEFF`` is a rational
   literal matching ``-?digits(/digits)?`` with nonzero denominator.
-* Omitted (I, J) pairs are zero. Duplicate (I, J) lines are an error.
+* Omitted (I, J) pairs are zero. Duplicate (I, J) lines are an error,
+  and so is a target named twice in one line, zero coefficients included.
 * ``lie`` lines are only permitted with I strictly before J in basis
   order; the antisymmetric completion is implied.
 * ``meta`` lines are optional free-form key/value annotations.
@@ -90,6 +91,7 @@ def parse_algebra_file(text) -> AlgebraFile:
     index = {}
     novikov = {}
     lie = {}
+    seen = set()  # (kind, i, j) of every table line, all-zero ones included
     meta = {}
     ended = False
 
@@ -111,9 +113,10 @@ def parse_algebra_file(text) -> AlgebraFile:
             raise ParseError(
                 f"lie entry ({parts[1]},{parts[2]}) must have the first name "
                 "strictly earlier in basis order", line_no)
-        if (i, j) in table:
+        if (kind, i, j) in seen:
             raise ParseError(
                 f"duplicate {kind} entry ({parts[1]},{parts[2]})", line_no)
+        seen.add((kind, i, j))
         cell = {}
         for tok in parts[4:]:
             if ":" not in tok:
@@ -123,10 +126,8 @@ def parse_algebra_file(text) -> AlgebraFile:
             if k in cell:
                 raise ParseError(
                     f"repeated target {kname!r} in one entry", line_no)
-            c = _parse_rational(lit, line_no)
-            if c:
-                cell[k] = c
-        if cell:
+            cell[k] = _parse_rational(lit, line_no)
+        if cell := {k: c for k, c in cell.items() if c}:
             table[i, j] = cell
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -198,10 +199,6 @@ def parse_algebra(text, validate=True) -> GDBialgebra:
     return parse_algebra_file(text).build(validate=validate)
 
 
-def _fmt_rational(c: Fraction) -> str:
-    return str(c)
-
-
 def emit_algebra(A: GDBialgebra, name="algebra", meta=None) -> str:
     """Serialize a GDBialgebra to the canonical format; the output parses
     back to a structurally identical algebra."""
@@ -212,7 +209,7 @@ def emit_algebra(A: GDBialgebra, name="algebra", meta=None) -> str:
             cell = [(k, c) for k, c in enumerate(A.novikov[i][j]) if c]
             if cell:
                 body = " ".join(
-                    f"{A.basis_names[k]}:{_fmt_rational(c)}" for k, c in cell)
+                    f"{A.basis_names[k]}:{c}" for k, c in cell)
                 lines.append(
                     f"novikov {A.basis_names[i]} {A.basis_names[j]} = {body}")
     for i in range(n):
@@ -220,7 +217,7 @@ def emit_algebra(A: GDBialgebra, name="algebra", meta=None) -> str:
             cell = [(k, c) for k, c in enumerate(A.lie[i][j]) if c]
             if cell:
                 body = " ".join(
-                    f"{A.basis_names[k]}:{_fmt_rational(c)}" for k, c in cell)
+                    f"{A.basis_names[k]}:{c}" for k, c in cell)
                 lines.append(
                     f"lie {A.basis_names[i]} {A.basis_names[j]} = {body}")
     for k in sorted(meta or {}):

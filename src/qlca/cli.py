@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algfile import ParseError, emit_algebra, parse_algebra_file
 from .catalog import catalog_build, catalog_names
-from .conformal import QuadraticLCA, bracket_basis, check_jacobi, check_skew
+from .conformal import bracket_basis, check_jacobi, check_skew
 from .derivations import (HypothesisNotDetected, solve_derivations_theorem,
                           spaces_agree, stabilized_outer)
 from .extensions import (check_coeff_cocycle, coeff_relation_consistency,
@@ -32,13 +32,11 @@ class TargetError(ValueError):
 
 def _parse_params(blob):
     params = {}
-    if not blob:
-        return params
     for piece in blob.split(","):
-        if "=" not in piece:
-            raise TargetError(f"catalog parameter {piece!r} is not k=v")
-        k, _, v = piece.partition("=")
+        k, eq, v = piece.partition("=")
         k = k.strip()
+        if not (eq and k):
+            raise TargetError(f"catalog parameter {piece!r} is not k=v")
         if k in params:
             raise TargetError(f"catalog parameter {k!r} given twice")
         try:
@@ -61,13 +59,14 @@ def load_target(target, validate=True):
     raise GDValidationError."""
     if target.startswith("catalog:"):
         rest = target[len("catalog:"):]
-        name, _, blob = rest.partition(":")
+        name, colon, blob = rest.partition(":")
         if name not in catalog_names():
             raise TargetError(
                 f"unknown catalog algebra {name!r}; known: {', '.join(catalog_names())}"
             )
         try:
-            return catalog_build(name, **_parse_params(blob)), rest
+            params = _parse_params(blob) if colon else {}
+            return catalog_build(name, **params), rest
         except TypeError as exc:
             raise TargetError(f"bad parameters for {name!r}: {exc}") from exc
         except ValueError as exc:
@@ -109,12 +108,11 @@ def _render_text(report, indent=0):
 
 def _bracket_table(A):
     """Human-readable λ-brackets on generators."""
-    R = QuadraticLCA(A)
     n = A.dim
     rows = []
     for i in range(n):
         for j in range(n):
-            expr = bracket_basis(R, i, j)
+            expr = bracket_basis(A, i, j)
             pieces = []
             for k, pol in enumerate(expr):
                 if pol.is_zero():
@@ -160,17 +158,16 @@ def _conformal_violation(axiom, kind, where, residual):
 
 def cmd_check(args):
     A, label = load_target(args.target, validate=False)
-    R = QuadraticLCA(A)
     checks = {
         "novikov": check_novikov(A),
         "lie_jacobi": check_lie(A),
         "gd_compatibility": check_gd_compat(A),
         "conformal_skew": [
             _conformal_violation("conformal skew-symmetry", "pair", v[:2], v[2])
-            for v in check_skew(R)],
+            for v in check_skew(A)],
         "conformal_jacobi": [
             _conformal_violation("conformal Jacobi", "triple", v[:3], v[3])
-            for v in check_jacobi(R)],
+            for v in check_jacobi(A)],
     }
     violations = {k: [str(v) for v in vs] for k, vs in checks.items() if vs}
     ok = not violations
@@ -237,8 +234,7 @@ def cmd_extend(args):
 
 def cmd_derive(args):
     A, label = load_target(args.target)
-    R = QuadraticLCA(A)
-    direct, outer = stabilized_outer(R, args.partial_bound, args.lambda_bound)
+    direct, outer = stabilized_outer(A, args.partial_bound, args.lambda_bound)
     report = {
         "command": "derive",
         "target": label,
@@ -256,10 +252,10 @@ def cmd_derive(args):
             report["conclusion"] = "all conformal derivations are inner (CDer = CInn)"
     try:
         theorem = solve_derivations_theorem(
-            R, args.lambda_bound, assert_simple=args.assert_simple,
+            A, args.lambda_bound, assert_simple=args.assert_simple,
             partial_bound=args.partial_bound,
         )
-        agree = spaces_agree(R, direct, theorem)
+        agree = spaces_agree(direct, theorem)
         report["theorem_dimension"] = theorem.dimension
         report["solvers_agree"] = agree
     except HypothesisNotDetected as exc:

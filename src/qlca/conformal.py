@@ -8,33 +8,18 @@ elements is
 
 and the axioms (skew-symmetry, Jacobi in two independent formal variables)
 are verified as exact polynomial identities, so a passing check is a proof.
+The bialgebra fixes the algebra, so every function takes the
+``GDBialgebra``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gd import GDBialgebra
 from .poly import DEL, LAM, MU, FormalPoly
 
-@dataclass(frozen=True)
-class QuadraticLCA:
-    """Quadratic Lie conformal algebra generated by a GD bialgebra."""
 
-    gd: GDBialgebra
-
-    @property
-    def dim(self):
-        return self.gd.dim
-
-    def zero_expr(self):
-        return tuple(FormalPoly.zero() for _ in range(self.dim))
-
-    def basis_expr(self, i):
-        return tuple(
-            FormalPoly.const(1) if j == i else FormalPoly.zero()
-            for j in range(self.dim)
-        )
+def basis_expr(n, i):
+    """a_i as a length-n tuple of FormalPoly."""
+    return tuple(FormalPoly.const(int(j == i)) for j in range(n))
 
 
 def expr_add(x, y):
@@ -49,14 +34,14 @@ def expr_is_zero(x):
     return all(p.is_zero() for p in x)
 
 
-def bracket_basis(R, i, j):
+def bracket_basis(A, i, j):
     """[a_i λ a_j] = ∂(a_j∘a_i) + [a_j, a_i] + λ(a_i∗a_j), an expression
     in the symbols ∂ and λ only: entry [i][j] of the λ slot table, as a
     length-n tuple of FormalPoly."""
-    n = R.dim
+    n = A.dim
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"basis index out of range: ({i},{j})")
-    coords = dict(_slot_brackets(R, FormalPoly.sym(LAM))[i][j])
+    coords = dict(_slot_brackets(A, FormalPoly.sym(LAM))[i][j])
     return tuple(coords.get(k, FormalPoly()) for k in range(n))
 
 
@@ -86,13 +71,13 @@ def _grid_table(A, d, slot):
     return derived[key]
 
 
-def _slot_brackets(R, slot):
+def _slot_brackets(A, slot):
     """[a_i slot a_j] for every basis pair: the ``_grid_table`` that keeps
     ∂ and puts ``slot`` for λ, built once per algebra object and slot."""
-    return _grid_table(R.gd, FormalPoly.sym(DEL), slot)
+    return _grid_table(A, FormalPoly.sym(DEL), slot)
 
 
-def bracket_general(R, x, y, slot):
+def bracket_general(A, x, y, slot):
     """[x_slot y] by bilinearity and sesquilinearity.
 
     ``slot`` is a FormalPoly in λ and μ (typically λ, μ or λ+μ). ∂ in x
@@ -106,8 +91,8 @@ def bracket_general(R, x, y, slot):
         raise ValueError("slot expression may involve λ and μ only")
     xs = [p.substitute(DEL, -slot) for p in x]
     ys = [p.substitute(DEL, slot + FormalPoly.sym(DEL)) for p in y]
-    bb = _slot_brackets(R, slot)
-    out = list(R.zero_expr())
+    bb = _slot_brackets(A, slot)
+    out = [FormalPoly()] * A.dim
     for a, xa in enumerate(xs):
         for b, yb in enumerate(ys):
             if xa and yb:
@@ -117,13 +102,13 @@ def bracket_general(R, x, y, slot):
     return tuple(out)
 
 
-def check_skew(R):
+def check_skew(A):
     """Residuals of [a_i λ a_j] + ([a_j μ a_i] with μ := -λ-∂) over basis
     pairs; empty for every genuine quadratic Lie conformal algebra."""
-    n = R.dim
+    n = A.dim
     lam = FormalPoly.sym(LAM)
-    at_lam = _slot_brackets(R, lam)
-    at_minus = _slot_brackets(R, -(lam + FormalPoly.sym(DEL)))
+    at_lam = _slot_brackets(A, lam)
+    at_minus = _slot_brackets(A, -(lam + FormalPoly.sym(DEL)))
     out = []
     for i in range(n):
         for j in range(n):
@@ -148,7 +133,7 @@ def _jacobi_tables(A):
             _grid_table(A, mu + d, lam))
 
 
-def _jacobi_residuals(R, at_lam, at_sum, at_mu, width):
+def _jacobi_residuals(A, at_lam, at_sum, at_mu, width):
     """The Jacobi identity [a_i λ [a_j μ a_k]] - [[a_i λ a_j]_{λ+μ} a_k]
     - [a_j μ [a_i λ a_k]] over basis triples, for outer brackets given as
     tables of sparse ((coordinate, poly), ...) entries with coordinates
@@ -157,8 +142,8 @@ def _jacobi_residuals(R, at_lam, at_sum, at_mu, width):
     into one {(coordinate, e∂, eλ, eμ): coeff} dict, and only a nonzero
     sum becomes a width-long tuple of FormalPoly. Returns the nonzero
     (i, j, k, residual) in triple order."""
-    inner, outer, right = _jacobi_tables(R.gd)
-    n = R.dim
+    inner, outer, right = _jacobi_tables(A)
+    n = A.dim
     sum_by_col = list(zip(*at_sum))  # sum_by_col[k][x] = at_sum[x][k]
     out = []
     for i in range(n):
@@ -183,11 +168,11 @@ def _jacobi_residuals(R, at_lam, at_sum, at_mu, width):
     return out
 
 
-def check_jacobi(R):
+def check_jacobi(A):
     """Residuals of the conformal Jacobi identity
     [a_i λ [a_j μ a_k]] - [[a_i λ a_j]_{λ+μ} a_k] - [a_j μ [a_i λ a_k]]
     over basis triples, as identities in V ⊗ Q[∂, λ, μ]."""
     lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
-    return _jacobi_residuals(R, _slot_brackets(R, lam),
-                             _slot_brackets(R, lam + mu),
-                             _slot_brackets(R, mu), R.dim)
+    return _jacobi_residuals(A, _slot_brackets(A, lam),
+                             _slot_brackets(A, lam + mu),
+                             _slot_brackets(A, mu), A.dim)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .conformal import (QuadraticLCA, _slot_brackets, bracket_general,
+from .conformal import (_slot_brackets, basis_expr, bracket_general,
                         expr_add, expr_is_zero, expr_sub)
 from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, nullspace_basis,
@@ -55,10 +55,9 @@ class DerivationAnsatz:
                 clean.append(((j, i, k), tuple(Fraction(x) for x in vec)))
         return cls(P, D, tuple(sorted(clean)))
 
-    def image(self, R, j):
+    def image(self, n, j):
         """d_λ(a_j) as a length-n tuple of FormalPoly in ∂ and λ."""
-        n = R.dim
-        out = [FormalPoly.zero() for _ in range(n)]
+        out = [FormalPoly()] * n
         for (jj, i, k), vec in self.coeffs:
             if jj != j:
                 continue
@@ -100,7 +99,7 @@ class DerivationSpace:
         if self.inner_rank is not None:
             return self.inner_rank
         P, D = self.partial_bound, self.lambda_bound
-        return span_rank(_inner_vectors(QuadraticLCA(self.algebra), P, D, D)[0])
+        return span_rank(_inner_vectors(self.algebra, P, D, D)[0])
 
     @property
     def outer_dim(self):
@@ -141,7 +140,7 @@ def _bracket_terms(A, i, j):
             + [(t, c, 0, 1) for t, c in A.star_terms[i][j]])
 
 
-def _direct_rows(R: QuadraticLCA, P, D):
+def _direct_rows(A: GDBialgebra, P, D):
     """Linear system rows for the Leibniz identity over the basis pairs
     (a_p, a_q) with p ≤ q, one row per (pair, coordinate, ∂λμ-monomial),
     yielded pair by pair: no two pairs share a row.
@@ -162,7 +161,6 @@ def _direct_rows(R: QuadraticLCA, P, D):
     and expanded binomially: (∂+λ) on the left, (−λ−μ)^i for the ∂^i of
     d_λ(a_p) in the first bracket on the right (at slot λ+μ), and (μ+∂)^i
     for the ∂^i of d_λ(a_q) in the second one (at slot μ)."""
-    A = R.gd
     n = A.dim
     idx = _unknown_indexer(n, P)
     brk = [[_bracket_terms(A, i, j) for j in range(n)] for i in range(n)]
@@ -206,20 +204,20 @@ def _direct_rows(R: QuadraticLCA, P, D):
             yield from (eq for eq in rows.values() if eq)
 
 
-def _solve(R, rows, P, D, method):
-    n = R.dim
+def _solve(A, rows, P, D, method):
+    n = A.dim
     m = RatMatrix.from_rows(rows, n * (P + 1) * (D + 1) * n)
     basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
-    return DerivationSpace(R.gd, P, D, basis, method)
+    return DerivationSpace(A, P, D, basis, method)
 
 
-def solve_derivations_direct(R: QuadraticLCA, partial_bound: int = 3,
+def solve_derivations_direct(A: GDBialgebra, partial_bound: int = 3,
                              lambda_bound: int = 4) -> DerivationSpace:
     """Exact solution space of the Leibniz identity at the given ansatz
     bounds. inner_dim/outer_dim are the raw values at these bounds; use
     stabilized_outer for the stabilized outer count."""
     P, D = partial_bound, lambda_bound
-    return _solve(R, _direct_rows(R, P, D), P, D, "direct")
+    return _solve(A, _direct_rows(A, P, D), P, D, "direct")
 
 
 # ---------------------------------------------------------------------
@@ -227,37 +225,37 @@ def solve_derivations_direct(R: QuadraticLCA, partial_bound: int = 3,
 # ---------------------------------------------------------------------
 
 
-def inner_derivation(R: QuadraticLCA, v: int, k: int = 0) -> DerivationAnsatz:
+def inner_derivation(A: GDBialgebra, v: int, k: int = 0) -> DerivationAnsatz:
     """The adjoint action of ∂^k a_v: b ↦ (-λ)^k [a_v λ b]. It is read
     off the grids: ad(a_v) sends a_j to ∂(a_j∘a_v) + [a_j, a_v] +
     λ(a_v∗a_j), which (-λ)^k multiplies by (-1)^k and shifts k λ-degrees."""
     if k < 0:
         raise ValueError("∂-power must be non-negative")
-    n = R.dim
+    n = A.dim
     if not 0 <= v < n:
         raise IndexError(f"basis index out of range: {v}")
     sign = (-1) ** k
     coeffs = {}
     for j in range(n):
-        for t, c, e, f in _bracket_terms(R.gd, v, j):
+        for t, c, e, f in _bracket_terms(A, v, j):
             coeffs.setdefault((j, e, k + f), [0] * n)[t] += sign * c
     return DerivationAnsatz.from_dict(1, k + 1, coeffs)
 
 
-def _inner_vectors(R: QuadraticLCA, P, D, top):
+def _inner_vectors(A: GDBialgebra, P, D, top):
     """The ad(∂^k a_v) that fit the bounds (P, top), top ≥ D, as vectors
     at those bounds: (the ones that fit at λ-bound D, the others)."""
-    n, fit, late = R.dim, [], []
+    n, fit, late = A.dim, [], []
     for v in range(n):
         for k in range(top + 1):  # ad(∂^k a_v) has λ-degree ≥ k
-            gen = inner_derivation(R, v, k)
+            gen = inner_derivation(A, v, k)
             if all(i <= P and kk <= top for (_, i, kk), _ in gen.coeffs):
                 degree = max((kk for (_, _, kk), _ in gen.coeffs), default=0)
                 (fit if degree <= D else late).append(gen.as_vector(n, P, top))
     return fit, late
 
 
-def stabilized_outer(R: QuadraticLCA, partial_bound: int = 3,
+def stabilized_outer(A: GDBialgebra, partial_bound: int = 3,
                      lambda_bound: int = 4):
     """Solve the direct system once, at (P, D+2), and read the (P, D)
     space off it. Returns (space at (P, D), outer): outer is
@@ -271,11 +269,11 @@ def stabilized_outer(R: QuadraticLCA, partial_bound: int = 3,
     RREF basis at D. The inner derivations are built once for both
     λ-bounds (``_inner_vectors``)."""
     P, D = partial_bound, lambda_bound
-    probe = solve_derivations_direct(R, P, D + 2)
+    probe = solve_derivations_direct(A, P, D + 2)
     basis = tuple(DerivationAnsatz(P, D, d.coeffs) for d in probe.basis
                   if all(k <= D for (_, _, k), _ in d.coeffs))
-    fit, late = _inner_vectors(R, P, D, D + 2)
-    space = DerivationSpace(R.gd, P, D, basis, inner_rank=span_rank(fit))
+    fit, late = _inner_vectors(A, P, D, D + 2)
+    space = DerivationSpace(A, P, D, basis, inner_rank=span_rank(fit))
     outer = space.outer_dim
     probe_outer = probe.dimension - span_rank(fit + late)
     if outer != probe_outer:
@@ -283,10 +281,10 @@ def stabilized_outer(R: QuadraticLCA, partial_bound: int = 3,
     return space, outer
 
 
-def outer_dimension(R: QuadraticLCA, partial_bound: int = 3,
+def outer_dimension(A: GDBialgebra, partial_bound: int = 3,
                     lambda_bound: int = 4):
     """The outer value of ``stabilized_outer``."""
-    return stabilized_outer(R, partial_bound, lambda_bound)[1]
+    return stabilized_outer(A, partial_bound, lambda_bound)[1]
 
 
 # ---------------------------------------------------------------------
@@ -294,7 +292,7 @@ def outer_dimension(R: QuadraticLCA, partial_bound: int = 3,
 # ---------------------------------------------------------------------
 
 
-def verify_derivation(R: QuadraticLCA, dmap: DerivationAnsatz):
+def verify_derivation(A: GDBialgebra, dmap: DerivationAnsatz):
     """Residuals (p, q, residual) of the Leibniz identity
     d_λ[a_p μ a_q] - [(d_λ a_p)_{λ+μ} a_q] - [a_p μ (d_λ a_q)] over all
     basis pairs, as identities in V ⊗ Q[∂, λ, μ]; empty iff dmap is a
@@ -302,20 +300,20 @@ def verify_derivation(R: QuadraticLCA, dmap: DerivationAnsatz):
     ``bracket_general``, and the left side applies
     d_λ(∂^k x) = (∂+λ)^k d_λ(x) to the coordinates of the engine's
     [a_p μ a_q], so the check shares no formula with either solver."""
-    n = R.dim
+    n = A.dim
     d, lam, mu = FormalPoly.sym(DEL), FormalPoly.sym(LAM), FormalPoly.sym(MU)
-    images = [dmap.image(R, j) for j in range(n)]
-    at_mu = _slot_brackets(R, mu)
+    images = [dmap.image(n, j) for j in range(n)]
+    at_mu = _slot_brackets(A, mu)
     out = []
     for p in range(n):
         for q in range(n):
-            lhs = R.zero_expr()
+            lhs = (FormalPoly(),) * n
             for m, pol in at_mu[p][q]:
                 shifted = pol.substitute(DEL, d + lam)
                 lhs = expr_add(lhs, tuple(shifted * x for x in images[m]))
             rhs = expr_add(
-                bracket_general(R, images[p], R.basis_expr(q), lam + mu),
-                bracket_general(R, R.basis_expr(p), images[q], mu))
+                bracket_general(A, images[p], basis_expr(n, q), lam + mu),
+                bracket_general(A, basis_expr(n, p), images[q], mu))
             residual = expr_sub(lhs, rhs)
             if not expr_is_zero(residual):
                 out.append((p, q, residual))
@@ -448,7 +446,7 @@ def _closed_rows(A: GDBialgebra, P, D):
     return rows
 
 
-def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
+def solve_derivations_theorem(A: GDBialgebra, lambda_bound: int = 4,
                               assert_simple: bool = False,
                               partial_bound: int = 3) -> DerivationSpace:
     """Closed-system derivation solver.
@@ -465,7 +463,6 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
     unknowns, so this is the restriction ``stabilized_outer`` makes on
     the λ-bound, and the space is the direct one at the same bounds.
     """
-    A = R.gd
     D = lambda_bound
     found = detect_unit_like(A)
     if found is None and not assert_simple:
@@ -475,17 +472,20 @@ def solve_derivations_theorem(R: QuadraticLCA, lambda_bound: int = 4,
         )
     P = min(1 if found is not None and found[0] == "left" else 3,
             partial_bound)
-    return _solve(R, _closed_rows(A, P, D), P, D, "theorem")
+    return _solve(A, _closed_rows(A, P, D), P, D, "theorem")
 
 
-def spaces_agree(R: QuadraticLCA, a: DerivationSpace, b: DerivationSpace):
-    """Whether two derivation spaces are equal at the enclosing bounds.
+def spaces_agree(a: DerivationSpace, b: DerivationSpace):
+    """Whether two derivation spaces of one algebra are equal at the
+    enclosing bounds; spaces of different algebras raise ValueError.
     Each basis is independent (an RREF nullspace basis or a leading
     subset of one, and ``as_vector`` re-indexes injectively), so its span
     has its dimension, and the spans are equal exactly when each has the
     rank of their sum."""
+    if a.algebra != b.algebra:
+        raise ValueError("derivation spaces of different algebras")
     P = max(a.partial_bound, b.partial_bound)
     D = max(a.lambda_bound, b.lambda_bound)
-    n = R.dim
+    n = a.algebra.dim
     return a.dimension == b.dimension == span_rank(
         [x.as_vector(n, P, D) for x in a.basis + b.basis])

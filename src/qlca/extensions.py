@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .conformal import QuadraticLCA, _jacobi_residuals, bracket_basis
+from .conformal import _jacobi_residuals, bracket_basis
 from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
                    nullspace_basis, span_rank)
@@ -353,8 +353,8 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
                 out.append(("skew", i, j, r))
 
     # ∂ kills the centre
-    for a, b, c, (r,) in _jacobi_residuals(QuadraticLCA(A), at_lam,
-                                           forms_at(lam + mu), forms_at(mu), 1):
+    for a, b, c, (r,) in _jacobi_residuals(A, at_lam, forms_at(lam + mu),
+                                           forms_at(mu), 1):
         r = r.substitute(DEL, 0)
         if r:
             out.append(("jacobi", a, b, c, r))
@@ -585,7 +585,6 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
     """
     if q is None:
         q = CocycleQuadruple.zero(A.dim)
-    R = QuadraticLCA(A)
     n = A.dim
 
     def mismatch(i, j, expr, m, nn):
@@ -631,7 +630,7 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
     out = []
     for i in range(n):
         for j in range(n):
-            expr = bracket_basis(R, i, j)
+            expr = bracket_basis(A, i, j)
             first = next((f for t in range(-1, 3) for m in range(4)
                           if (f := mismatch(i, j, expr, m, t - m))), None)
             if first is None:

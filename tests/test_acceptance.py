@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from qlca import (CocycleQuadruple, DerivationAnsatz, QuadraticLCA,
-                  catalog_build, check_coeff_cocycle, check_gd_compat,
+from qlca import (CocycleQuadruple, DerivationAnsatz, catalog_build,
+                  check_coeff_cocycle, check_gd_compat,
                   check_jacobi, check_lie, check_novikov, check_skew,
                   coeff_relation_consistency, detect_unit_like, entry_label,
                   gd_build, inner_derivation, outer_dimension,
@@ -29,9 +29,8 @@ def test_criterion_1_axiom_identities(capsys):
     failures = []
     for entry in standard_entries():
         A = entry.build()
-        R = QuadraticLCA(A)
         if (check_novikov(A) or check_lie(A) or check_gd_compat(A)
-                or check_skew(R) or check_jacobi(R)):
+                or check_skew(A) or check_jacobi(A)):
             failures.append(entry_label(entry))
     report(capsys, not failures,
            "criterion 1: all 14 catalog algebras satisfy every axiom exactly",
@@ -141,10 +140,10 @@ def test_criterion_6_induced_cocycles(capsys):
 def test_criterion_7_derivation_grid(capsys):
     problems = []
     notes = []
-    if outer_dimension(QuadraticLCA(catalog_build("vir")), 3, 3) != 0:
+    if outer_dimension(catalog_build("vir"), 3, 3) != 0:
         problems.append("vir outer != 0")
     for (a, b) in ((3, 1), (1, 0), (1, 1), (2, 0), (0, 1)):
-        R = QuadraticLCA(catalog_build("r_alpha_beta", alpha=a, beta=b))
+        R = catalog_build("r_alpha_beta", alpha=a, beta=b)
         out = outer_dimension(R, 3, 3)
         if a in (0, -1):
             notes.append(f"R({a},{b}) outer {out} (reported, not asserted)")
@@ -153,7 +152,7 @@ def test_criterion_7_derivation_grid(capsys):
         if out != want:
             problems.append(f"R({a},{b}): outer {out}, expected {want}")
     # the α=1 outer generator: L ↦ cW, W ↦ 0
-    R = QuadraticLCA(catalog_build("r_alpha_beta", alpha=1, beta=0))
+    R = catalog_build("r_alpha_beta", alpha=1, beta=0)
     Q = DerivationAnsatz.from_dict(1, 3, {(0, 0, 0): (Fraction(0), Fraction(1))})
     inner = inner_vectors(R, 3, 3)
     sols = [d.as_vector(2, 3, 3) for d in solve_derivations_direct(R, 3, 3).basis]
@@ -163,7 +162,7 @@ def test_criterion_7_derivation_grid(capsys):
         problems.append("outer generator lies in the inner span")
     if any(span_coordinates(inner + [Q.as_vector(2, 3, 3)], v) is None for v in sols):
         problems.append("inner + outer generator do not span the solutions")
-    if outer_dimension(QuadraticLCA(catalog_build("loop_vir_cyclic", m=3)), 3, 3) != 0:
+    if outer_dimension(catalog_build("loop_vir_cyclic", m=3), 3, 3) != 0:
         problems.append("loop_vir_cyclic(3) outer != 0")
     report(capsys, not problems,
            "criterion 7: outer-derivation dimensions across the grid "
@@ -177,20 +176,19 @@ def test_criterion_8_derivation_solver_agreement(capsys):
         A = entry.build()
         if detect_unit_like(A) is None:
             continue
-        R = QuadraticLCA(A)
-        if not spaces_agree(R, solve_derivations_direct(R, 3, 3),
-                            solve_derivations_theorem(R, 3)):
+        if not spaces_agree(solve_derivations_direct(A, 3, 3),
+                            solve_derivations_theorem(A, 3)):
             problems.append(entry_label(entry))
     # Cur(sl2): outer part = scaling family λ^k(∂+λ)·id, growing with the bound
-    R = QuadraticLCA(catalog_build("current", g="sl2"))
-    n = R.dim
+    A = catalog_build("current", g="sl2")
+    n = A.dim
     for D in (2, 3):
-        sp = solve_derivations_direct(R, 1, D)
+        sp = solve_derivations_direct(A, 1, D)
         outer = sp.dimension - sp.inner_dim
         if outer != D:
             problems.append(f"Cur(sl2) outer {outer} at λ-bound {D}, expected {D}")
             continue
-        pool = inner_vectors(R, 1, D)
+        pool = inner_vectors(A, 1, D)
         for k in range(D):
             coeffs = {}
             for j in range(n):
@@ -198,7 +196,7 @@ def test_criterion_8_derivation_solver_agreement(capsys):
                 coeffs[(j, 1, k)] = vec
                 coeffs[(j, 0, k + 1)] = vec
             d = DerivationAnsatz.from_dict(1, D, coeffs)
-            if verify_derivation(R, d):
+            if verify_derivation(A, d):
                 problems.append(f"Cur(sl2) scaling map λ^{k}(∂+λ) fails")
             pool.append(d.as_vector(n, 1, D))
         for d in sp.basis:
@@ -223,19 +221,17 @@ def test_criterion_9_property_suite(capsys):
             lie[0][1][k], lie[1][0][k] = c, -c
         A = gd_build(2, ["a", "b"], nov, lie, validate=False)
         gd_ok = not (check_novikov(A) or check_lie(A) or check_gd_compat(A))
-        R = QuadraticLCA(A)
-        conf_ok = not (check_skew(R) or check_jacobi(R))
+        conf_ok = not (check_skew(A) or check_jacobi(A))
         failures += gd_ok != conf_ok
     for entry in standard_entries():
         A = entry.build()
-        R = QuadraticLCA(A)
         for v in range(A.dim):
             for k in (0, 1, 2):
-                failures += bool(verify_derivation(R, inner_derivation(R, v, k)))
+                failures += bool(verify_derivation(A, inner_derivation(A, v, k)))
         for q in solve_extensions_theorem(A).basis:
             failures += bool(verify_cocycle(A, q))
-        for d in solve_derivations_direct(R, 2, 2).basis:
-            failures += bool(verify_derivation(R, d))
+        for d in solve_derivations_direct(A, 2, 2).basis:
+            failures += bool(verify_derivation(A, d))
     report(capsys, failures == 0,
            "criterion 9: property suite (200 random tables: bialgebra verdict "
            "≡ conformal verdict; all solver outputs verify)",

@@ -3,6 +3,7 @@ import pytest
 import qlca.algfile
 from qlca import (GDValidationError, ParseError, catalog_build, emit_algebra,
                   parse_algebra, parse_algebra_file)
+from qlca.cli import main
 
 
 class TestRoundTrip:
@@ -67,6 +68,25 @@ class TestParsing:
         e = self.err(bad)
         assert "duplicate novikov entry (L,L)" in str(e)
         assert e.line_no == 5
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("novikov L L = L:1", "novikov L L = L:0\nnovikov L L = L:1",
+         "line 5: duplicate novikov entry (L,L)"),
+        ("novikov L L = L:1", "novikov L L = L:0 L:1",
+         "line 4: repeated target 'L' in one entry"),
+        ("lie L W = W:-1/2", "lie L W = W:0\nlie L W = W:-1/2",
+         "line 7: duplicate lie entry (L,W)"),
+        ("lie L W = W:-1/2", "lie L W = W:0 W:-1/2",
+         "line 6: repeated target 'W' in one entry"),
+    ])
+    def test_zero_coefficient_does_not_hide_a_duplicate(
+            self, capsys, tmp_path, old, new, message):
+        bad = GOOD.replace(old, new)
+        assert str(self.err(bad)) == message
+        path = tmp_path / "bad.alg"
+        path.write_text(bad)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_zero_denominator(self):
         e = self.err(GOOD.replace("L:1", "L:1/0"))

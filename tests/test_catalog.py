@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlca import (CatalogEntry, QuadraticLCA, bracket_basis, catalog_build,
+from qlca import (CatalogEntry, bracket_basis, catalog_build,
                   catalog_names, coeff_bracket, detect_unit_like, entry_label,
                   gd_build, solve_derivations_direct,
                   solve_derivations_theorem, solve_extensions_direct,
@@ -87,7 +87,6 @@ def test_integral_algebras_compute_in_exact_scalars(build):
     """The grids of an integral algebra hold ints, and every scalar the
     solvers and the bracket engines return is an int or a Fraction."""
     A = build()
-    R = QuadraticLCA(A)
     n = A.dim
     for grid in (A.circ_terms, A.lie_terms, A.star_terms):
         assert all(type(c) is int for row in grid for cell in row for _, c in cell)
@@ -95,8 +94,8 @@ def test_integral_algebras_compute_in_exact_scalars(build):
     theorem = solve_extensions_theorem(A)
     for sp in (theorem, solve_extensions_direct(A, 3)):
         assert all(_exact(x) for q in sp.basis for x in q.as_vector().values())
-    for sp in (solve_derivations_direct(R, 1, 2),
-               solve_derivations_theorem(R, 2, assert_simple=True)):
+    for sp in (solve_derivations_direct(A, 1, 2),
+               solve_derivations_theorem(A, 2, assert_simple=True)):
         assert all(_exact(x) for d in sp.basis for _, v in d.coeffs for x in v)
     found = detect_unit_like(A)
     if found is not None:
@@ -105,7 +104,7 @@ def test_integral_algebras_compute_in_exact_scalars(build):
     q = theorem.basis[0]
     for i in range(n):
         for j in range(n):
-            assert all(_exact(c) for p in bracket_basis(R, i, j)
+            assert all(_exact(c) for p in bracket_basis(A, i, j)
                        for c in p.terms.values())
             for m in (-1, 0, 2):
                 terms, central = coeff_bracket(A, q, (i, m), (j, 1 - m))

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -135,11 +136,15 @@ class TestCheck:
         ("vir:m=2", "bad parameters for 'vir': unknown parameter 'm'"),
         ("current:g=abelian", "bad parameters for 'current': "
                               "missing parameter 'n'"),
+        ("vir:=3", "catalog parameter '=3' is not k=v"),
+        ("vir:", "catalog parameter '' is not k=v"),
+        ("vir:,", "catalog parameter '' is not k=v"),
     ])
     def test_bad_catalog_parameter_is_named_exit_2(self, capsys, target,
                                                    message):
         """A repeated key is refused, not overwritten, and a missing or
-        unknown key is named without the builder's Python signature."""
+        unknown key is named without the builder's Python signature. An
+        empty key or an empty parameter list after ':' is not k=v."""
         code, out, err = run(capsys, "--json", "check", "catalog:" + target)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
@@ -400,6 +405,25 @@ def test_survey_script_prints_one_row_per_entry(script, bounds):
     for entry in standard_entries():
         label = entry_label(entry)
         assert sum(line.split(" ", 1)[0] == label for line in lines) == 1
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_bench_pairs_refuses_too_few_pairs_before_any_run(
+        monkeypatch, capsys, tmp_path, pairs):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run was started")
+
+    monkeypatch.setattr(subprocess, "run", no_run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", str(tmp_path), str(tmp_path),
+        "--workload", "catalog-certify", "--pairs", pairs])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"),
+                       run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        f"error: --pairs must be at least 2, got {pairs}")
 
 
 def test_snapshot_script_writes_every_report_of_one_target(tmp_path):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from qlca import (CocycleQuadruple, QuadraticLCA, bracket_basis,
+from qlca import (CocycleQuadruple, bracket_basis,
                   catalog_build, check_coeff_cocycle, coeff_bracket,
                   coeff_relation_consistency, entry_label,
                   solve_extensions_theorem, standard_entries, verify_cocycle)
@@ -221,11 +221,10 @@ def window_relation_consistency(A, window, q=None):
     window, for every basis pair."""
     if q is None:
         q = CocycleQuadruple.zero(A.dim)
-    R = QuadraticLCA(A)
     out = []
     for i in range(A.dim):
         for j in range(A.dim):
-            expr = bracket_basis(R, i, j)
+            expr = bracket_basis(A, i, j)
             for m in range(-window, window + 1):
                 for nn in range(-window, window + 1):
                     expected = {}

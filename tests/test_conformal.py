@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, GDBialgebra,
-                  QuadraticLCA, bracket_basis, bracket_general, catalog_build,
+                  bracket_basis, bracket_general, catalog_build,
                   check_gd_compat, check_jacobi, check_lie, check_novikov,
                   check_skew, gd_build, parse_algebra,
                   solve_extensions_theorem, verify_cocycle)
 from qlca.conformal import (_grid_table, _jacobi_tables, _slot_brackets,
-                            expr_add, expr_is_zero, expr_sub)
+                            basis_expr, expr_add, expr_is_zero, expr_sub)
 from test_catalog import _integral_algebras
 
 SNAPSHOT_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "snapshot_reports.py"
@@ -30,12 +30,12 @@ def L():
 
 class TestGoldenBrackets:
     def test_vir(self):
-        R = QuadraticLCA(catalog_build("vir"))
+        R = catalog_build("vir")
         (p,) = bracket_basis(R, 0, 0)
         assert p == D() + 2 * L()
 
     def test_r_alpha_beta(self):
-        R = QuadraticLCA(catalog_build("r_alpha_beta", alpha=3, beta=1))
+        R = catalog_build("r_alpha_beta", alpha=3, beta=1)
         lw = bracket_basis(R, 0, 1)
         assert lw[0].is_zero()
         assert lw[1] == D() + 3 * L() + 1
@@ -43,8 +43,8 @@ class TestGoldenBrackets:
         assert all(p.is_zero() for p in ww)
 
     def test_vir_current(self):
-        R = QuadraticLCA(catalog_build("vir_current", g="sl2"))
-        names = R.gd.basis_names
+        R = catalog_build("vir_current", g="sl2")
+        names = R.basis_names
         Li, e, f, h = (names.index(s) for s in ("L", "e", "f", "h"))
         le = bracket_basis(R, Li, e)
         assert le[e] == D() + L() and le[Li].is_zero()
@@ -54,13 +54,13 @@ class TestGoldenBrackets:
         assert he[e] == FormalPoly.const(2)
 
     def test_loop_vir_cyclic(self):
-        R = QuadraticLCA(catalog_build("loop_vir_cyclic", m=3))
+        R = catalog_build("loop_vir_cyclic", m=3)
         br = bracket_basis(R, 1, 2)  # lands on index (1+2) mod 3 = 0
         assert br[0] == -(D() + 2 * L())
         assert br[1].is_zero() and br[2].is_zero()
 
     def test_loop_hv_cyclic(self):
-        R = QuadraticLCA(catalog_build("loop_hv_cyclic", m=2))
+        R = catalog_build("loop_hv_cyclic", m=2)
         lh = bracket_basis(R, 0, 2)  # [L0 λ H0] -> H0 channel
         assert lh[2] == D() + L()
         hh = bracket_basis(R, 2, 3)
@@ -69,38 +69,40 @@ class TestGoldenBrackets:
 
 class TestBracketGeneral:
     def test_matches_basis_bracket(self):
-        R = QuadraticLCA(catalog_build("vir"))
-        out = bracket_general(R, R.basis_expr(0), R.basis_expr(0), L())
+        R = catalog_build("vir")
+        out = bracket_general(R, basis_expr(R.dim, 0), basis_expr(R.dim, 0), L())
         assert out == bracket_basis(R, 0, 0)
 
     def test_sesquilinearity_in_first_slot(self):
         # [∂a λ b] = -λ [a λ b]
-        R = QuadraticLCA(catalog_build("r_alpha_beta", alpha=3, beta=1))
-        da = tuple(D() * p for p in R.basis_expr(0))
-        lhs = bracket_general(R, da, R.basis_expr(1), L())
-        base = bracket_general(R, R.basis_expr(0), R.basis_expr(1), L())
+        R = catalog_build("r_alpha_beta", alpha=3, beta=1)
+        da = tuple(D() * p for p in basis_expr(R.dim, 0))
+        lhs = bracket_general(R, da, basis_expr(R.dim, 1), L())
+        base = bracket_general(R, basis_expr(R.dim, 0), basis_expr(R.dim, 1),
+                               L())
         assert lhs == tuple(-L() * p for p in base)
 
     def test_leibniz_in_second_slot(self):
         # [a λ ∂b] = (λ+∂)[a λ b]
-        R = QuadraticLCA(catalog_build("vir"))
-        db = tuple(D() * p for p in R.basis_expr(0))
-        lhs = bracket_general(R, R.basis_expr(0), db, L())
-        base = bracket_general(R, R.basis_expr(0), R.basis_expr(0), L())
+        R = catalog_build("vir")
+        db = tuple(D() * p for p in basis_expr(R.dim, 0))
+        lhs = bracket_general(R, basis_expr(R.dim, 0), db, L())
+        base = bracket_general(R, basis_expr(R.dim, 0), basis_expr(R.dim, 0),
+                               L())
         assert lhs == tuple((L() + D()) * p for p in base)
 
     def test_rejects_partial_in_slot(self):
-        R = QuadraticLCA(catalog_build("vir"))
+        R = catalog_build("vir")
         with pytest.raises(ValueError):
-            bracket_general(R, R.basis_expr(0), R.basis_expr(0), D())
+            bracket_general(R, basis_expr(R.dim, 0), basis_expr(R.dim, 0), D())
 
 
 class TestAxioms:
     def test_catalog_skew(self, catalog_algebra):
-        assert check_skew(QuadraticLCA(catalog_algebra)) == []
+        assert check_skew(catalog_algebra) == []
 
     def test_catalog_jacobi(self, catalog_algebra):
-        assert check_jacobi(QuadraticLCA(catalog_algebra)) == []
+        assert check_jacobi(catalog_algebra) == []
 
     def test_jacobi_detects_broken_structure(self):
         nov = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
@@ -110,7 +112,7 @@ class TestAxioms:
         lie = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
         A = gd_build(2, ["L", "W"], nov, lie, validate=False)
         assert check_novikov(A)
-        assert check_jacobi(QuadraticLCA(A))
+        assert check_jacobi(A)
 
 
 def random_dim2_tables(rng, sparsity=0.7):
@@ -133,8 +135,7 @@ def gd_verdict(A):
 
 
 def conformal_verdict(A):
-    R = QuadraticLCA(A)
-    return not (check_skew(R) or check_jacobi(R))
+    return not (check_skew(A) or check_jacobi(A))
 
 
 class TestEquivalence:
@@ -158,7 +159,7 @@ class TestEquivalence:
         for _ in range(50):
             nov, lie = random_dim2_tables(rng)
             A = gd_build(2, ["a", "b"], nov, lie, validate=False)
-            assert check_skew(QuadraticLCA(A)) == []
+            assert check_skew(A) == []
 
 
 def jacobi_through_bracket_general(R):
@@ -167,7 +168,7 @@ def jacobi_through_bracket_general(R):
     verify_cocycle."""
     n = R.dim
     lam, mu = L(), FormalPoly.sym(MU)
-    basis = [R.basis_expr(i) for i in range(n)]
+    basis = [basis_expr(n, i) for i in range(n)]
     br = [[bracket_basis(R, i, j) for j in range(n)] for i in range(n)]
     out = []
     for i in range(n):
@@ -192,7 +193,7 @@ class TestOneJacobiExpansion:
         seen_bad = 0
         for _ in range(200):
             nov, lie = random_dim2_tables(rng)
-            R = QuadraticLCA(gd_build(2, ["a", "b"], nov, lie, validate=False))
+            R = gd_build(2, ["a", "b"], nov, lie, validate=False)
             expected = jacobi_through_bracket_general(R)
             assert check_jacobi(R) == expected
             seen_bad += bool(expected)
@@ -201,7 +202,7 @@ class TestOneJacobiExpansion:
     @pytest.mark.parametrize("table", ["INVALID", "INCOMPATIBLE"])
     def test_invalid_snapshot_tables(self, table):
         text = runpy.run_path(str(SNAPSHOT_SCRIPT))[table]
-        R = QuadraticLCA(parse_algebra(text, validate=False))
+        R = parse_algebra(text, validate=False)
         expected = jacobi_through_bracket_general(R)
         assert expected
         assert check_jacobi(R) == expected
@@ -219,9 +220,8 @@ def test_checkers_run_without_the_general_product(catalog_entry, monkeypatch):
             if hasattr(module, "bracket_general"):
                 monkeypatch.setattr(module, "bracket_general", general)
     A = catalog_entry.build()
-    R = QuadraticLCA(A)
-    assert check_skew(R) == []
-    assert check_jacobi(R) == []
+    assert check_skew(A) == []
+    assert check_jacobi(A) == []
     for q in solve_extensions_theorem(A).basis:
         assert verify_cocycle(A, q) == []
     assert verify_cocycle(A, CocycleQuadruple.single(A.dim, 0, 0, 0))
@@ -334,11 +334,10 @@ def as_dense(entry, n):
 
 
 def assert_engine_matches_dense_route(A):
-    R = QuadraticLCA(A)
     n = A.dim
     lam, mu = L(), FormalPoly.sym(MU)
     for slot in (lam, lam + mu, mu, -(lam + D())):
-        table = _slot_brackets(R, slot)
+        table = _slot_brackets(A, slot)
         for a, (row, dense_row) in enumerate(zip(table, dense_table(A, slot))):
             for b, (entry, dense_entry) in enumerate(zip(row, dense_row)):
                 # sparse: the nonzero coordinates only, in coordinate order
@@ -347,17 +346,17 @@ def assert_engine_matches_dense_route(A):
                 assert as_dense(entry, n) == dense_entry, (slot, a, b)
     for table, dense in zip(_jacobi_tables(A), dense_jacobi_tables(A)):
         assert [[as_dense(e, n) for e in row] for row in table] == dense
-    assert check_skew(R) == dense_skew(A)
-    assert check_jacobi(R) == dense_check_jacobi(A)
+    assert check_skew(A) == dense_skew(A)
+    assert check_jacobi(A) == dense_check_jacobi(A)
     x = tuple(FormalPoly.const(k + 1) + k * D() for k in range(n))
     y = tuple(FormalPoly.const(1) - k * D() * D() + mu for k in range(n))
     for slot in (lam, mu, lam + mu):
-        assert bracket_general(R, x, y, slot) == dense_general(A, x, y, slot)
+        assert bracket_general(A, x, y, slot) == dense_general(A, x, y, slot)
     for a in range(n):
         for b in range(n):
-            assert (bracket_general(R, R.basis_expr(a), R.basis_expr(b), lam)
-                    == dense_general(A, R.basis_expr(a), R.basis_expr(b), lam)
-                    == bracket_basis(R, a, b))
+            assert (bracket_general(A, basis_expr(n, a), basis_expr(n, b), lam)
+                    == dense_general(A, basis_expr(n, a), basis_expr(n, b), lam)
+                    == bracket_basis(A, a, b))
     for k in range(4):
         for i in range(n):
             for j in range(i, n):
@@ -401,7 +400,7 @@ class TestEngineAgainstDenseRoute:
             assert_engine_matches_dense_route(A)
         lie = ((((Fraction(1),),),))
         A = GDBialgebra(1, ("a",), ((((Fraction(0),),),)), lie)
-        assert dense_skew(A) and check_skew(QuadraticLCA(A)) == dense_skew(A)
+        assert dense_skew(A) and check_skew(A) == dense_skew(A)
 
 
 def test_simultaneous_substitution_is_the_two_step_route():

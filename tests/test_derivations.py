@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from qlca import (CatalogEntry, DerivationAnsatz, DerivationSpace,
-                  HypothesisNotDetected, QuadraticLCA, RatMatrix, catalog_build, detect_unit_like,
+                  HypothesisNotDetected, RatMatrix, catalog_build, detect_unit_like,
                   entry_label, inner_derivation, nullspace_basis, outer_dimension,
                   solve_derivations_direct, solve_derivations_theorem,
                   solve_extensions_direct, solve_extensions_theorem,
@@ -27,10 +27,6 @@ def inner_case(request):
     """A builder of each catalog entry and of trunc_poly n ∈ {3, 6},
     κ ∈ {0, 1}."""
     return request.param
-
-
-def lca(name, **params):
-    return QuadraticLCA(catalog_build(name, **params))
 
 
 def inner_vectors(R, P, D):
@@ -71,27 +67,27 @@ class TestUnitDetection:
 
 class TestInnerDerivations:
     def test_inner_passes_verifier(self, catalog_algebra):
-        R = QuadraticLCA(catalog_algebra)
+        R = catalog_algebra
         for v in range(R.dim):
             for k in (0, 1, 2):
                 assert verify_derivation(R, inner_derivation(R, v, k)) == []
 
     def test_inner_image_matches_bracket(self):
-        R = lca("vir")
+        R = catalog_build("vir")
         d = inner_derivation(R, 0, 0)
-        (img,) = d.image(R, 0)
+        (img,) = d.image(R.dim, 0)
         from qlca import DEL, LAM, FormalPoly
 
         assert img == FormalPoly.sym(DEL) + 2 * FormalPoly.sym(LAM)
 
     def test_negative_partial_power_rejected(self):
         with pytest.raises(ValueError):
-            inner_derivation(lca("vir"), 0, -1)
+            inner_derivation(catalog_build("vir"), 0, -1)
 
     def test_out_of_range_basis_index_rejected(self):
         """A grid read at v = -1 would wrap round to the last basis
         element; the index is refused instead."""
-        R = lca("r_alpha_beta", alpha=1, beta=0)
+        R = catalog_build("r_alpha_beta", alpha=1, beta=0)
         for v in (-1, R.dim):
             with pytest.raises(IndexError):
                 inner_derivation(R, v)
@@ -112,17 +108,17 @@ class TestOuterDimensions:
     def test_matches_classification(self, key):
         name, params = key
         if name == "r_alpha_beta":
-            R = lca(name, alpha=params[0], beta=params[1])
+            R = catalog_build(name, alpha=params[0], beta=params[1])
         elif params:
-            R = lca(name, m=params[0])
+            R = catalog_build(name, m=params[0])
         else:
-            R = lca(name)
+            R = catalog_build(name)
         assert outer_dimension(R, 3, 3) == EXPECTED_OUTER[key]
 
     def test_alpha1_outer_generator_form(self):
         """The one outer direction at α=1 is spanned by Q with
         Q(L) ∝ W, Q(W) = 0 (no ∂, no λ)."""
-        R = lca("r_alpha_beta", alpha=1, beta=0)
+        R = catalog_build("r_alpha_beta", alpha=1, beta=0)
         Q = DerivationAnsatz.from_dict(
             1, 3, {(0, 0, 0): (Fraction(0), Fraction(1))}
         )
@@ -139,7 +135,7 @@ class TestOuterDimensions:
 
     @pytest.mark.parametrize("P, D", [(0, 2), (1, 0), (3, 3), (3, 4), (3, 6)])
     def test_inner_dim_is_the_dense_inner_rank(self, catalog_entry, P, D):
-        R = QuadraticLCA(catalog_entry.build())
+        R = catalog_entry.build()
         space = solve_derivations_direct(R, P, D)
         assert space.inner_dim == span_rank(inner_vectors(R, P, D))
         assert space.outer_dim == space.dimension - space.inner_dim
@@ -161,7 +157,7 @@ class TestOuterDimensions:
     def test_one_build_ranks_both_lambda_bounds(self, inner_case):
         """The generators built once for λ-bound D+2 and split at D have
         the ranks of the ones that fit each bound on their own."""
-        R = QuadraticLCA(inner_case())
+        R = inner_case()
         for P, D in ((0, 1), (1, 2), (3, 4)):
             fit, late = _inner_vectors(R, P, D, D + 2)
             assert (span_rank(fit), span_rank(fit + late)) == (
@@ -172,7 +168,7 @@ class TestOuterDimensions:
         def refuse(*args):
             raise AssertionError("the inner span was ranked")
 
-        R = lca("loop_hv_cyclic", m=3)
+        R = catalog_build("loop_hv_cyclic", m=3)
         monkeypatch.setattr(derivations, "inner_derivation", refuse)
         direct = solve_derivations_direct(R, 3, 4)
         theorem = solve_derivations_theorem(R, 4)
@@ -181,7 +177,7 @@ class TestOuterDimensions:
             theorem.inner_dim
 
     def test_current_family_does_not_stabilize(self):
-        out = outer_dimension(lca("current", g="sl2"), 3, 3)
+        out = outer_dimension(catalog_build("current", g="sl2"), 3, 3)
         assert isinstance(out, tuple) and out[0] == "not stabilized"
         assert out[1:] == (3, 5)
 
@@ -200,10 +196,9 @@ class TestSolverAgreement:
         A = catalog_entry.build()
         if detect_unit_like(A) is None:
             return
-        R = QuadraticLCA(A)
-        direct = solve_derivations_direct(R, 3, 3)
-        theorem = solve_derivations_theorem(R, 3)
-        assert spaces_agree(R, direct, theorem)
+        direct = solve_derivations_direct(A, 3, 3)
+        theorem = solve_derivations_theorem(A, 3)
+        assert spaces_agree(direct, theorem)
 
     @pytest.mark.parametrize("D", (2, 4))
     @pytest.mark.parametrize("P", range(4))
@@ -216,12 +211,11 @@ class TestSolverAgreement:
         found = detect_unit_like(A)
         if found is None:
             return
-        R = QuadraticLCA(A)
-        direct = solve_derivations_direct(R, P, D)
-        theorem = solve_derivations_theorem(R, D, partial_bound=P)
+        direct = solve_derivations_direct(A, P, D)
+        theorem = solve_derivations_theorem(A, D, partial_bound=P)
         assert theorem.partial_bound == (min(1, P) if found[0] == "left" else P)
         assert theorem.dimension == direct.dimension
-        assert spaces_agree(R, direct, theorem)
+        assert spaces_agree(direct, theorem)
 
     @pytest.mark.parametrize("P, D", [(3, 4), (1, 3)])
     def test_direct_solutions_satisfy_every_closed_row(self, catalog_entry,
@@ -229,9 +223,9 @@ class TestSolverAgreement:
         """The closed rows are consequences of the Leibniz identity, with
         or without a unit-like element, so truncating them at a ∂-bound
         can only keep the true derivations or add to them."""
-        R = QuadraticLCA(catalog_entry.build())
+        R = catalog_entry.build()
         n = R.dim
-        rows = _closed_rows(R.gd, P, D)
+        rows = _closed_rows(R, P, D)
         for d in solve_derivations_direct(R, P, D).basis:
             v = d.as_vector(n, P, D)
             assert [row for row in rows
@@ -242,40 +236,48 @@ class TestSolverAgreement:
         ranks of the basis vectors do, on every pair of the direct, closed
         and assert-simple spaces at (3, 3) and (1, 2)."""
         A = catalog_entry.build()
-        R = QuadraticLCA(A)
         spaces = []
         for P, D in ((3, 3), (1, 2)):
-            spaces.append(solve_derivations_direct(R, P, D))
+            spaces.append(solve_derivations_direct(A, P, D))
             if detect_unit_like(A) is not None:
-                spaces.append(solve_derivations_theorem(R, D, partial_bound=P))
+                spaces.append(solve_derivations_theorem(A, D, partial_bound=P))
             spaces.append(solve_derivations_theorem(
-                R, D, assert_simple=True, partial_bound=P))
-        n = R.dim
+                A, D, assert_simple=True, partial_bound=P))
+        n = A.dim
         for a, b in combinations(spaces, 2):
             P = max(a.partial_bound, b.partial_bound)
             D = max(a.lambda_bound, b.lambda_bound)
             vecs = [[x.as_vector(n, P, D) for x in s.basis] for s in (a, b)]
-            assert spaces_agree(R, a, b) == spans_equal(*vecs), (a.method, b.method)
+            assert spaces_agree(a, b) == spans_equal(*vecs), (a.method, b.method)
 
     def test_equal_dimensions_with_different_spans_disagree(self):
-        R = lca("vir")
-        a, b = (DerivationSpace(R.gd, 1, 2, (inner_derivation(R, 0, k),))
+        R = catalog_build("vir")
+        a, b = (DerivationSpace(R, 1, 2, (inner_derivation(R, 0, k),))
                 for k in (0, 1))
         assert a.dimension == b.dimension
-        assert not spaces_agree(R, a, b)
-        assert spaces_agree(R, a, a)
+        assert not spaces_agree(a, b)
+        assert spaces_agree(a, a)
+
+    def test_spaces_of_different_algebras_are_refused(self):
+        """Two 2-dim algebras give spaces with one column layout, so only
+        the algebra tells them apart."""
+        a, b = (solve_derivations_direct(
+                    catalog_build("r_alpha_beta", alpha=al, beta=be), 1, 2)
+                for al, be in ((3, 1), (0, 0)))
+        with pytest.raises(ValueError, match="different algebras"):
+            spaces_agree(a, b)
 
     def test_hypothesis_not_detected_raises(self):
         with pytest.raises(HypothesisNotDetected):
-            solve_derivations_theorem(lca("current", g="sl2"), 3)
+            solve_derivations_theorem(catalog_build("current", g="sl2"), 3)
 
     def test_every_direct_solution_verifies(self, catalog_entry):
-        R = QuadraticLCA(catalog_entry.build())
+        R = catalog_entry.build()
         for d in solve_derivations_direct(R, 2, 2).basis:
             assert verify_derivation(R, d) == []
 
     def test_verifier_rejects_non_derivation(self):
-        R = lca("vir")
+        R = catalog_build("vir")
         bogus = DerivationAnsatz.from_dict(1, 2, {(0, 0, 2): (Fraction(1),)})
         assert verify_derivation(R, bogus)
 
@@ -285,7 +287,7 @@ class TestVerifierAgainstSolver:
         """verify_derivation brackets through bracket_general and shares no
         formula with the solvers, so the two must agree on which
         single-coefficient ansätze are derivations."""
-        R = QuadraticLCA(catalog_entry.build())
+        R = catalog_entry.build()
         n, P, D = R.dim, 1, 2
         basis = [d.as_vector(n, P, D)
                  for d in solve_derivations_direct(R, P, D).basis]
@@ -305,7 +307,7 @@ class TestCurrentShape:
     def test_scaling_family_spans_outer_part(self):
         """d(a) = λ^k (∂ + λ) a solves the Leibniz identity for the
         current algebra and, with the inner span, exhausts all solutions."""
-        R = lca("current", g="sl2")
+        R = catalog_build("current", g="sl2")
         P, D = 1, 3
         n = R.dim
         scalers = []
@@ -330,7 +332,7 @@ def test_unordered_pair_system_loses_no_equation(build):
     rows can only enlarge the solution space, so if every basis element
     passes verify_derivation, which checks all n² ordered pairs, the
     space of the unordered-pair system is the full one."""
-    R = QuadraticLCA(build())
+    R = build()
     for d in solve_derivations_direct(R, 3, 3).basis:
         assert verify_derivation(R, d) == []
 
@@ -351,7 +353,7 @@ def test_direct_system_has_the_engine_nullspace(build):
     residual is linear in the ansatz, so the oracle's nullspace is the
     derivation space as the λ-bracket engine sees it, and the direct
     system read off the product grids must have the same RREF basis."""
-    R = QuadraticLCA(build())
+    R = build()
     n, P, D = R.dim, 1, 2
     idx = _unknown_indexer(n, P)
     cols = n * (P + 1) * (D + 1) * n
@@ -386,11 +388,10 @@ def test_solvers_run_without_the_bracket_engine(catalog_entry, monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, engine)
     A = catalog_entry.build()
-    R = QuadraticLCA(A)
     solve_extensions_theorem(A)
     solve_extensions_direct(A, 3)
-    solve_derivations_direct(R, 1, 2).inner_dim
-    solve_derivations_theorem(R, 2, assert_simple=True)
+    solve_derivations_direct(A, 1, 2).inner_dim
+    solve_derivations_theorem(A, 2, assert_simple=True)
     detect_unit_like(A)
-    for v in range(R.dim):
-        inner_derivation(R, v, 1)
+    for v in range(A.dim):
+        inner_derivation(A, v, 1)

@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, QuadraticLCA,
-                  bracket_basis, catalog_build, entry_label, gd_build,
+from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, bracket_basis,
+                  catalog_build, entry_label, gd_build,
                   solve_extensions_direct, solve_extensions_theorem, span_rank,
                   spans_equal, standard_entries, verify_cocycle)
 from qlca.extensions import _bilinear_terms, _direct_rows, _unit
@@ -141,7 +141,6 @@ class TestSolvers:
 def central_jacobi_substituted_first(A, q):
     """The central Jacobi residuals of α, with ∂ in every inner bracket
     replaced by its form's variable before α is applied."""
-    R = QuadraticLCA(A)
     n = A.dim
     lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
 
@@ -151,7 +150,7 @@ def central_jacobi_substituted_first(A, q):
 
     def brackets(slot, d_to):
         return [[[p.substitute(LAM, slot).substitute(DEL, d_to)
-                  for p in bracket_basis(R, a, b)] for b in range(n)]
+                  for p in bracket_basis(A, a, b)] for b in range(n)]
                 for a in range(n)]
 
     inner, outer = brackets(mu, lam), brackets(lam, -(lam + mu))

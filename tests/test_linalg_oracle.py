@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qlca.derivations
 import qlca.extensions
-from qlca import (QuadraticLCA, catalog_build, solve_derivations_direct,
+from qlca import (catalog_build, solve_derivations_direct,
                   solve_derivations_theorem, solve_extensions_direct,
                   solve_extensions_theorem)
 from qlca.poly import (RatMatrix, _echelon, _peel, nullspace_basis, rank,
@@ -254,7 +254,7 @@ def test_direct_extension_system_matches_sympy(monkeypatch, name, params):
 
 @CATALOG_SYSTEMS
 def test_direct_derivation_system_matches_sympy(monkeypatch, name, params):
-    R = QuadraticLCA(catalog_build(name, **params))
+    R = catalog_build(name, **params)
     (m,) = _captured(monkeypatch, qlca.derivations,
                      lambda: solve_derivations_direct(R, 3, 3))
     check_system(m)
@@ -262,7 +262,7 @@ def test_direct_derivation_system_matches_sympy(monkeypatch, name, params):
 
 @CATALOG_SYSTEMS
 def test_closed_derivation_system_matches_sympy(monkeypatch, name, params):
-    R = QuadraticLCA(catalog_build(name, **params))
+    R = catalog_build(name, **params)
     # detect_unit_like eliminates its small systems first
     *_, m = _captured(monkeypatch, qlca.derivations,
                       lambda: solve_derivations_theorem(R, 4))
@@ -272,16 +272,15 @@ def test_closed_derivation_system_matches_sympy(monkeypatch, name, params):
 def _solver_systems(monkeypatch, A):
     """The theorem and direct extension systems and the direct and closed
     derivation systems of the algebra A."""
-    R = QuadraticLCA(A)
     return [
         *_captured(monkeypatch, qlca.extensions,
                    lambda: solve_extensions_theorem(A)),
         *_captured(monkeypatch, qlca.extensions,
                    lambda: solve_extensions_direct(A, 3)),
         *_captured(monkeypatch, qlca.derivations,
-                   lambda: solve_derivations_direct(R, 3, 3)),
+                   lambda: solve_derivations_direct(A, 3, 3)),
         _captured(monkeypatch, qlca.derivations,
-                  lambda: solve_derivations_theorem(R, 4))[-1],
+                  lambda: solve_derivations_theorem(A, 4))[-1],
     ]
 
 

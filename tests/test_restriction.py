@@ -4,7 +4,7 @@ each smaller bound on its own and compare, vector for vector."""
 
 import pytest
 
-from qlca import CocycleQuadruple, QuadraticLCA, solve_extensions_direct
+from qlca import CocycleQuadruple, solve_extensions_direct
 from qlca.derivations import solve_derivations_direct, stabilized_outer
 from qlca.extensions import _direct_nullspace, _leading
 from test_catalog import _integral_algebras
@@ -30,7 +30,7 @@ def test_extension_bases_restrict_from_one_elimination(build):
 @pytest.mark.parametrize("bounds", [(1, 2), (3, 3)])
 @pytest.mark.parametrize("build", _integral_algebras())
 def test_derivation_bases_restrict_from_one_elimination(build, bounds):
-    R = QuadraticLCA(build())
+    R = build()
     P, D = bounds
     read, outer = stabilized_outer(R, P, D)  # one elimination, at (P, D+2)
     own = solve_derivations_direct(R, P, D)
