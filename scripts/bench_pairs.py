@@ -7,7 +7,9 @@
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones. Prints JSON:
 each side's per-pair end-to-end metrics, their medians and quartiles,
-and for each metric the number of pairs where the change is lower.
+and for each metric the number of pairs where the change is lower. A run
+that exits nonzero or prints no result stops the script with exit code 1:
+it names the run on stderr and prints the runs that finished.
 """
 
 import argparse
@@ -18,13 +20,33 @@ import sys
 
 
 def run(checkout, workload, seed, seconds):
-    out = subprocess.run(
+    """One run's end-to-end metrics and failed-question count, or None
+    when the run exits nonzero or its last stdout line is no result; and
+    the finished process."""
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.splitlines()[-1])
-    return {**{m: v["value"] for m, v in result["metrics"].items()},
-            "failed": result["failed"]}
+        cwd=checkout, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+        metrics = {**{m: v["value"] for m, v in result["metrics"].items()},
+                   "failed": result["failed"]}
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        metrics = None
+    return (metrics if proc.returncode == 0 else None), proc
+
+
+def fail(args, side, pair, proc, runs):
+    """Name the failed run and its last stderr lines on stderr, print the
+    runs that did finish as JSON, and exit 1."""
+    print(f"error: the {side} run in {getattr(args, side)} failed at pair "
+          f"{pair} (seed {pair}) with exit code {proc.returncode}"
+          + ("" if proc.returncode else " and no JSON result line"),
+          file=sys.stderr)
+    for line in proc.stderr.splitlines()[-10:]:
+        print(f"  {line}", file=sys.stderr)
+    print(json.dumps({"workload": args.workload, "finished": runs}, indent=2))
+    sys.exit(1)
 
 
 def main():
@@ -40,8 +62,11 @@ def main():
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
         for side in ("parent", "change")[::1 if k % 2 == 0 else -1]:
-            runs[side].append(run(getattr(args, side), args.workload, k,
-                                  args.seconds))
+            metrics, proc = run(getattr(args, side), args.workload, k,
+                                args.seconds)
+            if metrics is None:
+                fail(args, side, k, proc, runs)
+            runs[side].append(metrics)
     metrics = [m for m in runs["parent"][0] if m != "failed"]
     report = {"workload": args.workload, "pairs": args.pairs,
               "seconds": args.seconds}

@@ -37,12 +37,22 @@ def _size(name, value, dim_per_unit=1):
         k = _as_q(value)
     except (TypeError, ValueError):
         k = None
-    if type(k) is not int or k < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value}")
+    if type(k) is not int or k < 1:  # quote a string the CLI read no number in
+        shown = repr(value) if isinstance(value, str) else value
+        raise ValueError(f"{name} must be an integer >= 1, got {shown}")
     if dim_per_unit * k > MAX_DIM:
         raise ValueError(f"{name}={k} gives dim {dim_per_unit * k}, "
                          f"which exceeds the maximum {MAX_DIM}")
     return k
+
+
+def _rational(name, value):
+    """``value`` as an exact rational, or a ValueError naming ``name``."""
+    try:
+        return _as_q(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a rational number, "
+                         f"got {value!r}") from None
 
 
 def _zero_table(n):
@@ -104,7 +114,7 @@ def _vir_current(g="sl2"):
 
 
 def _r_alpha_beta(alpha, beta):
-    alpha, beta = _as_q(alpha), _as_q(beta)
+    alpha, beta = _rational("alpha", alpha), _rational("beta", beta)
     nov = _zero_table(2)
     L, W = 0, 1
     nov[L][L][L] = Fraction(1)

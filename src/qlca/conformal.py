@@ -17,23 +17,6 @@ from __future__ import annotations
 from .poly import DEL, LAM, MU, FormalPoly
 
 
-def basis_expr(n, i):
-    """a_i as a length-n tuple of FormalPoly."""
-    return tuple(FormalPoly.const(int(j == i)) for j in range(n))
-
-
-def expr_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def expr_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def expr_is_zero(x):
-    return all(p.is_zero() for p in x)
-
-
 def bracket_basis(A, i, j):
     """[a_i λ a_j] = ∂(a_j∘a_i) + [a_j, a_i] + λ(a_i∗a_j), an expression
     in the symbols ∂ and λ only: entry [i][j] of the λ slot table, as a
@@ -133,20 +116,26 @@ def _jacobi_tables(A):
             _grid_table(A, mu + d, lam))
 
 
-def _jacobi_residuals(A, at_lam, at_sum, at_mu, width):
+def _jacobi_residuals(A, acting, at_sum, at_mu, width):
     """The Jacobi identity [a_i λ [a_j μ a_k]] - [[a_i λ a_j]_{λ+μ} a_k]
-    - [a_j μ [a_i λ a_k]] over basis triples, for outer brackets given as
-    tables of sparse ((coordinate, poly), ...) entries with coordinates
-    in [0, width): at_lam[i][x] stands for [a_i λ a_x], at_sum[x][k] for
-    [a_x λ+μ a_k] and at_mu[j][x] for [a_j μ a_x]. Each triple is summed
-    into one {(coordinate, e∂, eλ, eμ): coeff} dict, and only a nonzero
-    sum becomes a width-long tuple of FormalPoly. Returns the nonzero
+    - [a_j μ [a_i λ a_k]] over triples (i, j, k), with a_i given by its
+    ``acting`` tables (at_lam, outer, right), i < len(at_lam): at_lam[i][x]
+    stands for [a_i λ a_x], outer[i][j] and right[i][k] for [a_i λ a_j]
+    and [a_i λ a_k] with ∂ moved out as in ``_jacobi_tables``. at_sum[x][k]
+    stands for [a_x λ+μ a_k] and at_mu[j][x] for [a_j μ a_x]. The algebra's
+    own tables make this its Jacobi identity; the images of a map d_λ as
+    the acting tables make it the Leibniz identity of d_λ. Entries are
+    sparse ((coordinate, poly), ...) terms, those of at_lam, at_sum and
+    at_mu with coordinates in [0, width). Each triple is summed into one
+    {(coordinate, e∂, eλ, eμ): coeff} dict, and only a nonzero sum becomes
+    a width-long tuple of FormalPoly. Returns the nonzero
     (i, j, k, residual) in triple order."""
-    inner, outer, right = _jacobi_tables(A)
+    at_lam, outer, right = acting
+    inner = _jacobi_tables(A)[0]
     n = A.dim
     sum_by_col = list(zip(*at_sum))  # sum_by_col[k][x] = at_sum[x][k]
     out = []
-    for i in range(n):
+    for i in range(len(at_lam)):
         for j in range(n):
             for k in range(n):
                 r = {}
@@ -173,6 +162,7 @@ def check_jacobi(A):
     [a_i λ [a_j μ a_k]] - [[a_i λ a_j]_{λ+μ} a_k] - [a_j μ [a_i λ a_k]]
     over basis triples, as identities in V ⊗ Q[∂, λ, μ]."""
     lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
-    return _jacobi_residuals(A, _slot_brackets(A, lam),
+    _, outer, right = _jacobi_tables(A)
+    return _jacobi_residuals(A, (_slot_brackets(A, lam), outer, right),
                              _slot_brackets(A, lam + mu),
                              _slot_brackets(A, mu), A.dim)

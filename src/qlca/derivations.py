@@ -13,8 +13,8 @@ element (or is asserted simple), and is cross-checked against the direct
 one. Both systems and the inner derivations are read off the product
 grids (``circ_terms``, ``lie_terms``, ``star_terms``).
 Only ``verify_derivation`` runs the λ-bracket engine: it checks a concrete
-ansatz against the same identity with brackets from ``bracket_general``,
-so it shares no formula with either solver.
+ansatz against the same identity as the engine's Jacobi expansion with
+d_λ in place of ad(a), so it shares no formula with either solver.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from .conformal import (_slot_brackets, basis_expr, bracket_general,
-                        expr_add, expr_is_zero, expr_sub)
+from .conformal import _jacobi_residuals, _slot_brackets
 from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, nullspace_basis,
                    span_rank)
@@ -67,8 +66,19 @@ class DerivationAnsatz:
                     out[r] = out[r] + mono * c
         return tuple(out)
 
+    def _check_dim(self, n):
+        """Refuse an ansatz shaped for another dimension than n."""
+        for (j, _, _), vec in self.coeffs:
+            if not 0 <= j < n:
+                raise ValueError(f"ansatz basis index {j} is out of range "
+                                 f"for dimension {n}")
+            if len(vec) != n:
+                raise ValueError(f"ansatz vector of length {len(vec)} at "
+                                 f"basis index {j} for dimension {n}")
+
     def as_vector(self, n, P, D):
         """Sparse coefficient vector at bounds (P, D); own bounds must fit."""
+        self._check_dim(n)
         if any(i > P or k > D for (_, i, k), _ in self.coeffs):
             raise ValueError("ansatz does not fit the requested bounds")
         idx = _unknown_indexer(n, P)
@@ -296,28 +306,25 @@ def verify_derivation(A: GDBialgebra, dmap: DerivationAnsatz):
     """Residuals (p, q, residual) of the Leibniz identity
     d_λ[a_p μ a_q] - [(d_λ a_p)_{λ+μ} a_q] - [a_p μ (d_λ a_q)] over all
     basis pairs, as identities in V ⊗ Q[∂, λ, μ]; empty iff dmap is a
-    conformal derivation. Both brackets on the right come from
-    ``bracket_general``, and the left side applies
-    d_λ(∂^k x) = (∂+λ)^k d_λ(x) to the coordinates of the engine's
-    [a_p μ a_q], so the check shares no formula with either solver."""
+    conformal derivation. An ansatz shaped for another dimension raises
+    ValueError. This is the engine's Jacobi expansion
+    (``_jacobi_residuals``) with d_λ acting in place of ad(a_i), so the
+    check shares no formula with either solver: d_λ's images with ∂
+    kept, since d_λ(∂x) = (∂+λ)d_λ(x); with ∂ ↦ -λ-μ, beside the slot
+    table at λ+μ; and with ∂ ↦ μ+∂, beside the one at μ."""
     n = A.dim
-    d, lam, mu = FormalPoly.sym(DEL), FormalPoly.sym(LAM), FormalPoly.sym(MU)
+    dmap._check_dim(n)
+    d, lam, mu = (FormalPoly.sym(s) for s in (DEL, LAM, MU))
     images = [dmap.image(n, j) for j in range(n)]
-    at_mu = _slot_brackets(A, mu)
-    out = []
-    for p in range(n):
-        for q in range(n):
-            lhs = (FormalPoly(),) * n
-            for m, pol in at_mu[p][q]:
-                shifted = pol.substitute(DEL, d + lam)
-                lhs = expr_add(lhs, tuple(shifted * x for x in images[m]))
-            rhs = expr_add(
-                bracket_general(A, images[p], basis_expr(n, q), lam + mu),
-                bracket_general(A, basis_expr(n, p), images[q], mu))
-            residual = expr_sub(lhs, rhs)
-            if not expr_is_zero(residual):
-                out.append((p, q, residual))
-    return out
+
+    def acting(shift):  # one row: d_λ(a_x) with ∂ ↦ shift, for x < n
+        return [[tuple((r, p.substitute(DEL, shift))
+                       for r, p in enumerate(image) if p)
+                 for image in images]]
+
+    return [(p, q, residual) for _, p, q, residual in _jacobi_residuals(
+        A, (acting(d), acting(-(lam + mu)), acting(mu + d)),
+        _slot_brackets(A, lam + mu), _slot_brackets(A, mu), n)]
 
 
 # ---------------------------------------------------------------------

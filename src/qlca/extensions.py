@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .conformal import _jacobi_residuals, bracket_basis
+from .conformal import _jacobi_residuals, _jacobi_tables, bracket_basis
 from .gd import GDBialgebra
 from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
                    nullspace_basis, span_rank)
@@ -327,8 +327,8 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
     α is applied sesquilinearly: ∂ in its second argument becomes the
     form's variable, ∂ in its first argument becomes minus that variable
     (∂ kills the centre), and λ, μ inside the arguments ride along as
-    scalars. Returns the failing identity instances, empty iff q is a
-    cocycle:
+    scalars. A quadruple of another dimension raises ValueError. Returns
+    the failing identity instances, empty iff q is a cocycle:
 
     * ("skew", i, j, r): r = α_λ(a_i, a_j) + α_{-λ}(a_j, a_i) ≠ 0;
     * ("jacobi", a, b, c, r): r is the central part of the Jacobi identity
@@ -336,6 +336,9 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
       α_λ(a, [b_μ c]) - α_{λ+μ}([a_λ b], c) - α_μ(b, [a_λ c]) ≠ 0.
     """
     n = A.dim
+    if any(len(m) != n or any(len(row) != n for row in m) for m in q.alpha):
+        raise ValueError(f"cocycle quadruple of dimension {len(q.alpha[0])} "
+                         f"for an algebra of dimension {n}")
     lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
 
     polys = [[q.lambda_poly(a, b) for b in range(n)] for a in range(n)]
@@ -353,8 +356,9 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
                 out.append(("skew", i, j, r))
 
     # ∂ kills the centre
-    for a, b, c, (r,) in _jacobi_residuals(A, at_lam, forms_at(lam + mu),
-                                           forms_at(mu), 1):
+    _, outer, right = _jacobi_tables(A)
+    for a, b, c, (r,) in _jacobi_residuals(A, (at_lam, outer, right),
+                                           forms_at(lam + mu), forms_at(mu), 1):
         r = r.substitute(DEL, 0)
         if r:
             out.append(("jacobi", a, b, c, r))

@@ -173,76 +173,64 @@ def gd_build(dim, basis_names, novikov_table, lie_table, validate=True):
     return algebra
 
 
-def _residual(n, *signed):
-    """Σ sign·v over {k: coeff} vectors v: () when it is 0, else its
-    dense coordinates as Fractions."""
-    out = {}
-    for sign, v in signed:
-        for k, c in v.items():
-            out[k] = out.get(k, 0) + sign * c
-    if not any(out.values()):
-        return ()
-    return tuple(Fraction(out.get(k, 0)) for k in range(n))
-
-
-def _units(n):
-    return [((i, 1),) for i in range(n)]
+def _violations(n, axioms):
+    """The violations over basis triples (i, j, k) of identities given as
+    (name, terms) pairs, in triple order and then in ``axioms`` order.
+    Each term (sign, outer, inner, nesting, perm) stands for
+    sign·outer(inner(x, y), z) when nesting is "(xy)z" and for
+    sign·outer(x, inner(y, z)) when it is "x(yz)", where outer and inner
+    are product grids and (x, y, z) is the triple permuted by perm, a
+    string such as "jik". A triple's identity is summed into one
+    {k: coeff} dict; a nonzero sum becomes a dense Fraction residual."""
+    tables = [(name, [(sign, outer, inner, nesting == "(xy)z",
+                       tuple("ijk".index(c) for c in perm))
+                      for sign, outer, inner, nesting, perm in terms])
+              for name, terms in axioms]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                t = (i, j, k)
+                for name, terms in tables:
+                    r = {}
+                    for sign, outer, inner, left, (a, b, c) in terms:
+                        x, y, z = t[a], t[b], t[c]
+                        for m, u in (inner[x][y] if left else inner[y][z]):
+                            u *= sign
+                            for s, v in (outer[m][z] if left else outer[x][m]):
+                                r[s] = r.get(s, 0) + u * v
+                    if any(r.values()):
+                        out.append(Violation(name, i, j, k, tuple(
+                            Fraction(r.get(s, 0)) for s in range(n))))
+    return out
 
 
 def check_novikov(algebra):
     """All violations of left-symmetry
     (a∘b)∘c - a∘(b∘c) = (b∘a)∘c - b∘(a∘c) and right-commutativity
     (a∘b)∘c = (a∘c)∘b over basis triples."""
-    n = algebra.dim
-    e, C = _units(n), algebra.circ_terms
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = _mul(C, C[i][j], e[k])
-                left_sym = _residual(n, (1, lhs), (-1, _mul(C, e[i], C[j][k])),
-                                     (-1, _mul(C, C[j][i], e[k])),
-                                     (1, _mul(C, e[j], C[i][k])))
-                if left_sym:
-                    out.append(Violation("left-symmetry", i, j, k, left_sym))
-                right_comm = _residual(n, (1, lhs), (-1, _mul(C, C[i][k], e[j])))
-                if right_comm:
-                    out.append(Violation("right-commutativity", i, j, k, right_comm))
-    return out
+    C = algebra.circ_terms
+    return _violations(algebra.dim, [
+        ("left-symmetry", [(1, C, C, "(xy)z", "ijk"), (-1, C, C, "x(yz)", "ijk"),
+                           (-1, C, C, "(xy)z", "jik"), (1, C, C, "x(yz)", "jik")]),
+        ("right-commutativity", [(1, C, C, "(xy)z", "ijk"),
+                                 (-1, C, C, "(xy)z", "ikj")])])
 
 
 def check_lie(algebra):
     """All violations of the Jacobi identity
     [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 over basis triples."""
-    n = algebra.dim
-    e, L = _units(n), algebra.lie_terms
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = _residual(n, (1, _mul(L, L[i][j], e[k])),
-                                (1, _mul(L, L[j][k], e[i])),
-                                (1, _mul(L, L[k][i], e[j])))
-                if res:
-                    out.append(Violation("jacobi", i, j, k, res))
-    return out
+    L = algebra.lie_terms
+    return _violations(algebra.dim, [
+        ("jacobi", [(1, L, L, "(xy)z", perm) for perm in ("ijk", "jki", "kij")])])
 
 
 def check_gd_compat(algebra):
     """All violations of the compatibility identity
     [a∘b,c] - [a∘c,b] + [a,b]∘c - [a,c]∘b - a∘[b,c] = 0 over basis
     triples."""
-    n = algebra.dim
-    e, C, L = _units(n), algebra.circ_terms, algebra.lie_terms
-    out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                res = _residual(n, (1, _mul(L, C[i][j], e[k])),
-                                (-1, _mul(L, C[i][k], e[j])),
-                                (1, _mul(C, L[i][j], e[k])),
-                                (-1, _mul(C, L[i][k], e[j])),
-                                (-1, _mul(C, e[i], L[j][k])))
-                if res:
-                    out.append(Violation("compatibility", i, j, k, res))
-    return out
+    C, L = algebra.circ_terms, algebra.lie_terms
+    return _violations(algebra.dim, [
+        ("compatibility", [(1, L, C, "(xy)z", "ijk"), (-1, L, C, "(xy)z", "ikj"),
+                           (1, C, L, "(xy)z", "ijk"), (-1, C, L, "(xy)z", "ikj"),
+                           (-1, C, L, "x(yz)", "ijk")])])

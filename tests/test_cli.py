@@ -139,12 +139,18 @@ class TestCheck:
         ("vir:=3", "catalog parameter '=3' is not k=v"),
         ("vir:", "catalog parameter '' is not k=v"),
         ("vir:,", "catalog parameter '' is not k=v"),
+        ("r_alpha_beta:alpha=x,beta=0",
+         "alpha must be a rational number, got 'x'"),
+        ("r_alpha_beta:alpha=1,beta=", "beta must be a rational number, got ''"),
+        ("loop_hv_cyclic:m=", "m must be an integer >= 1, got ''"),
+        ("loop_vir_cyclic:m=two", "m must be an integer >= 1, got 'two'"),
     ])
     def test_bad_catalog_parameter_is_named_exit_2(self, capsys, target,
                                                    message):
         """A repeated key is refused, not overwritten, and a missing or
         unknown key is named without the builder's Python signature. An
-        empty key or an empty parameter list after ':' is not k=v."""
+        empty key or an empty parameter list after ':' is not k=v. A value
+        that is no number is quoted beside the parameter it was given for."""
         code, out, err = run(capsys, "--json", "check", "catalog:" + target)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
@@ -424,6 +430,44 @@ def test_bench_pairs_refuses_too_few_pairs_before_any_run(
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(
         f"error: --pairs must be at least 2, got {pairs}")
+
+
+@pytest.mark.parametrize("code, stdout, message", [
+    (1, "", "with exit code 1"),
+    (0, "a progress line, not a result\n",
+     "with exit code 0 and no JSON result line"),
+])
+def test_bench_pairs_names_a_failed_run_and_keeps_the_finished_ones(
+        monkeypatch, capsys, tmp_path, code, stdout, message):
+    """The third run (pair 1, change side first) fails: the script names
+    it with its checkout, pair, seed, exit code and last stderr lines,
+    prints the two runs that finished, and exits 1."""
+    result = {"metrics": {"wall_s": {"value": 0.5}}, "failed": 0}
+    calls = []
+
+    def fake_run(args, cwd, **kwargs):
+        calls.append(cwd)
+        if len(calls) == 3:
+            return subprocess.CompletedProcess(args, code, stdout,
+                                               "first\nlast stderr line\n")
+        return subprocess.CompletedProcess(args, 0, json.dumps(result), "")
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", str(parent), str(change),
+        "--workload", "catalog-certify", "--pairs", "3"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"),
+                       run_name="__main__")
+    assert exc.value.code == 1 and len(calls) == 3
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"error: the change run in {change} failed at pair 1 (seed 1) "
+        + message, "  first", "  last stderr line"]
+    finished = {"wall_s": 0.5, "failed": 0}
+    assert json.loads(out) == {"workload": "catalog-certify", "finished": {
+        "parent": [finished], "change": [finished]}}
 
 
 def test_snapshot_script_writes_every_report_of_one_target(tmp_path):

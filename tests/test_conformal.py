@@ -11,13 +11,34 @@ from hypothesis import strategies as st
 from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, GDBialgebra,
                   bracket_basis, bracket_general, catalog_build,
                   check_gd_compat, check_jacobi, check_lie, check_novikov,
-                  check_skew, gd_build, parse_algebra,
-                  solve_extensions_theorem, verify_cocycle)
-from qlca.conformal import (_grid_table, _jacobi_tables, _slot_brackets,
-                            basis_expr, expr_add, expr_is_zero, expr_sub)
+                  check_skew, gd_build, inner_derivation, parse_algebra,
+                  solve_derivations_direct, solve_extensions_theorem,
+                  verify_cocycle, verify_derivation)
+from qlca.conformal import _grid_table, _jacobi_tables, _slot_brackets
 from test_catalog import _integral_algebras
 
 SNAPSHOT_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "snapshot_reports.py"
+
+
+# Elements of C[∂]V as length-n tuples of FormalPoly, for the routes
+# through bracket_general that the engine is checked against.
+
+
+def basis_expr(n, i):
+    """a_i as a length-n tuple of FormalPoly."""
+    return tuple(FormalPoly.const(int(j == i)) for j in range(n))
+
+
+def expr_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def expr_sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def expr_is_zero(x):
+    return all(p.is_zero() for p in x)
 
 
 def D():
@@ -209,9 +230,9 @@ class TestOneJacobiExpansion:
 
 
 def test_checkers_run_without_the_general_product(catalog_entry, monkeypatch):
-    """check_skew, check_jacobi and verify_cocycle read the slot tables
-    and the shared Jacobi expansion: with bracket_general raising in every
-    qlca namespace, they still run."""
+    """check_skew, check_jacobi, verify_cocycle and verify_derivation read
+    the slot tables and the shared Jacobi expansion: with bracket_general
+    raising in every qlca namespace, they still run."""
     def general(*args, **kwargs):
         raise AssertionError("bracket_general was called")
 
@@ -225,6 +246,10 @@ def test_checkers_run_without_the_general_product(catalog_entry, monkeypatch):
     for q in solve_extensions_theorem(A).basis:
         assert verify_cocycle(A, q) == []
     assert verify_cocycle(A, CocycleQuadruple.single(A.dim, 0, 0, 0))
+    for v in range(A.dim):
+        assert verify_derivation(A, inner_derivation(A, v, 1)) == []
+    for d in solve_derivations_direct(A, 1, 1).basis:
+        assert verify_derivation(A, d) == []
 
 
 # -- the engine against a copy of its earlier dense route ----------------

@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlca import (CatalogEntry, DerivationAnsatz, DerivationSpace,
-                  HypothesisNotDetected, RatMatrix, catalog_build, detect_unit_like,
+from qlca import (DEL, LAM, MU, CatalogEntry, DerivationAnsatz, DerivationSpace,
+                  FormalPoly, HypothesisNotDetected, RatMatrix,
+                  bracket_general, catalog_build, detect_unit_like,
                   entry_label, inner_derivation, nullspace_basis, outer_dimension,
                   solve_derivations_direct, solve_derivations_theorem,
                   solve_extensions_direct, solve_extensions_theorem,
@@ -16,6 +19,7 @@ from qlca.cli import main
 from qlca.derivations import (_closed_rows, _direct_rows, _inner_vectors,
                               _unknown_indexer)
 from test_catalog import _integral_algebras, _trunc_poly
+from test_conformal import basis_expr, expr_add, expr_is_zero, expr_sub
 
 
 @pytest.fixture(params=[
@@ -284,8 +288,8 @@ class TestSolverAgreement:
 
 class TestVerifierAgainstSolver:
     def test_single_coefficients_verify_iff_in_solution_span(self, catalog_entry):
-        """verify_derivation brackets through bracket_general and shares no
-        formula with the solvers, so the two must agree on which
+        """verify_derivation runs the engine's Jacobi expansion and shares
+        no formula with the solvers, so the two must agree on which
         single-coefficient ansätze are derivations."""
         R = catalog_entry.build()
         n, P, D = R.dim, 1, 2
@@ -301,6 +305,28 @@ class TestVerifierAgainstSolver:
                                    == len(basis))
                         assert (verify_derivation(R, d) == []) == in_span, \
                             (j, i, k, r)
+
+
+class TestShapeRefusals:
+    """An ansatz shaped for another algebra is refused with a ValueError
+    that names the index or the dimension, not read in part."""
+
+    @pytest.mark.parametrize("name, params, coeffs, message", [
+        ("vir", {}, {(5, 0, 0): (1,)}, "basis index 5 is out of range for "
+                                       "dimension 1"),
+        ("vir", {}, {(-1, 0, 0): (1,)}, "basis index -1 is out of range"),
+        ("vir", {}, {(0, 0, 0): (1, 0)}, "vector of length 2 at basis index 0 "
+                                         "for dimension 1"),
+        ("r_alpha_beta", {"alpha": 3, "beta": 1}, {(1, 1, 0): (1,)},
+         "vector of length 1 at basis index 1 for dimension 2"),
+    ])
+    def test_ansatz_for_another_algebra(self, name, params, coeffs, message):
+        A = catalog_build(name, **params)
+        d = DerivationAnsatz.from_dict(1, 1, coeffs)
+        with pytest.raises(ValueError, match=message):
+            verify_derivation(A, d)
+        with pytest.raises(ValueError, match=message):
+            d.as_vector(A.dim, 1, 1)
 
 
 class TestCurrentShape:
@@ -395,3 +421,70 @@ def test_solvers_run_without_the_bracket_engine(catalog_entry, monkeypatch):
     detect_unit_like(A)
     for v in range(A.dim):
         inner_derivation(A, v, 1)
+
+
+# -- verify_derivation against a copy of its earlier route -----------------
+# Before verify_derivation became the engine's Jacobi expansion with d_λ
+# acting, it bracketed the images through bracket_general. Kept here as
+# the oracle of the expansion: the residual lists must be equal, entry for
+# entry and in order.
+
+
+def leibniz_through_bracket_general(A, dmap):
+    """d_λ[a_p μ a_q] - [(d_λ a_p)_{λ+μ} a_q] - [a_p μ (d_λ a_q)] over the
+    ordered basis pairs: both right-hand brackets from bracket_general, and
+    d_λ(∂^k x) = (∂+λ)^k d_λ(x) applied to the coordinates of
+    [a_p μ a_q]."""
+    n = A.dim
+    d, lam, mu = (FormalPoly.sym(s) for s in (DEL, LAM, MU))
+    images = [dmap.image(n, j) for j in range(n)]
+    out = []
+    for p in range(n):
+        for q in range(n):
+            lhs = (FormalPoly(),) * n
+            at_mu = bracket_general(A, basis_expr(n, p), basis_expr(n, q), mu)
+            for m, pol in enumerate(at_mu):
+                shifted = pol.substitute(DEL, d + lam)
+                lhs = expr_add(lhs, tuple(shifted * x for x in images[m]))
+            rhs = expr_add(
+                bracket_general(A, images[p], basis_expr(n, q), lam + mu),
+                bracket_general(A, basis_expr(n, p), images[q], mu))
+            residual = expr_sub(lhs, rhs)
+            if not expr_is_zero(residual):
+                out.append((p, q, residual))
+    return out
+
+
+@pytest.mark.parametrize("build", _integral_algebras())
+def test_verify_derivation_is_the_bracket_general_route(build):
+    """On inner derivations, solver solutions and unit ansätze, most of
+    which fail, the two routes give the same residual lists."""
+    A = build()
+    n, P, D = A.dim, 1, 2
+    ansatze = [inner_derivation(A, v, k) for v in range(n) for k in range(2)]
+    ansatze += solve_derivations_direct(A, P, D).basis
+    ansatze += [DerivationAnsatz.from_dict(P, D, {(j, i, k): tuple(
+                    Fraction(int(s == r)) for s in range(n))})
+                for j in range(n) for i, k, r in ((0, 0, 0), (1, 1, n - 1),
+                                                 (1, 2, 0))]
+    failing = 0
+    for d in ansatze:
+        expected = leibniz_through_bracket_general(A, d)
+        assert verify_derivation(A, d) == expected
+        failing += bool(expected)
+    assert failing or not any(map(any, A.circ_terms + A.lie_terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_derivation_is_the_bracket_general_route_on_drawn_ansatze(data):
+    A = data.draw(st.sampled_from(
+        [e.build for e in standard_entries()] + [lambda: _trunc_poly(4, 1)]))()
+    n = A.dim
+    P, D = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeffs = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, P), st.integers(0, D)),
+        st.lists(coeff, min_size=n, max_size=n).map(tuple), max_size=3))
+    d = DerivationAnsatz.from_dict(P, D, coeffs)
+    assert verify_derivation(A, d) == leibniz_through_bracket_general(A, d)

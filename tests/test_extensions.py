@@ -205,6 +205,20 @@ class TestVerifierAgainstSolver:
         skew = [r for r in verify_cocycle(A, q) if r[0] == "skew"]
         assert skew == [("skew", 0, 0, FormalPoly.sym(LAM, 2, 2))]
 
+    @pytest.mark.parametrize("name, params, n, message", [
+        ("vir", {}, 2, "cocycle quadruple of dimension 2 for an algebra of "
+                       "dimension 1"),
+        ("r_alpha_beta", {"alpha": 2, "beta": 0}, 1,
+         "cocycle quadruple of dimension 1 for an algebra of dimension 2"),
+    ])
+    def test_quadruple_for_another_algebra_is_refused(self, name, params, n,
+                                                      message):
+        """Neither the n×n corner of a larger quadruple is read nor a
+        smaller one indexed past its end."""
+        A = catalog_build(name, **params)
+        with pytest.raises(ValueError, match=message):
+            verify_cocycle(A, CocycleQuadruple.single(n, 0, 0, n - 1))
+
     def test_jacobi_residual_names_its_triple(self):
         # α_λ(W, W) = λ on R(2,0) is skew-symmetric but breaks Jacobi
         A = catalog_build("r_alpha_beta", alpha=2, beta=0)

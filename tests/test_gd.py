@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qlca import (GDValidationError, catalog_build, check_gd_compat,
-                  check_lie, check_novikov, gd_build)
+from qlca import (GDValidationError, Violation, catalog_build,
+                  check_gd_compat, check_lie, check_novikov, gd_build)
 
 
 def zero_table(n):
@@ -13,10 +13,14 @@ def zero_table(n):
 
 def brute_force_violations(A):
     """Test-side oracle: re-derive all three axiom residuals directly from
-    the structure constants, without the library's vector helpers."""
+    the structure constants, without the library's vector helpers. Returns
+    (axiom, i, j, k, residual) in the checkers' order: every Novikov
+    instance (left-symmetry before right-commutativity at each triple),
+    then every Jacobi one, then every compatibility one, each residual the
+    dense Fraction vector of the failed identity."""
     n = A.dim
     nov, lie = A.novikov, A.lie
-    bad = []
+    novikov, jacobi, compat = [], [], []
 
     def circ2(i, j):  # (a_i ∘ a_j) as dict
         return {k: nov[i][j][k] for k in range(n) if nov[i][j][k]}
@@ -29,6 +33,11 @@ def brute_force_violations(A):
                 if v:
                     out[k] = out.get(k, Fraction(0)) + c * v
         return {k: v for k, v in out.items() if v}
+
+    def record(found, axiom, i, j, k, res):
+        if any(res.values()):
+            found.append((axiom, i, j, k,
+                          tuple(Fraction(res.get(kk, 0)) for kk in range(n))))
 
     for i in range(n):
         for j in range(n):
@@ -43,22 +52,19 @@ def brute_force_violations(A):
                     lhs[kk] = lhs.get(kk, Fraction(0)) - v
                 for kk, v in apply(nov, circ2(i, k), j, left=False).items():
                     lhs[kk] = lhs.get(kk, Fraction(0)) + v
-                if any(lhs.values()):
-                    bad.append(("left-symmetry", i, j, k))
+                record(novikov, "left-symmetry", i, j, k, lhs)
                 # right-commutativity
                 rc = apply(nov, ab, k)
                 for kk, v in apply(nov, circ2(i, k), j).items():
                     rc[kk] = rc.get(kk, Fraction(0)) - v
-                if any(rc.values()):
-                    bad.append(("right-commutativity", i, j, k))
+                record(novikov, "right-commutativity", i, j, k, rc)
                 # Jacobi
                 jac = {}
                 for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
                     inner = {kk: lie[x][y][kk] for kk in range(n) if lie[x][y][kk]}
                     for kk, v in apply(lie, inner, z).items():
                         jac[kk] = jac.get(kk, Fraction(0)) + v
-                if any(jac.values()):
-                    bad.append(("jacobi", i, j, k))
+                record(jacobi, "jacobi", i, j, k, jac)
                 # compatibility
                 comp = {}
                 for kk, v in apply(lie, ab, k).items():
@@ -74,9 +80,8 @@ def brute_force_violations(A):
                 lbc = {kk: lie[j][k][kk] for kk in range(n) if lie[j][k][kk]}
                 for kk, v in apply(nov, lbc, i, left=False).items():
                     comp[kk] = comp.get(kk, Fraction(0)) - v
-                if any(comp.values()):
-                    bad.append(("compatibility", i, j, k))
-    return bad
+                record(compat, "compatibility", i, j, k, comp)
+    return novikov + jacobi + compat
 
 
 class TestBuild:
@@ -155,8 +160,8 @@ class TestCheckersAgainstOracle:
 
     def test_random_mutations_detected_identically(self):
         """Perturb one structure constant at a time; the library checkers
-        and the independent test-side oracle must report the same failing
-        (axiom, i, j, k) instances."""
+        and the independent test-side oracle must report the same
+        violations, residual vectors included, in the same order."""
         rng = random.Random(7)
         base = catalog_build("vir_current", g="sl2")
         n = base.dim
@@ -176,7 +181,6 @@ class TestCheckersAgainstOracle:
                 lie[j][i][k] -= delta
             A = gd_build(n, base.basis_names, nov, lie, validate=False)
             found = check_novikov(A) + check_lie(A) + check_gd_compat(A)
-            instances = sorted((v.axiom, v.i, v.j, v.k) for v in found)
-            assert instances == sorted(brute_force_violations(A))
-            total += len(instances)
+            assert found == [Violation(*v) for v in brute_force_violations(A)]
+            total += len(found)
         assert total > 0
