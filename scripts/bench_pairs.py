@@ -7,9 +7,11 @@
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones. Prints JSON:
 each side's per-pair end-to-end metrics, their medians and quartiles,
-and for each metric the number of pairs where the change is lower. A run
-that exits nonzero or prints no result stops the script with exit code 1:
-it names the run on stderr and prints the runs that finished.
+for each metric the number of pairs where the change is lower, and for
+each end-to-end metric of ``BENCHMARK.json`` a verdict (see ``verdict``)
+under its ``bound`` and ``better`` fields. A run that exits nonzero or
+prints no result stops the script with exit code 1: it names the run on
+stderr and prints the runs that finished.
 """
 
 import argparse
@@ -17,6 +19,9 @@ import json
 import statistics
 import subprocess
 import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run(checkout, workload, seed, seconds):
@@ -34,6 +39,35 @@ def run(checkout, workload, seed, seconds):
     except (AttributeError, IndexError, KeyError, TypeError, ValueError):
         metrics = None
     return (metrics if proc.returncode == 0 else None), proc
+
+
+def verdict(parent, change, bound, better):
+    """The verdict on one metric from its paired runs, in pair order.
+    ``bound`` is relative to the parent's median; ``better`` is "lower"
+    or "higher". In this order:
+
+    * "worse": the change's median is past the parent's median by more
+      than the bound;
+    * "gain": the change is better in at least 9 of 10 pairs (a tie
+      counts for neither side), and its median is better by more than
+      the parent's interquartile range;
+    * "unresolved": the parent's interquartile range is wider than the
+      bound times its median, unless every change run is better than
+      every parent run;
+    * "within bound": otherwise.
+    """
+    sign = 1 if better == "lower" else -1  # signed values: lower is better
+    p, c = [sign * x for x in parent], [sign * x for x in change]
+    p_med, c_med = statistics.median(p), statistics.median(c)
+    q1, _, q3 = statistics.quantiles(p, n=4)
+    wins = sum(y < x for x, y in zip(p, c))
+    if c_med > p_med + bound * abs(p_med):
+        return "worse"
+    if 10 * wins >= 9 * len(p) and p_med - c_med > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(p_med) and not max(c) < min(p):
+        return "unresolved"
+    return "within bound"
 
 
 def fail(args, side, pair, proc, runs):
@@ -79,6 +113,12 @@ def main():
     report["change_lower"] = {
         m: sum(c[m] < p[m] for p, c in zip(runs["parent"], runs["change"]))
         for m in metrics}
+    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
+    report["verdict"] = {
+        e["name"]: verdict([r[e["name"]] for r in runs["parent"]],
+                           [r[e["name"]] for r in runs["change"]],
+                           e["bound"], e["better"])
+        for e in end_to_end if e["name"] in metrics}
     print(json.dumps(report, indent=2))
 
 

@@ -35,6 +35,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 MAX_DIM = 128
 
+_KINDS = ("novikov", "lie")  # the table directives, in emitted order
+
 
 class ParseError(ValueError):
     """Syntax or structural error in an algebra-definition file; carries
@@ -59,27 +61,25 @@ class AlgebraFile:
 
     def build(self, validate=True) -> GDBialgebra:
         n = self.dim
-        nov = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        lie = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for (i, j), cell in self.novikov.items():
-            for k, c in cell.items():
-                nov[i][j][k] = c
-        for (i, j), cell in self.lie.items():
-            for k, c in cell.items():
-                lie[i][j][k] = c
-                lie[j][i][k] = -c
-        return gd_build(n, self.basis, nov, lie, validate=validate)
+        tables = []
+        for kind in _KINDS:
+            table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+            for (i, j), cell in getattr(self, kind).items():
+                for k, c in cell.items():
+                    table[i][j][k] = c
+                    if kind == "lie":
+                        table[j][i][k] = -c
+            tables.append(table)
+        return gd_build(n, self.basis, *tables, validate=validate)
 
 
 def _parse_rational(tok, line_no):
     if not _RATIONAL_RE.match(tok):
         raise ParseError(f"bad rational literal {tok!r}", line_no)
-    if "/" in tok:
-        num, den = tok.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {tok!r}", line_no)
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok))
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {tok!r}", line_no) from None
 
 
 def parse_algebra_file(text) -> AlgebraFile:
@@ -89,22 +89,17 @@ def parse_algebra_file(text) -> AlgebraFile:
     dim = None
     basis = None
     index = {}
-    novikov = {}
-    lie = {}
+    tables = {kind: {} for kind in _KINDS}
     seen = set()  # (kind, i, j) of every table line, all-zero ones included
     meta = {}
     ended = False
-
-    def need_header(line_no):
-        if basis is None:
-            raise ParseError("algebra/dim/basis lines must come first", line_no)
 
     def resolve(tok, line_no):
         if tok not in index:
             raise ParseError(f"undeclared basis name {tok!r}", line_no)
         return index[tok]
 
-    def parse_table_line(parts, line_no, table, kind):
+    def parse_table_line(parts, line_no, kind):
         if len(parts) < 5 or parts[3] != "=":
             raise ParseError(f"expected '{kind} I J = K:coeff ...'", line_no)
         i = resolve(parts[1], line_no)
@@ -128,7 +123,7 @@ def parse_algebra_file(text) -> AlgebraFile:
                     f"repeated target {kname!r} in one entry", line_no)
             cell[k] = _parse_rational(lit, line_no)
         if cell := {k: c for k, c in cell.items() if c}:
-            table[i, j] = cell
+            tables[kind][i, j] = cell
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -169,12 +164,11 @@ def parse_algebra_file(text) -> AlgebraFile:
                 raise ParseError("basis names must be distinct", line_no)
             basis = names
             index = {s: i for i, s in enumerate(names)}
-        elif head == "novikov":
-            need_header(line_no)
-            parse_table_line(parts, line_no, novikov, "novikov")
-        elif head == "lie":
-            need_header(line_no)
-            parse_table_line(parts, line_no, lie, "lie")
+        elif head in tables:
+            if basis is None:
+                raise ParseError("algebra/dim/basis lines must come first",
+                                 line_no)
+            parse_table_line(parts, line_no, head)
         elif head == "meta":
             if len(parts) < 3:
                 raise ParseError("expected 'meta KEY VALUE...'", line_no)
@@ -190,7 +184,8 @@ def parse_algebra_file(text) -> AlgebraFile:
         raise ParseError("missing algebra/dim/basis header")
     if not ended:
         raise ParseError("missing 'end' line")
-    return AlgebraFile(name, dim, basis, novikov, lie, meta)
+    return AlgebraFile(name, dim, basis, tables["novikov"], tables["lie"],
+                       meta)
 
 
 def parse_algebra(text, validate=True) -> GDBialgebra:
@@ -202,24 +197,14 @@ def parse_algebra(text, validate=True) -> GDBialgebra:
 def emit_algebra(A: GDBialgebra, name="algebra", meta=None) -> str:
     """Serialize a GDBialgebra to the canonical format; the output parses
     back to a structurally identical algebra."""
-    lines = [f"algebra {name}", f"dim {A.dim}", "basis " + " ".join(A.basis_names)]
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
-            cell = [(k, c) for k, c in enumerate(A.novikov[i][j]) if c]
-            if cell:
-                body = " ".join(
-                    f"{A.basis_names[k]}:{c}" for k, c in cell)
-                lines.append(
-                    f"novikov {A.basis_names[i]} {A.basis_names[j]} = {body}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            cell = [(k, c) for k, c in enumerate(A.lie[i][j]) if c]
-            if cell:
-                body = " ".join(
-                    f"{A.basis_names[k]}:{c}" for k, c in cell)
-                lines.append(
-                    f"lie {A.basis_names[i]} {A.basis_names[j]} = {body}")
+    names = A.basis_names
+    lines = [f"algebra {name}", f"dim {A.dim}", "basis " + " ".join(names)]
+    for kind, grid in zip(_KINDS, (A.circ_terms, A.lie_terms)):
+        for i, row in enumerate(grid):
+            for j, cell in enumerate(row):
+                if cell and (kind == "novikov" or i < j):
+                    body = " ".join(f"{names[k]}:{c}" for k, c in cell)
+                    lines.append(f"{kind} {names[i]} {names[j]} = {body}")
     for k in sorted(meta or {}):
         lines.append(f"meta {k} {meta[k]}")
     lines.append("end")

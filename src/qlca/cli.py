@@ -14,14 +14,14 @@ from fractions import Fraction
 
 from .algfile import ParseError, emit_algebra, parse_algebra_file
 from .catalog import catalog_build, catalog_names
-from .conformal import bracket_basis, check_jacobi, check_skew
+from .conformal import _slot_brackets, check_jacobi, check_skew
 from .derivations import (HypothesisNotDetected, solve_derivations_theorem,
                           spaces_agree, stabilized_outer)
 from .extensions import (check_coeff_cocycle, coeff_relation_consistency,
                          solve_extensions_direct, solve_extensions_theorem,
                          verify_cocycle)
 from .gd import GDValidationError, check_gd_compat, check_lie, check_novikov
-from .poly import span_coordinates_many
+from .poly import LAM, FormalPoly, span_coordinates_many
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
@@ -55,8 +55,8 @@ def _parse_params(blob):
 
 def load_target(target, validate=True):
     """Resolve a CLI target to (GDBialgebra, label). Parse errors raise
-    TargetError/ParseError; axiom violations in validated file targets
-    raise GDValidationError."""
+    TargetError/ParseError, bad catalog parameter values ValueError;
+    axiom violations in validated targets raise GDValidationError."""
     if target.startswith("catalog:"):
         rest = target[len("catalog:"):]
         name, colon, blob = rest.partition(":")
@@ -69,10 +69,6 @@ def load_target(target, validate=True):
             return catalog_build(name, **params), rest
         except TypeError as exc:
             raise TargetError(f"bad parameters for {name!r}: {exc}") from exc
-        except ValueError as exc:
-            if isinstance(exc, GDValidationError):
-                raise
-            raise TargetError(str(exc)) from exc
     try:
         with open(target, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -107,26 +103,22 @@ def _render_text(report, indent=0):
 
 
 def _bracket_table(A):
-    """Human-readable λ-brackets on generators."""
-    n = A.dim
+    """Human-readable λ-brackets on generators, read off the sparse
+    entries of the λ slot table."""
+    names = A.basis_names
     rows = []
-    for i in range(n):
-        for j in range(n):
-            expr = bracket_basis(A, i, j)
+    for i, row in enumerate(_slot_brackets(A, FormalPoly.sym(LAM))):
+        for j, entry in enumerate(row):
             pieces = []
-            for k, pol in enumerate(expr):
-                if pol.is_zero():
-                    continue
+            for k, pol in entry:
                 s = str(pol)
                 if s == "1":
-                    pieces.append(A.basis_names[k])
+                    pieces.append(names[k])
                 else:
-                    pieces.append(f"({s}){A.basis_names[k]}")
+                    pieces.append(f"({s}){names[k]}")
             if pieces:
-                rows.append(
-                    f"[{A.basis_names[i]} λ {A.basis_names[j]}] = "
-                    + " + ".join(pieces)
-                )
+                rows.append(f"[{names[i]} λ {names[j]}] = "
+                            + " + ".join(pieces))
     return rows
 
 
@@ -143,7 +135,7 @@ def _quadruple_report(A, q):
     for i in range(n):
         for j in range(n):
             pol = q.lambda_poly(i, j)
-            if not pol.is_zero():
+            if pol:
                 brackets.append(
                     f"[{A.basis_names[i]} λ {A.basis_names[j]}] += ({pol})·c"
                 )

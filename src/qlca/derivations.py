@@ -215,6 +215,8 @@ def _direct_rows(A: GDBialgebra, P, D):
 
 
 def _solve(A, rows, P, D, method):
+    if P < 0 or D < 0:
+        raise ValueError("ansatz bounds must be non-negative")
     n = A.dim
     m = RatMatrix.from_rows(rows, n * (P + 1) * (D + 1) * n)
     basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
@@ -224,8 +226,9 @@ def _solve(A, rows, P, D, method):
 def solve_derivations_direct(A: GDBialgebra, partial_bound: int = 3,
                              lambda_bound: int = 4) -> DerivationSpace:
     """Exact solution space of the Leibniz identity at the given ansatz
-    bounds. inner_dim/outer_dim are the raw values at these bounds; use
-    stabilized_outer for the stabilized outer count."""
+    bounds; a negative bound raises ValueError. inner_dim/outer_dim are
+    the raw values at these bounds; use stabilized_outer for the
+    stabilized outer count."""
     P, D = partial_bound, lambda_bound
     return _solve(A, _direct_rows(A, P, D), P, D, "direct")
 
@@ -277,8 +280,10 @@ def stabilized_outer(A: GDBialgebra, partial_bound: int = 3,
     unknown of λ-degree > D set to 0. The columns are λ-degree major, so
     the elements of λ-degree ≤ D of the larger RREF basis are exactly the
     RREF basis at D. The inner derivations are built once for both
-    λ-bounds (``_inner_vectors``)."""
+    λ-bounds (``_inner_vectors``). A negative bound raises ValueError."""
     P, D = partial_bound, lambda_bound
+    if P < 0 or D < 0:
+        raise ValueError("ansatz bounds must be non-negative")
     probe = solve_derivations_direct(A, P, D + 2)
     basis = tuple(DerivationAnsatz(P, D, d.coeffs) for d in probe.basis
                   if all(k <= D for (_, _, k), _ in d.coeffs))
@@ -460,9 +465,9 @@ def solve_derivations_theorem(A: GDBialgebra, lambda_bound: int = 4,
 
     Applicable when the Novikov part has a unit-like element on either
     side (detected automatically) or is asserted simple by the caller.
-    Raises HypothesisNotDetected otherwise. The hypothesis bounds the
-    ∂-order of a derivation: by 1 with a left unit-like element, by 3
-    otherwise.
+    Raises HypothesisNotDetected otherwise; where it applies, a negative
+    bound raises ValueError. The hypothesis bounds the ∂-order of a
+    derivation: by 1 with a left unit-like element, by 3 otherwise.
 
     The unknowns of ∂-power above min(that bound, partial_bound) are set
     to 0 in the one closed system.

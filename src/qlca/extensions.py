@@ -23,14 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .conformal import _jacobi_residuals, _jacobi_tables, bracket_basis
 from .gd import GDBialgebra
-from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO,
+from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO, _as_q,
                    nullspace_basis, span_rank)
 
 MAX_CLOSED_DEGREE = 3  # λ-degree bound of the closed-form system
+
+
+def _column(n, k, i, j):
+    """Column of the unknown α_k(a_i, a_j) in a degree-major system."""
+    return (k * n + i) * n + j
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class CocycleQuadruple:
 
     @classmethod
     def from_vector(cls, n, vec):
-        """Unpack a sparse vector indexed by (k, i, j)."""
+        """Unpack a sparse vector indexed by ``_column``."""
         mats = [[[ZERO] * n for _ in range(n)] for _ in range(4)]
         for col, x in vec.items():
             rest, j = divmod(col, n)
@@ -59,27 +65,36 @@ class CocycleQuadruple:
         """Quadruple with α_k(a_i, a_j) = value; by default the pair entry
         is filled in with the parity sign (-1)^{k+1}."""
         value = Fraction(value)
-        vec = {(k * n + i) * n + j: value}
+        vec = {_column(n, k, i, j): value}
         if symmetrize and i != j:
-            vec[(k * n + j) * n + i] = value if k % 2 else -value
+            vec[_column(n, k, j, i)] = value if k % 2 else -value
         return cls.from_vector(n, vec)
 
     def lambda_poly(self, i, j):
         """Σ_k λ^k α_k(a_i, a_j) as a FormalPoly."""
-        out = FormalPoly.zero()
-        for k in range(4):
-            c = self.alpha[k][i][j]
-            if c:
-                out = out + FormalPoly.sym(LAM, k, c)
-        return out
+        return FormalPoly({(0, k, 0): _as_q(self.alpha[k][i][j])
+                           for k in range(4)})
 
     def as_vector(self):
-        """The sparse vector indexed by (k, i, j) that from_vector reads."""
+        """The sparse vector indexed by ``_column`` that from_vector reads."""
         n = len(self.alpha[0])
-        return {(k * n + i) * n + j: x
+        return {_column(n, k, i, j): x
                 for k, mat in enumerate(self.alpha)
                 for i, row in enumerate(mat)
                 for j, x in enumerate(row) if x}
+
+    @cached_property
+    def _sizes(self):
+        """The length of every form of alpha and of its rows, as a set."""
+        return {len(x) for m in self.alpha for x in (m, *m)}
+
+    def _check_dim(self, n):
+        """Refuse a quadruple shaped for another dimension than n. The
+        shape is read once per object, so each later check is O(1)."""
+        if self._sizes != {n}:
+            raise ValueError(f"cocycle quadruple of dimension "
+                             f"{len(self.alpha[0])} for an algebra of "
+                             f"dimension {n}")
 
 
 @dataclass(frozen=True)
@@ -101,13 +116,12 @@ class CocycleSpace:
 # ---------------------------------------------------------------------
 
 
-def _bilinear_terms(eq, sign, k, x, y, unknown):
+def _bilinear_terms(eq, sign, k, x, y, n):
     """Accumulate sign * α_k(x, y) into equation dict ``eq`` where x, y
-    are sparse ((index, coeff), ...) terms and unknowns are indexed by
-    ``unknown``."""
+    are sparse ((index, coeff), ...) terms in dimension n."""
     for i, xi in x:
         for j, yj in y:
-            u = unknown(k, i, j)
+            u = _column(n, k, i, j)
             s = eq.get(u, 0) + sign * xi * yj
             if s:
                 eq[u] = s
@@ -124,17 +138,13 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
     """Nullspace of the closed equation system on the 4n² unknowns
     α_k(a_i, a_j), instantiated at all basis triples."""
     n = A.dim
-
-    def unknown(k, i, j):
-        return (k * n + i) * n + j
-
     rows = []
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
 
     def terms(*args):
         eq = {}
         for sign, k, x, y in args:
-            _bilinear_terms(eq, sign, k, x, y, unknown)
+            _bilinear_terms(eq, sign, k, x, y, n)
         rows.append(eq)
 
     # parity: α_k(a,b) - (-1)^{k+1} α_k(b,a) = 0
@@ -206,15 +216,11 @@ def _direct_rows(A, N):
     antisymmetric). ``verify_cocycle`` still checks every triple.
     """
     n = A.dim
-
-    def unknown(i, p, q):
-        return (i * n + p) * n + q
-
     rows = {}  # (triple-tag, λ-pow, μ-pow) -> {unknown: coeff}
 
     def add(tag, lpow, mpow, sign, i, x, y):
         _bilinear_terms(rows.setdefault((tag, lpow, mpow), {}), sign, i, x, y,
-                        unknown)
+                        n)
 
     # skew: λ^i coefficient of α_λ(a,b) + α_{-λ}(b,a)
     for p in range(n):
@@ -336,9 +342,7 @@ def verify_cocycle(A: GDBialgebra, q: CocycleQuadruple):
       α_λ(a, [b_μ c]) - α_{λ+μ}([a_λ b], c) - α_μ(b, [a_λ c]) ≠ 0.
     """
     n = A.dim
-    if any(len(m) != n or any(len(row) != n for row in m) for m in q.alpha):
-        raise ValueError(f"cocycle quadruple of dimension {len(q.alpha[0])} "
-                         f"for an algebra of dimension {n}")
+    q._check_dim(n)
     lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
 
     polys = [[q.lambda_poly(a, b) for b in range(n)] for a in range(n)]
@@ -378,30 +382,27 @@ def coeff_bracket(A: GDBialgebra, q: CocycleQuadruple, gen1, gen2):
     a Fraction and central is the rational coefficient of the center.
     The module part is [a_i, a_j]-reversed at mode m+n plus the two
     Novikov shifts; the central part collects the four mode cocycles
-    π_0..π_3.
+    π_0..π_3. A generator index outside [0, n) and a quadruple of another
+    dimension raise ValueError.
     """
     (i, m) = gen1
     (j, n_mode) = gen2
+    n = A.dim
+    q._check_dim(n)
+    for g in (i, j):
+        if not 0 <= g < n:
+            raise ValueError(f"generator index {g} is out of range for "
+                             f"dimension {n}")
     terms = {}
-
-    def put(k, mode, v):
-        if v:
-            key = (k, mode)
-            s = terms.get(key, ZERO) + v
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-
     # a_(0)b = ∂(b∘a) + [b,a] contributes [b,a]_{m+n} - (m+n)(b∘a)_{m+n-1};
     # a_(1)b = a∗b contributes m(a∗b)_{m+n-1}; together:
     # [b,a]_{m+n} + m(a∘b)_{m+n-1} - n(b∘a)_{m+n-1}
-    for k, c in A.lie_terms[j][i]:
-        put(k, m + n_mode, c)
-    for k, c in A.circ_terms[i][j]:
-        put(k, m + n_mode - 1, m * c)
-    for k, c in A.circ_terms[j][i]:
-        put(k, m + n_mode - 1, -n_mode * c)
+    for mode, scale, cell in ((m + n_mode, 1, A.lie_terms[j][i]),
+                              (m + n_mode - 1, m, A.circ_terms[i][j]),
+                              (m + n_mode - 1, -n_mode, A.circ_terms[j][i])):
+        for k, c in cell:
+            terms[k, mode] = terms.get((k, mode), 0) + scale * c
+    terms = {key: v for key, v in terms.items() if v}
 
     central = ZERO
     if m + n_mode + 1 == 0:
@@ -473,6 +474,7 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int):
     if window < 1:
         raise ValueError("window must be >= 1")
     n = A.dim
+    q._check_dim(n)
     cache = {}  # (x, y) -> coeff_bracket(A, q, x, y)
 
     def bracket(x, y):
@@ -586,10 +588,15 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
     there. At windows 1 and 2, a flagged pair with no mismatch inside
     gets its first mismatching certificate point listed, in the same
     tuple shape, so an empty result holds at every mode at any window.
+    A window below 1 and a quadruple of another dimension raise
+    ValueError.
     """
-    if q is None:
-        q = CocycleQuadruple.zero(A.dim)
+    if window < 1:
+        raise ValueError("window must be >= 1")
     n = A.dim
+    if q is None:
+        q = CocycleQuadruple.zero(n)
+    q._check_dim(n)
 
     def mismatch(i, j, expr, m, nn):
         """The mismatch at modes (m, nn), or None where the routes agree."""
@@ -610,13 +617,8 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
                     mode -= 1
                 elif ed > 1:
                     raise AssertionError("quadratic bracket has ∂-degree ≤ 1")
-                if coeff:
-                    key = (k, mode)
-                    s = expected.get(key, ZERO) + coeff
-                    if s:
-                        expected[key] = s
-                    else:
-                        expected.pop(key, None)
+                expected[k, mode] = expected.get((k, mode), 0) + coeff
+        expected = {key: v for key, v in expected.items() if v}
         # central part: Σ_p m(m-1)…(m-p+1) α_p δ_{m+n-p+1,0}
         central = ZERO
         for p in range(4):

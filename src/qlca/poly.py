@@ -47,10 +47,6 @@ class FormalPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def const(cls, c):
         c = _as_q(c)
         return cls({(0, 0, 0): c}) if c else cls()
@@ -119,17 +115,6 @@ class FormalPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
-    def degree(self, which):
-        if not self.terms:
-            return -1
-        return max(k[which] for k in self.terms)
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
-
     def uses_only(self, symbols):
         allowed = set(symbols)
         for k in self.terms:
@@ -145,8 +130,6 @@ class FormalPoly:
             raise ValueError(f"unknown formal symbol index {target!r}")
         if not isinstance(replacement, FormalPoly):
             replacement = FormalPoly.const(replacement)
-        if not replacement.uses_only((DEL, LAM, MU)):
-            raise ValueError("replacement uses unknown symbols")
         if not self.terms:
             return FormalPoly()
         maxdeg = max((k[target] for k in self.terms), default=0)

@@ -36,6 +36,58 @@ class TestRoundTrip:
         assert rebuilt.lie[1][0][1] == Fraction(-2, 3)
 
 
+
+class TestEmittedText:
+    """The exact text, not only a round trip: a round trip does not fix
+    the line order, the target order or the coefficient spelling."""
+
+    def test_fractions_lie_lines_and_meta(self):
+        A = catalog_build("r_alpha_beta", alpha="1/2", beta="-2/3")
+        assert emit_algebra(A, name="r", meta={
+            "source": "paper table 1", "alpha": "1/2"}) == (
+            "algebra r\n"
+            "dim 2\n"
+            "basis L W\n"
+            "novikov L L = L:1\n"
+            "novikov L W = W:-1/2\n"
+            "novikov W L = W:1\n"
+            "lie L W = W:2/3\n"
+            "meta alpha 1/2\n"
+            "meta source paper table 1\n"
+            "end\n")
+
+    def test_several_lie_lines(self):
+        assert emit_algebra(catalog_build("vir_current", g="sl2"),
+                            name="vc") == (
+            "algebra vc\n"
+            "dim 4\n"
+            "basis L e f h\n"
+            "novikov L L = L:1\n"
+            "novikov e L = e:1\n"
+            "novikov f L = f:1\n"
+            "novikov h L = h:1\n"
+            "lie e f = h:-1\n"
+            "lie e h = e:2\n"
+            "lie f h = f:-2\n"
+            "end\n")
+
+    def test_lines_and_targets_in_basis_order(self):
+        # lines and targets out of order, a zero coefficient, no meta
+        A = parse_algebra(
+            "algebra mixed\ndim 3\nbasis a b c\n"
+            "lie b c = c:1 a:-1/3\n"
+            "novikov c a = b:2 a:1\n"
+            "novikov a b = c:0\n"
+            "end\n", validate=False)
+        assert emit_algebra(A, name="mixed") == (
+            "algebra mixed\n"
+            "dim 3\n"
+            "basis a b c\n"
+            "novikov c a = a:1 b:2\n"
+            "lie b c = a:-1/3 c:1\n"
+            "end\n")
+
+
 GOOD = """\
 algebra demo
 dim 2

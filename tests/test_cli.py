@@ -55,7 +55,7 @@ class TestCheck:
         from qlca import LAM, FormalPoly
         from qlca.cli import _conformal_violation
         assert (_conformal_violation("conformal skew-symmetry", "pair", (0, 1),
-                                     (FormalPoly.sym(LAM), FormalPoly.zero()))
+                                     (FormalPoly.sym(LAM), FormalPoly()))
                 == "conformal skew-symmetry fails at basis pair (0,1); "
                    "residual (λ, 0)")
 
@@ -468,6 +468,62 @@ def test_bench_pairs_names_a_failed_run_and_keeps_the_finished_ones(
     finished = {"wall_s": 0.5, "failed": 0}
     assert json.loads(out) == {"workload": "catalog-certify", "finished": {
         "parent": [finished], "change": [finished]}}
+
+
+TIGHT = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+
+
+@pytest.mark.parametrize("parent_wall, change_wall, expected", [
+    # 10/10 pairs lower, medians 0.2 apart against a parent IQR of ~0.02
+    (TIGHT, [0.8] * 10, "gain"),
+    # the same gap with 8/10 pairs lower is no gain
+    (TIGHT, [0.8] * 8 + [1.5] * 2, "within bound"),
+    # lower in every pair, but by less than the parent's IQR
+    (TIGHT, [x - 0.001 for x in TIGHT], "within bound"),
+    # ties count for neither side
+    (TIGHT, TIGHT, "within bound"),
+    (TIGHT, [1.25] * 10, "worse"),
+    (TIGHT, [1.19] * 10, "within bound"),
+    # a parent IQR of ~0.5 against the 0.2 bound
+    ([0.7, 1.3] * 5, [1.0] * 10, "unresolved"),
+    # ... unless every change run beats every parent run; a gain still
+    # needs the medians apart by more than that IQR
+    ([0.7, 1.3] * 5, [0.6] * 10, "within bound"),
+    ([0.7, 1.3] * 5, [0.3] * 10, "gain"),
+])
+def test_bench_pairs_verdict_per_end_to_end_metric(
+        monkeypatch, capsys, tmp_path, parent_wall, change_wall, expected):
+    """The verdict reads wall_s's bound (0.2) and direction (lower) from
+    BENCHMARK.json; the runs' other metric has no verdict."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    values = {str(parent): iter(parent_wall), str(change): iter(change_wall)}
+
+    def fake_run(args, cwd, **kwargs):
+        result = {"metrics": {"wall_s": {"value": next(values[cwd])},
+                              "extra_s": {"value": 1.0}}, "failed": 0}
+        return subprocess.CompletedProcess(args, 0, json.dumps(result), "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", str(parent), str(change),
+        "--workload", "catalog-certify", "--pairs", "10"])
+    runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"),
+                   run_name="__main__")
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == {"wall_s": expected}
+    assert [r["wall_s"] for r in report["change"]["runs"]] == change_wall
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    ([10.0] * 4, [9.5] * 4, "within bound"),
+    ([10.0] * 4, [8.5] * 4, "worse"),  # 15% lower is past a 10% bound
+    ([10.0] * 4, [12.0] * 4, "gain"),
+])
+def test_bench_pairs_verdict_for_a_higher_is_better_metric(parent, change,
+                                                           expected):
+    verdict = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))[
+        "verdict"]
+    assert verdict(parent, change, 0.1, "higher") == expected
 
 
 def test_snapshot_script_writes_every_report_of_one_target(tmp_path):

@@ -161,6 +161,66 @@ class TestCocycleIdentity:
             check_coeff_cocycle(A, CocycleQuadruple.zero(1), window=0)
 
 
+class TestShapeRefusals:
+    """Input shaped for another algebra is refused with a ValueError that
+    names the index or the dimension, not read in part or wrapped. The
+    quadruples of another dimension are in test_extensions."""
+
+    @pytest.mark.parametrize("name, params, n", [("vir", {}, 2),
+                                                  ("vir", {}, 3),
+                                                  ("current", {"g": "sl2"}, 2)])
+    def test_ragged_quadruple(self, name, params, n):
+        # an n×n first form, the other forms n×1: no dimension fits it
+        alpha = CocycleQuadruple.zero(n).alpha
+        q = CocycleQuadruple((alpha[0], *(m[:1] for m in alpha[1:])))
+        with pytest.raises(ValueError, match="cocycle quadruple of dimension "
+                                             f"{n} for an algebra"):
+            coeff_bracket(catalog_build(name, **params), q, (0, 0), (0, 0))
+
+    @pytest.mark.parametrize("gen1, gen2, index", [
+        ((1, 1), (0, 2), 1),  # a bare IndexError before
+        ((0, 1), (3, 2), 3),
+        ((-1, 1), (0, 2), -1),  # wrapped to the last generator before
+        ((0, 1), (-1, 2), -1),
+    ])
+    def test_generator_outside_the_basis(self, gen1, gen2, index):
+        A = catalog_build("vir")
+        with pytest.raises(ValueError, match=f"generator index {index} is "
+                                             "out of range for dimension 1"):
+            coeff_bracket(A, CocycleQuadruple.zero(1), gen1, gen2)
+
+    def test_negative_generator_on_two_generators(self):
+        # (-1, 1) answered as (1, 1) on R(2,0) before
+        A = catalog_build("r_alpha_beta", alpha=2, beta=0)
+        with pytest.raises(ValueError, match="generator index -1"):
+            coeff_bracket(A, CocycleQuadruple.zero(2), (-1, 1), (0, 0))
+
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_relation_window_below_one(self, window):
+        A = catalog_build("vir")
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            coeff_relation_consistency(A, window)
+
+    def test_shape_is_read_once_per_quadruple(self):
+        """coeff_bracket runs thousands of times per certificate, so its
+        check must not walk the forms at each call."""
+        reads = []
+
+        class Counted(tuple):
+            def __len__(self):
+                reads.append(self)
+                return tuple.__len__(self)
+
+        A = catalog_build("r_alpha_beta", alpha=2, beta=0)
+        alpha = CocycleQuadruple.single(2, 1, 0, 1).alpha
+        q = CocycleQuadruple(tuple(Counted(map(Counted, m)) for m in alpha))
+        coeff_bracket(A, q, (0, 0), (1, 1))
+        first = len(reads)
+        for m in range(-3, 4):
+            coeff_bracket(A, q, (0, m), (1, 1 - m))
+        assert first and len(reads) == first  # later calls read no shape
+
+
 class TestClosedFormConsistency:
     def test_matches_first_principles_everywhere(self, catalog_algebra):
         assert coeff_relation_consistency(catalog_algebra, window=3) == []

@@ -38,7 +38,7 @@ def expr_sub(x, y):
 
 
 def expr_is_zero(x):
-    return all(p.is_zero() for p in x)
+    return all(not p for p in x)
 
 
 def D():
@@ -58,17 +58,17 @@ class TestGoldenBrackets:
     def test_r_alpha_beta(self):
         R = catalog_build("r_alpha_beta", alpha=3, beta=1)
         lw = bracket_basis(R, 0, 1)
-        assert lw[0].is_zero()
+        assert not lw[0]
         assert lw[1] == D() + 3 * L() + 1
         ww = bracket_basis(R, 1, 1)
-        assert all(p.is_zero() for p in ww)
+        assert all(not p for p in ww)
 
     def test_vir_current(self):
         R = catalog_build("vir_current", g="sl2")
         names = R.basis_names
         Li, e, f, h = (names.index(s) for s in ("L", "e", "f", "h"))
         le = bracket_basis(R, Li, e)
-        assert le[e] == D() + L() and le[Li].is_zero()
+        assert le[e] == D() + L() and not le[Li]
         ef = bracket_basis(R, e, f)
         assert ef[h] == FormalPoly.const(1)
         he = bracket_basis(R, h, e)
@@ -78,14 +78,14 @@ class TestGoldenBrackets:
         R = catalog_build("loop_vir_cyclic", m=3)
         br = bracket_basis(R, 1, 2)  # lands on index (1+2) mod 3 = 0
         assert br[0] == -(D() + 2 * L())
-        assert br[1].is_zero() and br[2].is_zero()
+        assert not br[1] and not br[2]
 
     def test_loop_hv_cyclic(self):
         R = catalog_build("loop_hv_cyclic", m=2)
         lh = bracket_basis(R, 0, 2)  # [L0 λ H0] -> H0 channel
         assert lh[2] == D() + L()
         hh = bracket_basis(R, 2, 3)
-        assert all(p.is_zero() for p in hh)
+        assert all(not p for p in hh)
 
 
 class TestBracketGeneral:
@@ -305,7 +305,7 @@ def dense_jacobi(A, at_lam, at_sum, at_mu, width):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                r = [FormalPoly.zero()] * width
+                r = [FormalPoly()] * width
                 for x, c in enumerate(inner[j][k]):
                     dense_accumulate(r, c, at_lam[i][x])
                 for x, c in enumerate(outer[i][j]):
@@ -327,7 +327,7 @@ def dense_general(A, x, y, slot):
     xs = [p.substitute(DEL, -slot) for p in x]
     ys = [p.substitute(DEL, slot + D()) for p in y]
     bb = dense_table(A, slot)
-    out = [FormalPoly.zero()] * A.dim
+    out = [FormalPoly()] * A.dim
     for a, xa in enumerate(xs):
         for b, yb in enumerate(ys):
             if xa and yb:
@@ -355,7 +355,7 @@ def dense_verify_cocycle(A, q):
 
 def as_dense(entry, n):
     coords = dict(entry)
-    return tuple(coords.get(k, FormalPoly.zero()) for k in range(n))
+    return tuple(coords.get(k, FormalPoly()) for k in range(n))
 
 
 def assert_engine_matches_dense_route(A):

@@ -328,6 +328,21 @@ class TestShapeRefusals:
         with pytest.raises(ValueError, match=message):
             d.as_vector(A.dim, 1, 1)
 
+    @pytest.mark.parametrize("solve, args", [
+        (solve_derivations_direct, (-1, 4)),
+        (solve_derivations_direct, (1, -1)),
+        (solve_derivations_theorem, (-1,)),
+        (solve_derivations_theorem, (4, False, -1)),
+        (derivations.stabilized_outer, (1, -1)),
+        (derivations.stabilized_outer, (-1, 1)),
+        (outer_dimension, (-1, -1)),
+    ])
+    def test_negative_bounds_are_refused(self, solve, args):
+        """Each of these answered dimension 0 on vir before; the CLI's
+        bound options refuse the same values."""
+        with pytest.raises(ValueError, match="bounds must be non-negative"):
+            solve(catalog_build("vir"), *args)
+
 
 class TestCurrentShape:
     def test_scaling_family_spans_outer_part(self):

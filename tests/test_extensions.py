@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, bracket_basis,
-                  catalog_build, entry_label, gd_build,
+                  catalog_build, check_coeff_cocycle, coeff_bracket,
+                  coeff_relation_consistency, entry_label, gd_build,
                   solve_extensions_direct, solve_extensions_theorem, span_rank,
                   spans_equal, standard_entries, verify_cocycle)
 from qlca.extensions import _bilinear_terms, _direct_rows, _unit
@@ -163,7 +164,7 @@ def central_jacobi_substituted_first(A, q):
                 r = sum((f_lam[a][x] * inner[b][c][x]
                          - outer[a][b][x] * f_sum[x][c]
                          - f_mu[b][x] * right[a][c][x] for x in range(n)),
-                        FormalPoly.zero())
+                        FormalPoly())
                 if r:
                     out.append(("jacobi", a, b, c, r))
     return out
@@ -211,13 +212,21 @@ class TestVerifierAgainstSolver:
         ("r_alpha_beta", {"alpha": 2, "beta": 0}, 1,
          "cocycle quadruple of dimension 1 for an algebra of dimension 2"),
     ])
+    @pytest.mark.parametrize("check", [
+        verify_cocycle,
+        lambda A, q: coeff_bracket(A, q, (0, 1), (0, 2)),
+        lambda A, q: check_coeff_cocycle(A, q, 3),
+        lambda A, q: coeff_relation_consistency(A, 3, q),
+    ], ids=["verify", "bracket", "mode_cocycle", "relation"])
     def test_quadruple_for_another_algebra_is_refused(self, name, params, n,
-                                                      message):
+                                                      message, check):
         """Neither the n×n corner of a larger quadruple is read nor a
-        smaller one indexed past its end."""
+        smaller one indexed past its end, by the verifier or by the mode
+        functions."""
         A = catalog_build(name, **params)
-        with pytest.raises(ValueError, match=message):
-            verify_cocycle(A, CocycleQuadruple.single(n, 0, 0, n - 1))
+        for k in (0, 3):
+            with pytest.raises(ValueError, match=message):
+                check(A, CocycleQuadruple.single(n, k, 0, n - 1))
 
     def test_jacobi_residual_names_its_triple(self):
         # α_λ(W, W) = λ on R(2,0) is skew-symmetric but breaks Jacobi
@@ -238,15 +247,11 @@ def direct_rows_all_triples(A, N):
     {(tag, λ-power, μ-power): row}, tags ("skew", p, q) and
     ("fe", a, b, c), empty rows kept."""
     n = A.dim
-
-    def unknown(i, p, q):
-        return (i * n + p) * n + q
-
     rows = {}
 
     def add(tag, lpow, mpow, sign, i, x, y):
         _bilinear_terms(rows.setdefault((tag, lpow, mpow), {}), sign, i, x, y,
-                        unknown)
+                        n)
 
     for p in range(n):
         for q in range(n):

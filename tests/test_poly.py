@@ -35,15 +35,15 @@ def P(**kw):
 
 class TestFormalPoly:
     def test_zero_and_const(self):
-        assert FormalPoly.zero().is_zero()
-        assert FormalPoly.const(0).is_zero()
-        assert FormalPoly.const(Fraction(2, 3)).coefficient((0, 0, 0)) == Fraction(2, 3)
+        assert not FormalPoly()
+        assert not FormalPoly.const(0)
+        assert FormalPoly.const(Fraction(2, 3)).terms == {(0, 0, 0): Fraction(2, 3)}
 
     def test_ring_identities(self):
         d, lam = FormalPoly.sym(DEL), FormalPoly.sym(LAM)
         assert (d + lam) * (d - lam) == d * d - lam * lam
         assert (d + lam) * (d + lam) == d * d + 2 * d * lam + lam * lam
-        assert d - d == FormalPoly.zero()
+        assert d - d == FormalPoly()
 
     def test_scalar_ops(self):
         lam = FormalPoly.sym(LAM)
@@ -65,10 +65,10 @@ class TestFormalPoly:
 
     def test_degree_and_str(self):
         p = FormalPoly.sym(DEL) + FormalPoly.sym(LAM, 2, 3)
-        assert p.degree(LAM) == 2
-        assert p.degree(DEL) == 1
+        assert max(e[LAM] for e in p.terms) == 2
+        assert max(e[DEL] for e in p.terms) == 1
         assert str(p) == "∂ + 3λ^2"
-        assert str(FormalPoly.zero()) == "0"
+        assert str(FormalPoly()) == "0"
 
     @given(
         st.lists(
