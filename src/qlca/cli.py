@@ -188,9 +188,11 @@ def cmd_extend(args):
         spaces["theorem"] = solve_extensions_theorem(A)
     if args.method in ("direct", "both"):
         spaces["direct"] = solve_extensions_direct(A, degree_bound=args.degree)
-    # the two solvers' bases are usually the same tuples: verify each once
+    # the two solvers' bases are usually the same tuples: verify and
+    # report each once
     distinct = {q for sp in spaces.values() for q in sp.basis}
     failing = {q for q in distinct if verify_cocycle(A, q)}
+    reports = {q: _quadruple_report(A, q) for q in distinct}
     ok = True
     for name, sp in spaces.items():
         entry = {
@@ -198,7 +200,7 @@ def cmd_extend(args):
             "per_degree": list(sp.per_degree),
             "stable": sp.stable,
             "warnings": list(sp.warnings),
-            "basis": [_quadruple_report(A, q) for q in sp.basis],
+            "basis": [reports[q] for q in sp.basis],
         }
         entry["verified"] = failing.isdisjoint(sp.basis)
         ok = ok and entry["verified"]

@@ -270,9 +270,8 @@ class RatMatrix:
 
 
 def _int_rows(rows):
-    """Clear denominators row by row and reduce by gcd; drops zero rows
-    and duplicates."""
-    seen = set()
+    """Clear denominators row by row and reduce by gcd; drops zero rows.
+    Duplicates are kept: the elimination reduces each one to zero."""
     out = []
     for row in rows:
         if not row:
@@ -290,10 +289,6 @@ def _int_rows(rows):
         lead = min(irow)
         if irow[lead] < 0:
             irow = {c: -v for c, v in irow.items()}
-        key = tuple(sorted(irow.items()))
-        if key in seen:
-            continue
-        seen.add(key)
         out.append(irow)
     return out
 
@@ -317,77 +312,75 @@ def _peel(rows):
     return forced, rows
 
 
+def _eliminate(row, prow, col):
+    """a·row − b·prow with a = pv/g, b = f/g for pv = prow[col],
+    f = row[col] and g = gcd(pv, f), so col cancels; divided by the gcd
+    of its entries to keep integers small. Both rows are left as given."""
+    pv, f = prow[col], row[col]
+    g = gcd(pv, f)
+    a, b = pv // g, f // g
+    new = {c: v * a for c, v in row.items()}
+    for c, v in prow.items():
+        s = new.get(c, 0) - b * v
+        if s:
+            new[c] = s
+        else:
+            del new[c]
+    g = gcd(*new.values())
+    return {c: v // g for c, v in new.items()} if g > 1 else new
+
+
 def _echelon(matrix):
-    """Fraction-free (integer, gcd-reduced) Gauss–Jordan elimination.
+    """Fraction-free (integer, gcd-reduced) row-at-a-time Gauss–Jordan
+    elimination.
 
     Returns the list of pivot (col, row-dict) pairs in increasing column
-    order. A column's pivot row is eliminated from every other row that
-    holds the column, earlier pivot rows included, so each pivot row holds
-    no other pivot column: x[col] = −Σ row[c]·x[c] / row[col] over its
-    free columns c. Pivot choice within a column is the entry of smallest
-    absolute value, to limit coefficient growth.
+    order: the reduced row echelon form up to the scale of each row. Each
+    pivot row holds no column left of its pivot and no other pivot
+    column, so x[col] = −Σ row[c]·x[c] / row[col] over its free columns c.
+
+    The rows are taken one at a time in the order given. A row is reduced
+    once by the pivot rows of the pivot columns it holds; as a pivot row
+    holds no other pivot column, one pass leaves it with none. A row
+    reduced to zero is dropped. Otherwise it becomes the pivot row of its
+    lowest column c, and c is eliminated from the earlier pivot rows that
+    hold it, found through an index from each non-pivot column to the
+    pivot columns whose rows hold it. The new pivot row holds no column
+    left of c, and an earlier pivot row that holds c has its pivot left
+    of c, so it gains no column left of its pivot.
 
     Columns forced to 0 are peeled off first (``_peel``) and returned as
-    the unit pivot rows (c, {c: 1}); only the rows left over are swept.
-    That gives the same pivots as sweeping every row: the row space is
+    the unit pivot rows (c, {c: 1}); only the rows left over are reduced.
+    That gives the same pivots as reducing every row: the row space is
     spanned by the unit rows of the forced columns together with the
     leftover rows, which hold no forced column. A unit row in the row
     space makes its column a pivot of the reduced row echelon form with
     that unit row, and the reduced form for a fixed column order is
-    unique, so the sweep of the leftover rows gives exactly the other
+    unique, so the reduction of the leftover rows gives exactly the other
     pivot rows, up to the scale that ``nullspace_basis``/``solve``
     divide out.
     """
     forced, rows = _peel(matrix.row_dicts())
-    pool = _int_rows(rows)
-    # column index: col -> set of pool slots whose row currently has col
-    col_index = {}
-    for idx, row in enumerate(pool):
-        for c in row:
-            col_index.setdefault(c, set()).add(idx)
-    alive = set(range(len(pool)))  # rows not yet chosen as pivots
-
-    pivots = []  # (col, pool slot of its pivot row)
-    for col in range(matrix.cols):
-        holders = list(col_index.get(col, ()))
-        cands = [i for i in holders if i in alive]
-        if not cands:
+    pivots = {}  # pivot column -> its pivot row
+    holders = {}  # non-pivot column -> pivot columns whose rows hold it
+    for row in _int_rows(rows):
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        if not row:
             continue
-        piv = min(cands, key=lambda i: (abs(pool[i][col]), len(pool[i]), i))
-        prow = pool[piv]
-        pv = prow[col]
-        alive.discard(piv)
-        pivots.append((col, piv))
-        for i in holders:
-            if i == piv:
-                continue
-            row = pool[i]
-            f = row[col]
-            new = {c: v * pv for c, v in row.items()}
-            for c, v in prow.items():  # cancels col itself
-                s = new.get(c, 0) - f * v
-                if s:
-                    new[c] = s
-                else:
-                    del new[c]
-            # re-reduce to keep integers small
-            g = gcd(*new.values())
-            if g > 1:
-                new = {c: v // g for c, v in new.items()}
-            # update index
-            for c in row:
-                if c not in new:
-                    col_index[c].discard(i)
-            for c in new:
-                if c not in row:
-                    col_index.setdefault(c, set()).add(i)
-            pool[i] = new
-            if not new:
-                alive.discard(i)
-    pivots = [(col, pool[piv]) for col, piv in pivots]
-    pivots += ((c, {c: 1}) for c in forced)
-    pivots.sort(key=lambda p: p[0])
-    return pivots
+        col = min(row)
+        for p in holders.pop(col, ()):
+            old = pivots[p]
+            pivots[p] = new = _eliminate(old, row, col)
+            for c in old.keys() - new.keys() - {col}:
+                holders[c].discard(p)
+            for c in new.keys() - old.keys():
+                holders.setdefault(c, set()).add(p)
+        pivots[col] = row
+        for c in row:
+            if c != col:
+                holders.setdefault(c, set()).add(col)
+    return sorted([*pivots.items(), *((c, {c: 1}) for c in forced)])
 
 
 def rank(matrix):

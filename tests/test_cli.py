@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qlca import entry_label, standard_entries
+from qlca import catalog_build, entry_label, parse_algebra, standard_entries
 from qlca.cli import main
 
 
@@ -395,22 +395,48 @@ def test_json_output_matches_golden(capsys, name):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(script, *args):
+    """Run scripts/SCRIPT with src on the path; it must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 @pytest.mark.parametrize("script, bounds", [
     ("extension_survey.py", ["--degree", "3"]),
     ("derivation_survey.py", ["--partial-bound", "1", "--lambda-bound", "1"]),
 ])
 def test_survey_script_prints_one_row_per_entry(script, bounds):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *bounds], capture_output=True, text=True, env=env,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_script(script, *bounds)
     lines = proc.stdout.splitlines()
     for entry in standard_entries():
         label = entry_label(entry)
         assert sum(line.split(" ", 1)[0] == label for line in lines) == 1
+
+
+def test_change_of_basis_script_prints_the_algebra_in_another_basis(
+        capsys, tmp_path):
+    """The printed file is the algebra in a unimodular basis: its tables
+    differ, it passes every axiom check, and ``derive`` reports the same
+    dimensions."""
+    path = tmp_path / "changed.alg"
+    path.write_text(run_script("change_of_basis.py", "catalog:r_alpha_beta:"
+                               "alpha=2,beta=0", "--seed", "3").stdout)
+    A = catalog_build("r_alpha_beta", alpha=2, beta=0)
+    B = parse_algebra(path.read_text())
+    assert B != A and B.basis_names == A.basis_names
+    reports = []
+    for target in ("catalog:r_alpha_beta:alpha=2,beta=0", str(path)):
+        code, out, _ = run(capsys, "--json", "derive", target)
+        assert code == 0
+        reports.append({k: v for k, v in json.loads(out).items()
+                        if k != "target"})
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
@@ -527,13 +553,7 @@ def test_bench_pairs_verdict_for_a_higher_is_better_metric(parent, change,
 
 
 def test_snapshot_script_writes_every_report_of_one_target(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "snapshot_reports.py"),
-                           str(tmp_path), "--only", "vir"],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    run_script("snapshot_reports.py", str(tmp_path), "--only", "vir")
     names = ["check", "extend", "extend-degree0", "extend-degree1",
              "extend-degree2", "extend-degree3", "derive", "derive-p1l0",
              "derive-p0l2", "derive-simple", "coeff", "coeff-window1",

@@ -1,8 +1,12 @@
 """Differential oracle: the exact linear algebra of ``qlca.poly`` against
 ``sympy.Matrix`` on random sparse systems and on solver systems."""
 
+import contextlib
 import copy
+import runpy
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,12 +15,18 @@ from hypothesis import strategies as st
 
 import qlca.derivations
 import qlca.extensions
-from qlca import (catalog_build, solve_derivations_direct,
-                  solve_derivations_theorem, solve_extensions_direct,
-                  solve_extensions_theorem)
-from qlca.poly import (RatMatrix, _echelon, _peel, nullspace_basis, rank,
-                       solve, span_coordinates_many)
+from qlca import (HypothesisNotDetected, catalog_build, entry_label,
+                  solve_derivations_direct, solve_derivations_theorem,
+                  solve_extensions_direct, solve_extensions_theorem,
+                  standard_entries)
+from qlca.derivations import stabilized_outer
+from qlca.poly import (RatMatrix, _echelon, _int_rows, _peel, nullspace_basis,
+                       rank, solve, span_coordinates_many)
+from test_catalog import _trunc_poly
 from test_poly import apply, densify
+
+CHANGE_OF_BASIS = (Path(__file__).resolve().parent.parent / "scripts"
+                   / "change_of_basis.py")
 
 SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
                     st.fractions(-3, 3, max_denominator=6))
@@ -306,3 +316,142 @@ def test_echelon_contract_on_solver_systems(monkeypatch):
         assert rank(m) == rank(m) == len(pivots)
         assert nullspace_basis(m) == nullspace_basis(m)
         assert m.row_dicts() == before
+
+
+# -- the kernel against a copy of its earlier column sweep ---------------
+# The elimination used to sweep the columns in order: each column's pivot
+# was the not yet chosen row with the smallest |entry| there, and its row
+# was eliminated from every other row holding the column, found through an
+# index over every row. Kept here as the reference: the reduced row
+# echelon form is unique, so both must give the same pivot rows up to scale.
+
+
+def column_sweep(matrix):
+    forced, rows = _peel(matrix.row_dicts())
+    # _int_rows dropped duplicate rows then
+    pool = list({tuple(sorted(r.items())): r for r in _int_rows(rows)}.values())
+    col_index = {}
+    for idx, row in enumerate(pool):
+        for c in row:
+            col_index.setdefault(c, set()).add(idx)
+    alive = set(range(len(pool)))
+    pivots = []
+    for col in range(matrix.cols):
+        holders = list(col_index.get(col, ()))
+        cands = [i for i in holders if i in alive]
+        if not cands:
+            continue
+        piv = min(cands, key=lambda i: (abs(pool[i][col]), len(pool[i]), i))
+        prow, pv = pool[piv], pool[piv][col]
+        alive.discard(piv)
+        pivots.append((col, piv))
+        for i in holders:
+            if i == piv:
+                continue
+            row, f = pool[i], pool[i][col]
+            new = {c: v * pv for c, v in row.items()}
+            for c, v in prow.items():
+                s = new.get(c, 0) - f * v
+                if s:
+                    new[c] = s
+                else:
+                    del new[c]
+            g = gcd(*new.values())
+            if g > 1:
+                new = {c: v // g for c, v in new.items()}
+            for c in row.keys() - new.keys():
+                col_index[c].discard(i)
+            for c in new.keys() - row.keys():
+                col_index.setdefault(c, set()).add(i)
+            pool[i] = new
+            if not new:
+                alive.discard(i)
+    pivots = [(col, pool[piv]) for col, piv in pivots]
+    pivots += ((c, {c: 1}) for c in forced)
+    return sorted(pivots, key=lambda p: p[0])
+
+
+def normalized(pivots):
+    """Pivot rows each divided by its pivot entry."""
+    return [(col, {c: Fraction(v, row[col]) for c, v in row.items()})
+            for col, row in pivots]
+
+
+def _every_solver_system(monkeypatch, A):
+    """Every system the theorem and direct extension solvers and the
+    direct and closed derivation solvers hand to ``nullspace_basis`` at
+    their default bounds, the closed solver's unit-like probes included."""
+    systems = []
+    for module, solver in ((qlca.extensions, solve_extensions_theorem),
+                           (qlca.extensions, solve_extensions_direct),
+                           (qlca.derivations, solve_derivations_direct),
+                           (qlca.derivations, solve_derivations_theorem)):
+        with contextlib.suppress(HypothesisNotDetected):
+            systems += _captured(monkeypatch, module, lambda: solver(A))
+    return systems
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(e.build, id=entry_label(e)) for e in standard_entries()),
+    *(pytest.param(lambda n=n, k=k: _trunc_poly(n, k),
+                   id=f"trunc_poly:n={n},kappa={k}")
+      for n in (3, 6) for k in (0, 1))])
+def test_echelon_matches_column_sweep_on_solver_systems(monkeypatch, build):
+    systems = _every_solver_system(monkeypatch, build())
+    assert len(systems) >= 3
+    for m in systems:
+        assert normalized(_echelon(m)) == normalized(column_sweep(m))
+
+
+@st.composite
+def permuted_systems(draw):
+    """A sparse system with int and Fraction entries and copied rows, or a
+    singleton cascade with repeated rows, and the same rows permuted."""
+    m = draw(st.one_of(sparse_systems(), singleton_cascades()))[0]
+    rows = draw(st.permutations(m.row_dicts()))
+    return m, RatMatrix.from_rows(rows, m.cols)
+
+
+@given(permuted_systems())
+@settings(max_examples=200, deadline=None)
+def test_echelon_does_not_depend_on_row_order(systems):
+    m, shuffled = systems
+    expected = normalized(column_sweep(m))
+    assert normalized(_echelon(m)) == normalized(_echelon(shuffled)) == expected
+    assert rank(m) == rank(shuffled) == len(expected)
+    assert nullspace_basis(m) == nullspace_basis(shuffled)
+
+
+def test_new_pivot_is_eliminated_from_two_earlier_pivot_rows():
+    """Columns 0 and 1 take the first two rows as pivots, both holding
+    column 2; the third row's pivot is column 2, so it is eliminated from
+    both earlier pivot rows."""
+    m = RatMatrix.from_rows([{0: 1, 2: 1}, {1: 2, 2: 1}, {2: 1, 3: 2}], 4)
+    assert _echelon(m) == [(0, {0: 1, 3: -2}), (1, {1: 1, 3: -1}),
+                           (2, {2: 1, 3: 2})]
+    assert normalized(_echelon(m)) == normalized(column_sweep(m))
+    assert nullspace_basis(m) == [{3: 1, 0: 2, 1: 1, 2: -2}]
+
+
+# -- dimensions under a change of basis -----------------------------------
+# change_of_basis.py writes an algebra in a unimodular basis; its tables are
+# dense, and dense rows are where the order of elimination matters most.
+
+
+@pytest.mark.parametrize("name, params", [
+    ("r_alpha_beta", {"alpha": 2, "beta": 0}),
+    ("current", {"g": "sl2"}),
+    ("vir_current", {"g": "sl2"}),
+])
+def test_dimensions_do_not_depend_on_the_basis(name, params):
+    A = catalog_build(name, **params)
+    B = runpy.run_path(str(CHANGE_OF_BASIS))["change_basis"](A, 1)
+    assert B != A
+
+    def dimensions(R):
+        space, outer = stabilized_outer(R, 3, 4)
+        return (solve_extensions_theorem(R).dimension,
+                solve_extensions_direct(R).dimension,
+                space.dimension, space.inner_dim, outer)
+
+    assert dimensions(B) == dimensions(A)
