@@ -13,8 +13,9 @@ OUTDIR: ``NAME.out`` (stdout), ``NAME.err`` (stderr) and ``NAME.exit``
 breaks Novikov and compatibility, so its conformal Jacobi residuals mix
 ∂, λ and μ. Their reports hold the ``check`` violations and the ``axiom
 violation:`` stderr of the other commands. The last four targets are
-written to OUTDIR as ``.alg`` files first. That is 18 targets × 13
-questions = 234 reports.
+written to OUTDIR as ``.alg`` files first. Each of the 14 catalog targets
+also gets an ``emit`` report, the ``catalog emit`` text of its tables.
+That is 18 targets × 13 questions + 14 = 248 reports.
 
 To compare two versions of the program, snapshot each and diff::
 
@@ -96,8 +97,13 @@ def snapshot(outdir, only=None):
         if only is not None and label not in only:
             continue
         slug = label.replace(":", "_").replace(",", "_").replace("=", "")
-        for name, cmd, options in VARIANTS:
-            stdout, stderr, code = ask(["--json", cmd, target, *options])
+        questions = [(name, ["--json", cmd, target, *options])
+                     for name, cmd, options in VARIANTS]
+        if target.startswith("catalog:"):
+            questions.append(("emit", ["catalog", "emit",
+                                       target.removeprefix("catalog:")]))
+        for name, argv in questions:
+            stdout, stderr, code = ask(argv)
             base = outdir / f"{name}-{slug}"
             Path(f"{base}.out").write_bytes(stdout.encode("utf-8"))
             Path(f"{base}.err").write_bytes(stderr.encode("utf-8"))

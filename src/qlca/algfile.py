@@ -17,9 +17,9 @@ Grammar (line-based; ``#`` starts a comment; blank lines ignored)::
 * ``lie`` lines are only permitted with I strictly before J in basis
   order; the antisymmetric completion is implied.
 * ``meta`` lines are optional free-form key/value annotations.
-* ``N`` is at most ``MAX_DIM``. Building allocates n³-cell product
-  tables, so a larger ``dim`` is refused at its own line, before any
-  basis name or table entry is read.
+* ``N`` is at most ``MAX_DIM``, which bounds the time of the axiom
+  checks over all n³ basis triples; a larger ``dim`` is refused at its
+  own line, before any basis name or table entry is read.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gd import GDBialgebra, gd_build
+from .gd import GDBialgebra, _cells_grid, _validated
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_WORD_RE = re.compile(r"[^\s#]+\Z")  # one token of a line
+_WORDS_RE = re.compile(r"[^\s#]+( [^\s#]+)*\Z")  # tokens as split and rejoined
 
 MAX_DIM = 128
 
@@ -60,17 +62,11 @@ class AlgebraFile:
     meta: dict = field(default_factory=dict)
 
     def build(self, validate=True) -> GDBialgebra:
-        n = self.dim
-        tables = []
-        for kind in _KINDS:
-            table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-            for (i, j), cell in getattr(self, kind).items():
-                for k, c in cell.items():
-                    table[i][j][k] = c
-                    if kind == "lie":
-                        table[j][i][k] = -c
-            tables.append(table)
-        return gd_build(n, self.basis, *tables, validate=validate)
+        lie = {**self.lie, **{(j, i): {k: -c for k, c in cell.items()}
+                              for (i, j), cell in self.lie.items()}}
+        return _validated(GDBialgebra(
+            self.dim, tuple(self.basis), _cells_grid(self.dim, self.novikov),
+            _cells_grid(self.dim, lie)), validate)
 
 
 def _parse_rational(tok, line_no):
@@ -196,8 +192,20 @@ def parse_algebra(text, validate=True) -> GDBialgebra:
 
 def emit_algebra(A: GDBialgebra, name="algebra", meta=None) -> str:
     """Serialize a GDBialgebra to the canonical format; the output parses
-    back to a structurally identical algebra."""
+    back to a structurally identical algebra with the same name and meta.
+    A dim over ``MAX_DIM``, or a name, key or value that would not read
+    back as given, raises ValueError naming it."""
     names = A.basis_names
+    meta = {str(k): str(v) for k, v in (meta or {}).items()}
+    if A.dim > MAX_DIM:
+        raise ValueError(f"dim {A.dim} exceeds the maximum {MAX_DIM}")
+    checks = [("algebra name", name, _WORD_RE)]
+    checks += [("basis name", s, _NAME_RE) for s in names]
+    for k, v in meta.items():
+        checks += [("meta key", k, _WORD_RE), ("meta value", v, _WORDS_RE)]
+    for what, s, pattern in checks:
+        if not pattern.match(s):
+            raise ValueError(f"{what} {s!r} cannot be written to an algebra file")
     lines = [f"algebra {name}", f"dim {A.dim}", "basis " + " ".join(names)]
     for kind, grid in zip(_KINDS, (A.circ_terms, A.lie_terms)):
         for i, row in enumerate(grid):
@@ -205,7 +213,7 @@ def emit_algebra(A: GDBialgebra, name="algebra", meta=None) -> str:
                 if cell and (kind == "novikov" or i < j):
                     body = " ".join(f"{names[k]}:{c}" for k, c in cell)
                     lines.append(f"{kind} {names[i]} {names[j]} = {body}")
-    for k in sorted(meta or {}):
+    for k in sorted(meta):
         lines.append(f"meta {k} {meta[k]}")
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .algfile import MAX_DIM
-from .gd import GDBialgebra, gd_build
+from .algfile import MAX_DIM, AlgebraFile
+from .gd import GDBialgebra
 from .poly import _as_q
 
 
@@ -29,8 +28,8 @@ class CatalogEntry:
 
 def _size(name, value, dim_per_unit=1):
     """``value`` as an integer ≥ 1 whose algebra, of dimension
-    dim_per_unit·value, fits ``MAX_DIM``: a build allocates n³-cell
-    tables, so catalog builds get the cap that files get."""
+    dim_per_unit·value, fits ``MAX_DIM``: a build checks the axioms over
+    all n³ basis triples, so catalog builds get the cap that files get."""
     if value is None:
         raise TypeError(f"missing parameter {name!r}")
     try:
@@ -55,97 +54,65 @@ def _rational(name, value):
                          f"got {value!r}") from None
 
 
-def _zero_table(n):
-    return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+# sl2 on (e, f, h) is [e,f]=h, [h,e]=2e, [h,f]=-2f; the catalog stores
+# the reversed bracket, which makes [a_λ b] equal the g-bracket [a,b]
+_SL2_REVERSED = {(0, 1): {2: -1}, (0, 2): {0: 2}, (1, 2): {1: -2}}
 
 
-def _sl2_bracket():
-    """Structure constants of sl2 on (e, f, h): [e,f]=h, [h,e]=2e, [h,f]=-2f."""
-    t = _zero_table(3)
-    E, F, H = 0, 1, 2
-    t[E][F][H] = Fraction(1)
-    t[F][E][H] = Fraction(-1)
-    t[H][E][E] = Fraction(2)
-    t[E][H][E] = Fraction(-2)
-    t[H][F][F] = Fraction(-2)
-    t[F][H][F] = Fraction(2)
-    return t
-
-
-def _negate(table):
-    return [[[-x for x in cell] for cell in row] for row in table]
+def _build(names, novikov, lie):
+    """The validated algebra on ``names`` of the sparse cells
+    {(i, j): {k: coeff}}, Lie cells with i < j, as a file gives them."""
+    return AlgebraFile("catalog", len(names), names, novikov, lie).build()
 
 
 def _vir():
-    nov = _zero_table(1)
-    nov[0][0][0] = Fraction(1)
-    return gd_build(1, ["L"], nov, _zero_table(1))
+    return _build(["L"], {(0, 0): {0: 1}}, {})
 
 
 def _current(g="sl2", n=None):
     if g == "abelian":
         n = _size("n", n)
-        names = [f"a{i}" for i in range(n)]
-        return gd_build(n, names, _zero_table(n), _zero_table(n))
+        return _build([f"a{i}" for i in range(n)], {}, {})
     if g != "sl2":
         raise ValueError(f"unknown coefficient Lie algebra {g!r}")
     if n is not None:
         raise TypeError("n applies only to g=abelian")
-    # reversed bracket: makes [a_λ b] equal the g-bracket [a,b]
-    return gd_build(3, ["e", "f", "h"], _zero_table(3), _negate(_sl2_bracket()))
+    return _build(["e", "f", "h"], {}, _SL2_REVERSED)
 
 
 def _vir_current(g="sl2"):
     if g != "sl2":
         raise ValueError(f"unknown coefficient Lie algebra {g!r}")
-    n = 4  # L, e, f, h
-    names = ["L", "e", "f", "h"]
-    nov = _zero_table(n)
-    nov[0][0][0] = Fraction(1)  # L∘L = L
-    for a in range(1, n):
-        nov[a][0][a] = Fraction(1)  # a∘L = a, L∘a = 0
-    lie = _zero_table(n)
-    sl2 = _negate(_sl2_bracket())
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                lie[i + 1][j + 1][k + 1] = sl2[i][j][k]
-    return gd_build(n, names, nov, lie)
+    nov = {(0, 0): {0: 1}}  # L∘L = L
+    for a in range(1, 4):
+        nov[a, 0] = {a: 1}  # a∘L = a, L∘a = 0
+    lie = {(i + 1, j + 1): {k + 1: c for k, c in cell.items()}
+           for (i, j), cell in _SL2_REVERSED.items()}
+    return _build(["L", "e", "f", "h"], nov, lie)
 
 
 def _r_alpha_beta(alpha, beta):
     alpha, beta = _rational("alpha", alpha), _rational("beta", beta)
-    nov = _zero_table(2)
     L, W = 0, 1
-    nov[L][L][L] = Fraction(1)
-    nov[L][W][W] = alpha - 1
-    nov[W][L][W] = Fraction(1)
-    lie = _zero_table(2)
-    lie[W][L][W] = beta
-    lie[L][W][W] = -beta
-    return gd_build(2, ["L", "W"], nov, lie)
+    nov = {(L, L): {L: 1}, (L, W): {W: alpha - 1}, (W, L): {W: 1}}
+    return _build(["L", "W"], nov, {(L, W): {W: -beta}})  # [W,L] = βW
 
 
 def _loop_vir_cyclic(m):
     m = _size("m", m)
-    names = [f"L{i}" for i in range(m)]
-    nov = _zero_table(m)
-    for i in range(m):
-        for j in range(m):
-            nov[i][j][(i + j) % m] = Fraction(-1)
-    return gd_build(m, names, nov, _zero_table(m))
+    nov = {(i, j): {(i + j) % m: -1} for i in range(m) for j in range(m)}
+    return _build([f"L{i}" for i in range(m)], nov, {})
 
 
 def _loop_hv_cyclic(m):
     m = _size("m", m, dim_per_unit=2)
-    n = 2 * m
     names = [f"L{i}" for i in range(m)] + [f"H{i}" for i in range(m)]
-    nov = _zero_table(n)
+    nov = {}
     for i in range(m):
         for j in range(m):
-            nov[i][j][(i + j) % m] = Fraction(1)          # Li∘Lj = L(i+j)
-            nov[m + j][i][m + (i + j) % m] = Fraction(1)  # Hj∘Li = H(i+j)
-    return gd_build(n, names, nov, _zero_table(n))
+            nov[i, j] = {(i + j) % m: 1}          # Li∘Lj = L(i+j)
+            nov[m + j, i] = {m + (i + j) % m: 1}  # Hj∘Li = H(i+j)
+    return _build(names, nov, {})
 
 
 _BUILDERS = {

@@ -212,8 +212,8 @@ def _direct_rows(A, N):
     skew row of (q, p) at λ^i is (−1)^i times the row of (p, q). The
     diagonal a = b is kept, since no other pair implies it. The lemma
     uses only the skew-symmetry of the λ-bracket, which holds for every
-    table ``gd_build`` accepts, validated or not (its Lie table is always
-    antisymmetric). ``verify_cocycle`` still checks every triple.
+    algebra ``gd_build`` or a file builds, validated or not (its Lie grid
+    is always antisymmetric). ``verify_cocycle`` still checks every triple.
     """
     n = A.dim
     rows = {}  # (triple-tag, λ-pow, μ-pow) -> {unknown: coeff}

@@ -15,8 +15,8 @@ from .poly import ZERO, _as_q
 
 
 class GDValidationError(ValueError):
-    """Raised by gd_build when a table violates shape, antisymmetry or one
-    of the bialgebra axioms."""
+    """Raised when a built algebra's tables violate shape, antisymmetry
+    or one of the bialgebra axioms."""
 
     def __init__(self, message, violations=()):
         super().__init__(message)
@@ -38,29 +38,22 @@ class Violation:
         return f"{self.axiom} fails at basis triple ({self.i},{self.j},{self.k}); residual {self.residual}"
 
 
-def _freeze_table(table, n):
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(tuple(_as_q(x) for x in table[i][j]))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GDBialgebra:
-    """Finite GD bialgebra given on a basis a_0..a_{n-1} by
-    a_i ∘ a_j = Σ_k novikov[i][j][k] a_k and [a_i, a_j] = Σ_k lie[i][j][k] a_k.
+    """Finite GD bialgebra on a basis a_0..a_{n-1}, held as two sparse
+    product grids: circ_terms[i][j] holds a_i ∘ a_j and lie_terms[i][j]
+    holds [a_i, a_j], each as ((k, coeff), ...) terms in k order with
+    zeros dropped and values as ``_as_q`` gives them. The grids are
+    canonical, so equality compares the products.
 
-    ``gd_build`` validates that the Lie table is antisymmetric, diagonal
-    included, so [a_i, a_i] = 0.
+    ``gd_build`` and ``AlgebraFile.build`` validate that the Lie grid is
+    antisymmetric, diagonal included, so [a_i, a_i] = 0.
     """
 
     dim: int
     basis_names: tuple
-    novikov: tuple
-    lie: tuple
+    circ_terms: tuple
+    lie_terms: tuple
 
     # -- element operations -------------------------------------------
 
@@ -75,26 +68,14 @@ class GDBialgebra:
     def _dense(self, vec):
         return tuple(vec.get(k, ZERO) for k in range(self.dim))
 
-    # -- sparse product grids, built once per object ------------------
-    # grid[i][j] holds the basis product of a_i and a_j as sparse
-    # ((k, coeff), ...) terms; equality still compares the dense fields
-
-    @cached_property
-    def circ_terms(self):
-        """a_i∘a_j."""
-        return _grid(self.novikov)
-
-    @cached_property
-    def lie_terms(self):
-        """[a_i, a_j]."""
-        return _grid(self.lie)
+    # -- tables built once per object ---------------------------------
 
     @cached_property
     def star_terms(self):
         """a_i∗a_j = a_i∘a_j + a_j∘a_i."""
-        nov = self.novikov
-        return _grid([[[u + v for u, v in zip(nov[i][j], nov[j][i])]
-                       for j in range(self.dim)] for i in range(self.dim)])
+        C, n = self.circ_terms, self.dim
+        return tuple(tuple(_cell(C[i][j] + C[j][i]) for j in range(n))
+                     for i in range(n))
 
     @cached_property
     def derived(self):
@@ -103,9 +84,25 @@ class GDBialgebra:
         return {}
 
 
+def _cell(terms):
+    """(k, coeff) pairs summed into one grid cell: values through
+    ``_as_q``, zeros dropped, targets in k order."""
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + _as_q(c)
+    return tuple((k, q) for k, c in sorted(out.items()) if (q := _as_q(c)))
+
+
+def _cells_grid(n, cells):
+    """The n×n grid of the sparse cells {(i, j): {k: coeff}}; an omitted
+    pair is zero."""
+    return tuple(tuple(_cell(cells.get((i, j), {}).items()) for j in range(n))
+                 for i in range(n))
+
+
 def _grid(table):
-    return tuple(tuple(tuple((k, _as_q(c)) for k, c in enumerate(cell) if c)
-                       for cell in row) for row in table)
+    """The grid of a dense n×n×n table."""
+    return tuple(tuple(_cell(enumerate(cell)) for cell in row) for row in table)
 
 
 def _terms(vec):
@@ -152,16 +149,20 @@ def gd_build(dim, basis_names, novikov_table, lie_table, validate=True):
     if not _table_shape_ok(lie_table, dim):
         raise GDValidationError("lie table must have shape n×n×n")
 
-    novikov = _freeze_table(novikov_table, dim)
-    lie = _freeze_table(lie_table, dim)
-    for i in range(dim):
-        for j in range(i, dim):  # the diagonal too: [a_i, a_i] = 0
-            if lie[i][j] != tuple(-x for x in lie[j][i]):
+    return _validated(GDBialgebra(dim, basis_names, _grid(novikov_table),
+                                  _grid(lie_table)), validate)
+
+
+def _validated(algebra, validate):
+    """``algebra`` once its Lie grid is antisymmetric and, with validate
+    on, the Novikov, Lie-Jacobi and compatibility axioms hold."""
+    L = algebra.lie_terms
+    for i in range(algebra.dim):
+        for j in range(i, algebra.dim):  # the diagonal too: [a_i, a_i] = 0
+            if L[i][j] != tuple((k, -c) for k, c in L[j][i]):
                 raise GDValidationError(
                     f"lie table is not antisymmetric at pair ({i},{j})"
                 )
-
-    algebra = GDBialgebra(dim, basis_names, novikov, lie)
     if validate:
         violations = check_novikov(algebra) + check_lie(algebra) + check_gd_compat(algebra)
         if violations:

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 import qlca.algfile
 from qlca import (GDValidationError, ParseError, catalog_build, emit_algebra,
-                  parse_algebra, parse_algebra_file)
+                  gd_build, parse_algebra, parse_algebra_file)
 from qlca.cli import main
 
 
@@ -32,8 +34,9 @@ class TestRoundTrip:
 
         A = catalog_build("r_alpha_beta", alpha="1/2", beta="-2/3")
         rebuilt = parse_algebra(emit_algebra(A))
-        assert rebuilt.novikov[0][1][1] == Fraction(-1, 2)
-        assert rebuilt.lie[1][0][1] == Fraction(-2, 3)
+        L, W = (1, 0), (0, 1)
+        assert rebuilt.circ(L, W)[1] == Fraction(-1, 2)
+        assert rebuilt.bracket(W, L)[1] == Fraction(-2, 3)
 
 
 
@@ -87,6 +90,29 @@ class TestEmittedText:
             "lie b c = a:-1/3 c:1\n"
             "end\n")
 
+    @pytest.mark.parametrize("kwargs, shown", [
+        ({"name": "my alg"}, "algebra name 'my alg'"),
+        ({"name": "a#b"}, "algebra name 'a#b'"),
+        ({"meta": {"k": "a # b"}}, "meta value 'a # b'"),
+        ({"meta": {"k k": "v"}}, "meta key 'k k'"),
+        ({"meta": {"k": ""}}, "meta value ''"),
+        ({"meta": {"k": "a  b"}}, "meta value 'a  b'"),
+    ])
+    def test_refuses_text_that_would_not_read_back(self, kwargs, shown):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{shown} cannot be written to an algebra file")):
+            emit_algebra(catalog_build("vir"), **kwargs)
+
+    def test_refuses_a_basis_name_or_dim_the_parser_rejects(self):
+        A = gd_build(1, ["a b"], [[[0]]], [[[0]]])
+        with pytest.raises(ValueError, match="basis name 'a b'"):
+            emit_algebra(A)
+        names = [f"a{i}" for i in range(129)]
+        A = qlca.algfile.AlgebraFile("big", 129, names, {}, {}).build(
+            validate=False)
+        with pytest.raises(ValueError, match="dim 129 exceeds the maximum 128"):
+            emit_algebra(A)
+
 
 GOOD = """\
 algebra demo
@@ -106,7 +132,8 @@ class TestParsing:
         assert spec.dim == 2 and spec.basis == ["L", "W"]
         assert (0, 1) in spec.lie
         A = spec.build(validate=False)
-        assert A.lie[1][0][1] == -A.lie[0][1][1]
+        L, W = (1, 0), (0, 1)
+        assert A.bracket(W, L)[1] == -A.bracket(L, W)[1]
 
     def err(self, text):
         with pytest.raises(ParseError) as exc:

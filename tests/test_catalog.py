@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import qlca.gd
 from qlca import (CatalogEntry, bracket_basis, catalog_build,
-                  catalog_names, coeff_bracket, detect_unit_like, entry_label,
-                  gd_build, solve_derivations_direct,
-                  solve_derivations_theorem, solve_extensions_direct,
-                  solve_extensions_theorem, standard_entries)
+                  catalog_names, coeff_bracket, detect_unit_like, emit_algebra,
+                  entry_label, gd_build, parse_algebra,
+                  solve_derivations_direct, solve_derivations_theorem,
+                  solve_extensions_direct, solve_extensions_theorem,
+                  standard_entries)
 
 
 class TestCatalog:
@@ -49,8 +51,9 @@ class TestCatalog:
 
     def test_rational_parameters_accepted(self):
         A = catalog_build("r_alpha_beta", alpha="1/2", beta="-3/4")
-        assert A.novikov[0][1][1] == Fraction(-1, 2)  # α - 1
-        assert A.lie[1][0][1] == Fraction(-3, 4)
+        L, W = (1, 0), (0, 1)
+        assert A.circ(L, W)[1] == Fraction(-1, 2)  # α - 1
+        assert A.bracket(W, L)[1] == Fraction(-3, 4)
 
     def test_dimensions(self):
         assert catalog_build("vir").dim == 1
@@ -109,3 +112,33 @@ def test_integral_algebras_compute_in_exact_scalars(build):
             for m in (-1, 0, 2):
                 terms, central = coeff_bracket(A, q, (i, m), (j, 1 - m))
                 assert all(_exact(c) for c in terms.values()) and _exact(central)
+
+
+@pytest.mark.parametrize("build", _integral_algebras() + [pytest.param(
+    lambda: catalog_build("r_alpha_beta", alpha="1/2", beta="-2/3"),
+    id="r_alpha_beta:alpha=1/2,beta=-2/3")])
+def test_every_route_builds_the_same_grids(build):
+    """The catalog's (or gd_build's) algebra, its emitted file read back,
+    and gd_build of the dense tables read back through circ and bracket
+    are one algebra: every route ends in the same canonical grids."""
+    A = build()
+    units = [tuple(int(k == i) for k in range(A.dim)) for i in range(A.dim)]
+    nov, lie = ([[list(op(x, y)) for y in units] for x in units]
+                for op in (A.circ, A.bracket))
+    assert A == parse_algebra(emit_algebra(A))
+    assert A == gd_build(A.dim, A.basis_names, nov, lie)
+
+
+def test_catalog_and_files_build_without_dense_tables(monkeypatch):
+    """Only gd_build reads a dense table; the catalog and the file parser
+    write the grids straight from sparse cells."""
+    texts = [emit_algebra(e.build()) for e in standard_entries()]
+
+    def refuse(table):
+        raise AssertionError("a dense table was read")
+
+    monkeypatch.setattr(qlca.gd, "_grid", refuse)
+    with pytest.raises(AssertionError, match="dense table"):
+        _trunc_poly(2, 0)
+    for entry, text in zip(standard_entries(), texts):
+        assert entry.build() == parse_algebra(text)

@@ -100,15 +100,16 @@ class TestCheck:
     ])
     def test_catalog_dim_over_cap_exit_2_before_building(
             self, capsys, monkeypatch, target, message):
-        """The cap is checked on the parameter, so no n³-cell table of
-        the refused size is ever allocated."""
+        """The cap is checked on the parameter, so no algebra of the
+        refused size, whose axiom checks take n³ steps, is ever built."""
+        import qlca.algfile
         import qlca.catalog
 
         def refuse(*args):
-            raise AssertionError("a table was built")
+            raise AssertionError("an algebra was built")
 
-        monkeypatch.setattr(qlca.catalog, "_zero_table", refuse)
-        monkeypatch.setattr(qlca.catalog, "gd_build", refuse)
+        monkeypatch.setattr(qlca.catalog, "_build", refuse)
+        monkeypatch.setattr(qlca.algfile.AlgebraFile, "build", refuse)
         code, out, err = run(capsys, "check", "catalog:" + target)
         assert code == 2 and out == ""
         assert err == f"error: {message}, which exceeds the maximum 128\n"
@@ -557,7 +558,7 @@ def test_snapshot_script_writes_every_report_of_one_target(tmp_path):
     names = ["check", "extend", "extend-degree0", "extend-degree1",
              "extend-degree2", "extend-degree3", "derive", "derive-p1l0",
              "derive-p0l2", "derive-simple", "coeff", "coeff-window1",
-             "coeff-window6"]
+             "coeff-window6", "emit"]
     # At --partial-bound 0 the closed solver solves at ∂-bound 0 too, so
     # vir's derive-p0l2 report says solvers_agree: true and exits 0.
     for name in names:
@@ -567,4 +568,6 @@ def test_snapshot_script_writes_every_report_of_one_target(tmp_path):
     for name in ("check", "extend", "derive", "coeff"):
         assert ((tmp_path / f"{name}-vir.out").read_bytes()
                 == (GOLDEN / f"{name}-vir.out").read_bytes())
+    assert (tmp_path / "emit-vir.out").read_text() == (
+        "algebra vir\ndim 1\nbasis L\nnovikov L L = L:1\nend\n")
     assert len(list(tmp_path.glob("*-vir.out"))) == len(names)

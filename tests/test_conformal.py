@@ -15,6 +15,7 @@ from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, GDBialgebra,
                   solve_derivations_direct, solve_extensions_theorem,
                   verify_cocycle, verify_derivation)
 from qlca.conformal import _grid_table, _jacobi_tables, _slot_brackets
+from qlca.gd import _grid
 from test_catalog import _integral_algebras
 
 SNAPSHOT_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "snapshot_reports.py"
@@ -257,13 +258,15 @@ def test_checkers_run_without_the_general_product(catalog_entry, monkeypatch):
 # grids: the dense n-tuple [a_i λ a_j] read off the structure tables, λ put
 # in for the slot and then ∂ moved by a second substitution, and residuals
 # summed as n-tuples of FormalPoly. Kept here, written against the dense
-# tables, as the oracle of the sparse tables and the one-dict residuals.
+# products of basis vectors, as the oracle of the sparse tables and the
+# one-dict residuals.
 
 def dense_bracket(A, i, j):
     """[a_i λ a_j] = ∂(a_j∘a_i) + [a_j, a_i] + λ(a_i∗a_j) as an n-tuple."""
-    return tuple(FormalPoly({(1, 0, 0): A.novikov[j][i][k],
-                             (0, 0, 0): A.lie[j][i][k],
-                             (0, 1, 0): A.novikov[i][j][k] + A.novikov[j][i][k]})
+    a_i, a_j = (tuple(int(k == m) for k in range(A.dim)) for m in (i, j))
+    ji, ij, lie = A.circ(a_j, a_i), A.circ(a_i, a_j), A.bracket(a_j, a_i)
+    return tuple(FormalPoly({(1, 0, 0): ji[k], (0, 0, 0): lie[k],
+                             (0, 1, 0): ij[k] + ji[k]})
                  for k in range(A.dim))
 
 
@@ -412,7 +415,7 @@ class TestEngineAgainstDenseRoute:
                          min_size=n, max_size=n)
         nov, lie = (tuple(tuple(tuple(map(Fraction, cell)) for cell in row)
                           for row in data.draw(table)) for _ in range(2))
-        A = GDBialgebra(n, tuple(f"a{i}" for i in range(n)), nov, lie)
+        A = GDBialgebra(n, tuple(f"a{i}" for i in range(n)), _grid(nov), _grid(lie))
         assert_engine_matches_dense_route(A)
 
     def test_snapshot_tables_break_both_checks(self):
@@ -424,7 +427,7 @@ class TestEngineAgainstDenseRoute:
             assert dense_check_jacobi(A)
             assert_engine_matches_dense_route(A)
         lie = ((((Fraction(1),),),))
-        A = GDBialgebra(1, ("a",), ((((Fraction(0),),),)), lie)
+        A = GDBialgebra(1, ("a",), _grid(((((Fraction(0),),),))), _grid(lie))
         assert dense_skew(A) and check_skew(A) == dense_skew(A)
 
 

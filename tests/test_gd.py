@@ -11,6 +11,16 @@ def zero_table(n):
     return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
 
 
+def dense(grid, n):
+    """A sparse product grid as a fresh dense n×n×n table."""
+    table = zero_table(n)
+    for i, row in enumerate(grid):
+        for j, cell in enumerate(row):
+            for k, c in cell:
+                table[i][j][k] = c
+    return table
+
+
 def brute_force_violations(A):
     """Test-side oracle: re-derive all three axiom residuals directly from
     the structure constants, without the library's vector helpers. Returns
@@ -19,7 +29,7 @@ def brute_force_violations(A):
     then every Jacobi one, then every compatibility one, each residual the
     dense Fraction vector of the failed identity."""
     n = A.dim
-    nov, lie = A.novikov, A.lie
+    nov, lie = dense(A.circ_terms, n), dense(A.lie_terms, n)
     novikov, jacobi, compat = [], [], []
 
     def circ2(i, j):  # (a_i ∘ a_j) as dict
@@ -127,8 +137,9 @@ class TestBuild:
         lie[0][1][0] = Fraction(2)
         lie[1][0][0] = Fraction(-2)
         A = gd_build(2, ["a", "b"], zero_table(2), lie)
-        assert A.lie[1][0][0] == -A.lie[0][1][0]
-        assert all(x == 0 for x in A.lie[0][0])
+        built = dense(A.lie_terms, 2)
+        assert built[1][0][0] == -built[0][1][0]
+        assert all(x == 0 for x in built[0][0])
 
 
 class TestElementOps:
@@ -146,10 +157,11 @@ class TestElementOps:
         x = (Fraction(1), Fraction(2), Fraction(0), Fraction(-1))
         y = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(0))
         lhs = A.circ(x, y)
+        nov = dense(A.circ_terms, 4)
         acc = [Fraction(0)] * 4
         for i, xi in enumerate(x):
             for j, yj in enumerate(y):
-                for k, c in enumerate(A.novikov[i][j]):
+                for k, c in enumerate(nov[i][j]):
                     acc[k] += xi * yj * c
         assert lhs == tuple(acc)
 
@@ -167,8 +179,8 @@ class TestCheckersAgainstOracle:
         n = base.dim
         total = 0
         for _ in range(40):
-            nov = [[[c for c in cell] for cell in row] for row in base.novikov]
-            lie = [[[c for c in cell] for cell in row] for row in base.lie]
+            nov = dense(base.circ_terms, n)
+            lie = dense(base.lie_terms, n)
             table = rng.choice(("nov", "lie"))
             i, j, k = (rng.randrange(n) for _ in range(3))
             delta = Fraction(rng.choice((-2, -1, 1, 2)))
