@@ -16,7 +16,7 @@ Grammar (line-based; ``#`` starts a comment; blank lines ignored)::
   and so is a target named twice in one line, zero coefficients included.
 * ``lie`` lines are only permitted with I strictly before J in basis
   order; the antisymmetric completion is implied.
-* ``meta`` lines are optional free-form key/value annotations.
+* ``meta`` lines are optional free-form key/value annotations, one per key.
 * ``N`` is at most ``MAX_DIM``, which bounds the time of the axiom
   checks over all n³ basis triples; a larger ``dim`` is refused at its
   own line, before any basis name or table entry is read.
@@ -168,6 +168,8 @@ def parse_algebra_file(text) -> AlgebraFile:
         elif head == "meta":
             if len(parts) < 3:
                 raise ParseError("expected 'meta KEY VALUE...'", line_no)
+            if parts[1] in meta:
+                raise ParseError(f"duplicate meta key {parts[1]!r}", line_no)
             meta[parts[1]] = " ".join(parts[2:])
         elif head == "end":
             if basis is None:

@@ -137,6 +137,28 @@ def _ansatz_from_vector(n, P, D, vec):
     return DerivationAnsatz.from_dict(P, D, coeffs)
 
 
+def _lambda_shifts(template, D, stride):
+    """Rows for the unknowns of λ-degree ≤ D from the k = 0 rows {(key,
+    λ-power): {column: coeff}}, zeros allowed, by the λ-shift lemma of
+    ``_direct_rows``; different k hold disjoint columns, so none are summed."""
+    parts = {}  # key -> [(λ-power, row items with columns less λ-power·stride)]
+    for (key, s), row in template.items():
+        if row := {x - s * stride: c for x, c in row.items() if c}:
+            parts.setdefault(key, []).append((s, row.items()))
+    for rows in parts.values():
+        if len(rows) == 1:  # the common case: D + 1 plain shifts
+            ((s, items),) = rows
+            yield from [{x + off: c for x, c in items}
+                        for off in range(s * stride, (s + D + 1) * stride, stride)]
+            continue
+        # one k = 0 row per λ-power, so min and max compare λ-powers only
+        for lpow in range(min(rows)[0], max(rows)[0] + D + 1):
+            off = lpow * stride
+            if row := {x + off: c for s, items in rows
+                       if lpow - D <= s <= lpow for x, c in items}:
+                yield row
+
+
 # ---------------------------------------------------------------------
 # Direct solver
 # ---------------------------------------------------------------------
@@ -170,7 +192,14 @@ def _direct_rows(A: GDBialgebra, P, D):
     The coefficients are read off the product grids (``_bracket_terms``)
     and expanded binomially: (∂+λ) on the left, (−λ−μ)^i for the ∂^i of
     d_λ(a_p) in the first bracket on the right (at slot λ+μ), and (μ+∂)^i
-    for the ∂^i of d_λ(a_q) in the second one (at slot μ)."""
+    for the ∂^i of d_λ(a_q) in the second one (at slot μ).
+
+    λ-shift lemma. The unknown v_{jik} enters only through the ∂^i λ^k
+    term of d_λ(a_j), where λ^k is a scalar factor: d_λ∂ = (∂+λ)d_λ moves
+    ∂ and never changes k. So the rows of the λ-degree-k unknowns are the
+    k = 0 rows with every λ-power raised by k and every column offset by
+    k·(P+1)·n², as ``_unknown_indexer`` is λ-degree major. Each pair's
+    k = 0 rows are expanded once and shifted (``_lambda_shifts``)."""
     n = A.dim
     idx = _unknown_indexer(n, P)
     brk = [[_bracket_terms(A, i, j) for j in range(n)] for i in range(n)]
@@ -178,40 +207,32 @@ def _direct_rows(A: GDBialgebra, P, D):
 
     def add(key, x, c):
         eq = rows.setdefault(key, {})
-        s = eq.get(x, 0) + c
-        if s:
-            eq[x] = s
-        else:
-            del eq[x]
+        eq[x] = eq.get(x, 0) + c
 
     for p in range(n):
         for q in range(p, n):
-            rows = {}  # (coordinate, ∂-, λ-, μ-power) -> {unknown: coeff}
+            rows = {}  # ((coordinate, ∂-, μ-power), λ-power) -> row at k = 0
             # d_λ[a_p μ a_q]: c ∂^e μ^f a_m becomes c μ^f (∂+λ)^e d_λ(a_m);
             # e ≤ 1, so every binomial is 1
             for m, c, e, f in brk[p][q]:
                 for s in range(e + 1):
                     for i in range(P + 1):
-                        for k in range(D + 1):
-                            for r in range(n):
-                                add((r, i + e - s, k + s, f),
-                                    idx(m, i, k, r), c)
+                        for r in range(n):
+                            add(((r, i + e - s, f), s), idx(m, i, 0, r), c)
             for i in range(P + 1):
                 sign = (-1) ** i
                 for rr in range(n):
                     # −λ^k (−λ−μ)^i [a_rr_{λ+μ} a_q]
                     for t, c, e, f in brk[rr][q]:
                         for s, b in enumerate(binom[i + f]):
-                            for k in range(D + 1):
-                                add((t, e, k + s, i + f - s),
-                                    idx(p, i, k, rr), -sign * b * c)
+                            add(((t, e, i + f - s), s), idx(p, i, 0, rr),
+                                -sign * b * c)
                     # −λ^k (μ+∂)^i [a_p μ a_rr]
                     for t, c, e, f in brk[p][rr]:
                         for s, b in enumerate(binom[i]):
-                            for k in range(D + 1):
-                                add((t, i - s + e, k, s + f),
-                                    idx(q, i, k, rr), -b * c)
-            yield from (eq for eq in rows.values() if eq)
+                            add(((t, i - s + e, s + f), 0), idx(q, i, 0, rr),
+                                -b * c)
+            yield from _lambda_shifts(rows, D, (P + 1) * n * n)
 
 
 def _solve(A, rows, P, D, method):
@@ -369,7 +390,8 @@ def _closed_rows(A: GDBialgebra, P, D):
     c·λ^s·f(d^i(u)): u is a sparse ((j, coeff), ...) element, and the
     linear map f sends a_r to the sparse element f[r] (ID: identity). The
     sum gives one row per output coordinate and λ-power; a summand of
-    i > P is 0 and skipped."""
+    i > P is 0 and skipped. d^i_k enters as λ^k·f(d^i_k(u)), so by the
+    λ-shift lemma (``_direct_rows``) the k = 0 rows are shifted."""
     n = A.dim
     idx = _unknown_indexer(n, P)
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
@@ -381,21 +403,15 @@ def _closed_rows(A: GDBialgebra, P, D):
     rows = []
 
     def emit(*summands):
-        eqs = {}
+        eqs = {}  # (coordinate, λ-power) -> row at k = 0
         for c, s, i, u, f in summands:
-            if i > P:
-                continue
-            for j, uj in u:
+            for j, uj in u if i <= P else ():
+                base = idx(j, i, 0, 0)  # + r: the coordinate is the last index
                 for r in range(n):
                     for t, ft in f[r]:
-                        for k in range(D + 1):
-                            eq = eqs.setdefault((t, k + s), {})
-                            x = idx(j, i, k, r)
-                            eq[x] = eq.get(x, 0) + c * uj * ft
-        for eq in eqs.values():
-            eq = {x: v for x, v in eq.items() if v}
-            if eq:
-                rows.append(eq)
+                        eq = eqs.setdefault((t, s), {})
+                        eq[base + r] = eq.get(base + r, 0) + c * uj * ft
+        rows.extend(_lambda_shifts(eqs, D, (P + 1) * n * n))
 
     for p in range(n):
         for q in range(n):

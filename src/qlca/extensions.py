@@ -83,6 +83,11 @@ class CocycleQuadruple:
                 for i, row in enumerate(mat)
                 for j, x in enumerate(row) if x}
 
+    def __hash__(self):  # hash(alpha), of 4n² entries, computed once
+        return self._hash
+
+    _hash = cached_property(lambda self: hash(self.alpha))
+
     @cached_property
     def _sizes(self):
         """The length of every form of alpha and of its rows, as a set."""
@@ -214,52 +219,49 @@ def _direct_rows(A, N):
     uses only the skew-symmetry of the λ-bracket, which holds for every
     algebra ``gd_build`` or a file builds, validated or not (its Lie grid
     is always antisymmetric). ``verify_cocycle`` still checks every triple.
+
+    A triple forms its nine products x⊗y once, puts α_i's at column offset
+    i·n² (``place``) and lists its rows in the order the expansion names them.
     """
     n = A.dim
-    rows = {}  # (triple-tag, λ-pow, μ-pow) -> {unknown: coeff}
-
-    def add(tag, lpow, mpow, sign, i, x, y):
-        _bilinear_terms(rows.setdefault((tag, lpow, mpow), {}), sign, i, x, y,
-                        n)
-
-    # skew: λ^i coefficient of α_λ(a,b) + α_{-λ}(b,a)
-    for p in range(n):
-        for q in range(p, n):
-            for i in range(N + 1):
-                add(("skew", p, q), i, 0, 1, i, _unit(p), _unit(q))
-                add(("skew", p, q), i, 0, (-1) ** i, i, _unit(q), _unit(p))
-
+    # skew: λ^i coefficient of α_λ(a,b) + α_{-λ}(b,a), 0 at a = b, i odd
+    out = [{_column(n, i, p, q): 1, _column(n, i, q, p): (-1) ** i} if p < q
+           else {_column(n, i, p, p): 2} for p in range(n)
+           for q in range(p, n) for i in range(N + 1) if p < q or i % 2 == 0]
+    # place[i][slot]: (λ-power, μ-power, coefficient)s of the slot-th α_i
+    place = [[((i + 1, 0, 1),), ((i, 1, 1),), ((i, 0, 1),),
+              ((0, i + 1, -1),), ((1, i, -1),), ((0, i, -1),),
+              tuple((s, i + 1 - s, comb(i + 1, s)) for s in range(i + 2)),
+              tuple((s + 1, i - s, -comb(i, s)) for s in range(i + 1)),
+              tuple((s, i - s, -comb(i, s)) for s in range(i + 1))]
+             for i in range(N + 1)]
+    order = dict.fromkeys((lp, mp) for slots in place for terms in slots
+                          for lp, mp, _ in terms)
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
     for ia in range(n):
         for ib in range(ia, n):
             for ic in range(n):
-                tag = ("fe", ia, ib, ic)
                 a, b, c = _unit(ia), _unit(ib), _unit(ic)
-                for i in range(N + 1):
-                    # λ·α_λ(a, c∘b): λ^{i+1}
-                    add(tag, i + 1, 0, 1, i, a, circ[ic][ib])
-                    # μ·α_λ(a, b∗c): λ^i μ
-                    add(tag, i, 1, 1, i, a, star[ib][ic])
-                    # α_λ(a, [c,b]): λ^i
-                    add(tag, i, 0, 1, i, a, br[ic][ib])
-                    # -μ·α_μ(b, c∘a): μ^{i+1}
-                    add(tag, 0, i + 1, -1, i, b, circ[ic][ia])
-                    # -λ·α_μ(b, a∗c): λ μ^i
-                    add(tag, 1, i, -1, i, b, star[ia][ic])
-                    # -α_μ(b, [c,a]): μ^i
-                    add(tag, 0, i, -1, i, b, br[ic][ia])
-                    # RHS, subtracted:
-                    # (-λ-μ)·α_{λ+μ}(b∘a, c) = -(λ+μ)^{i+1} α_i(b∘a, c)
-                    for s in range(i + 2):
-                        add(tag, s, i + 1 - s, comb(i + 1, s), i,
-                            circ[ib][ia], c)
-                    # λ·α_{λ+μ}(a∗b, c)
-                    for s in range(i + 1):
-                        add(tag, s + 1, i - s, -comb(i, s), i, star[ia][ib], c)
-                    # α_{λ+μ}([b,a], c)
-                    for s in range(i + 1):
-                        add(tag, s, i - s, -comb(i, s), i, br[ib][ia], c)
-    return [r for r in rows.values() if r]
+                eqs = {}  # (λ-pow, μ-pow) -> {unknown: coeff}
+                # λ·α_λ(a, c∘b), μ·α_λ(a, b∗c), α_λ(a, [c,b]); minus μ·α_μ(b,
+                # c∘a), λ·α_μ(b, a∗c), α_μ(b, [c,a]); minus (-λ-μ)·α_{λ+μ}(b∘a,
+                # c), λ·α_{λ+μ}(a∗b, c), α_{λ+μ}([b,a], c)
+                for slot, (x, y) in enumerate((
+                        (a, circ[ic][ib]), (a, star[ib][ic]), (a, br[ic][ib]),
+                        (b, circ[ic][ia]), (b, star[ia][ic]), (b, br[ic][ia]),
+                        (circ[ib][ia], c), (star[ia][ib], c), (br[ib][ia], c))):
+                    prod = [(_column(n, 0, u, v), xu * yv)
+                            for u, xu in x for v, yv in y]
+                    for i in range(N + 1) if prod else ():
+                        off = _column(n, i, 0, 0)
+                        for lp, mp, w in place[i][slot]:
+                            eq = eqs.setdefault((lp, mp), {})
+                            for u, v in prod:
+                                eq[u + off] = eq.get(u + off, 0) + w * v
+                out += filter(None, ({u: v for u, v in eq.items() if v}
+                                     if 0 in eq.values() else eq
+                                     for key in order if (eq := eqs.get(key))))
+    return out
 
 
 def _direct_nullspace(A, N):

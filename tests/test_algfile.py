@@ -167,6 +167,18 @@ class TestParsing:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_duplicate_meta_key_names_key_and_line(self, capsys, tmp_path):
+        bad = GOOD.replace("meta note a two-generator example",
+                           "meta note a\nmeta other b\nmeta note b")
+        e = self.err(bad)
+        assert str(e) == "line 9: duplicate meta key 'note'"
+        assert e.line_no == 9
+        path = tmp_path / "bad.alg"
+        path.write_text(bad)
+        assert main(["check", str(path)]) == 2
+        assert (capsys.readouterr().err
+                == "error: line 9: duplicate meta key 'note'\n")
+
     def test_zero_denominator(self):
         e = self.err(GOOD.replace("L:1", "L:1/0"))
         assert "denominator" in str(e)

@@ -1,6 +1,9 @@
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +19,12 @@ from qlca import (DEL, LAM, MU, CatalogEntry, DerivationAnsatz, DerivationSpace,
                   standard_entries, verify_derivation)
 from qlca import derivations
 from qlca.cli import main
-from qlca.derivations import (_closed_rows, _direct_rows, _inner_vectors,
-                              _unknown_indexer)
+from qlca.derivations import (_bracket_terms, _closed_rows, _direct_rows,
+                              _inner_vectors, _unknown_indexer)
 from test_catalog import _integral_algebras, _trunc_poly
 from test_conformal import basis_expr, expr_add, expr_is_zero, expr_sub
+from test_extensions import (assert_pair_system_is_the_full_one,
+                             random_unvalidated_table)
 
 
 @pytest.fixture(params=[
@@ -503,3 +508,161 @@ def test_verify_derivation_is_the_bracket_general_route_on_drawn_ansatze(data):
         st.lists(coeff, min_size=n, max_size=n).map(tuple), max_size=3))
     d = DerivationAnsatz.from_dict(P, D, coeffs)
     assert verify_derivation(A, d) == leibniz_through_bracket_general(A, d)
+
+
+# ---------------------------------------------------------------------
+# The row builders against their straightforward form
+# ---------------------------------------------------------------------
+
+
+def reference_direct_rows(A, P, D):
+    """The direct Leibniz rows expanded once per λ-degree k of the
+    ansatz, with no shift: the builder before its rows were shifted."""
+    n = A.dim
+    idx = _unknown_indexer(n, P)
+    brk = [[_bracket_terms(A, i, j) for j in range(n)] for i in range(n)]
+    binom = [[comb(a, s) for s in range(a + 1)] for a in range(P + 2)]
+
+    def add(key, x, c):
+        eq = rows.setdefault(key, {})
+        s = eq.get(x, 0) + c
+        if s:
+            eq[x] = s
+        else:
+            del eq[x]
+
+    for p in range(n):
+        for q in range(p, n):
+            rows = {}
+            for m, c, e, f in brk[p][q]:
+                for s in range(e + 1):
+                    for i in range(P + 1):
+                        for k in range(D + 1):
+                            for r in range(n):
+                                add((r, i + e - s, k + s, f),
+                                    idx(m, i, k, r), c)
+            for i in range(P + 1):
+                sign = (-1) ** i
+                for rr in range(n):
+                    for t, c, e, f in brk[rr][q]:
+                        for s, b in enumerate(binom[i + f]):
+                            for k in range(D + 1):
+                                add((t, e, k + s, i + f - s),
+                                    idx(p, i, k, rr), -sign * b * c)
+                    for t, c, e, f in brk[p][rr]:
+                        for s, b in enumerate(binom[i]):
+                            for k in range(D + 1):
+                                add((t, i - s + e, k, s + f),
+                                    idx(q, i, k, rr), -b * c)
+            yield from (eq for eq in rows.values() if eq)
+
+
+def reference_closed_rows(A, P, D):
+    """The closed-system rows with each summand expanded once per
+    λ-degree k of the ansatz: the builder before its rows were shifted."""
+    n = A.dim
+    idx = _unknown_indexer(n, P)
+    circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
+    ID = [((r, 1),) for r in range(n)]
+
+    def right(grid, b):
+        return [grid[r][b] for r in range(n)]
+
+    rows = []
+
+    def emit(*summands):
+        eqs = {}
+        for c, s, i, u, f in summands:
+            if i > P:
+                continue
+            for j, uj in u:
+                for r in range(n):
+                    for t, ft in f[r]:
+                        for k in range(D + 1):
+                            eq = eqs.setdefault((t, k + s), {})
+                            x = idx(j, i, k, r)
+                            eq[x] = eq.get(x, 0) + c * uj * ft
+        for eq in eqs.values():
+            eq = {x: v for x, v in eq.items() if v}
+            if eq:
+                rows.append(eq)
+
+    for p in range(n):
+        for q in range(n):
+            a, b = ((p, 1),), ((q, 1),)
+            ba, ab = circ[q][p], circ[p][q]
+            ab_star = star[p][q]
+            lba = br[q][p]
+            o_p, s_p, l_p = right(circ, p), right(star, p), right(br, p)
+            s_q = right(star, q)
+            p_o, q_o, q_l = circ[p], circ[q], br[q]
+            emit((1, 0, 3, ba, ID), (-1, 0, 3, ab, ID))
+            emit((1, 0, 3, ab, ID), (-1, 0, 3, b, o_p))
+            emit((1, 0, 3, a, q_o), (-1, 0, 3, b, p_o))
+            emit((2, 0, 3, b, o_p), (1, 0, 3, b, p_o))
+            emit((1, 1, 3, ba, ID), (1, 0, 2, ba, ID), (1, 0, 3, lba, ID),
+                 (-1, 0, 3, b, l_p), (-1, 0, 2, b, o_p))
+            emit((1, 0, 2, ab_star, ID), (-2, 0, 2, b, o_p), (-1, 0, 2, b, s_p),
+                 (-3, 0, 3, b, l_p))
+            emit((-3, 1, 3, a, q_o), (1, 0, 2, a, q_o), (1, 0, 2, b, o_p),
+                 (2, 0, 2, b, s_p), (3, 0, 3, b, l_p))
+            emit((-4, 1, 3, a, s_q), (1, 0, 2, a, s_q), (-1, 0, 3, a, q_l),
+                 (1, 0, 2, b, s_p), (1, 0, 3, b, l_p))
+            emit((1, 1, 2, ba, ID), (1, 0, 1, ba, ID), (1, 0, 2, lba, ID),
+                 (-1, 0, 1, b, o_p), (-1, 0, 2, b, l_p))
+            emit((1, 0, 1, ab_star, ID),
+                 *((-(-1) ** i, i - 1, i, a, q_o) for i in range(1, 4)),
+                 (-1, 0, 1, b, o_p), (-1, 0, 1, b, s_p), (-2, 0, 2, b, l_p))
+            emit(*(((-1) ** i * comb(i + 1, 2), i - 1, i, a, s_q)
+                   for i in range(1, 4)),
+                 *(((-1) ** i * comb(i, 2), i - 2, i, a, q_l) for i in range(2, 4)),
+                 (1, 0, 1, b, s_p), (1, 0, 2, b, l_p))
+            emit((1, 1, 1, ba, ID), (1, 0, 0, ba, ID), (1, 0, 1, lba, ID),
+                 *((-(-1) ** i, i, i, a, q_o) for i in range(4)),
+                 (-1, 0, 0, b, o_p), (-1, 0, 1, b, l_p))
+            emit((1, 0, 0, ab_star, ID),
+                 *((-(-1) ** i * (i + 1), i, i, a, s_q) for i in range(4)),
+                 *((-(-1) ** i * i, i - 1, i, a, q_l) for i in range(1, 4)),
+                 (-1, 0, 0, b, s_p), (-1, 0, 1, b, l_p))
+            emit((1, 1, 0, ba, ID), (1, 0, 0, lba, ID),
+                 *((-(-1) ** i, i + 1, i, a, s_q) for i in range(4)),
+                 *((-(-1) ** i, i, i, a, q_l) for i in range(4)),
+                 (-1, 0, 0, b, l_p))
+    return rows
+
+
+def row_multiset(rows):
+    """The rows as a multiset, each row as its sorted (column, coeff)s."""
+    return Counter(tuple(sorted(row.items())) for row in rows)
+
+
+BUILDER_BOUNDS = ((0, 0), (2, 1), (1, 2), (3, 4), (3, 6))
+
+
+@pytest.mark.parametrize("build", [*_integral_algebras(), *(
+    pytest.param(lambda k=k: _trunc_poly(3, k), id=f"trunc_poly:n=3,kappa={k}")
+    for k in (0, 1))])
+@pytest.mark.parametrize("P, D", BUILDER_BOUNDS)
+def test_shifted_builders_give_the_expanded_rows(build, P, D):
+    """Shifting each λ-degree 0 row across λ-degrees builds the rows that
+    expanding the identity once per λ-degree builds, each as often."""
+    A = build()
+    assert (row_multiset(_direct_rows(A, P, D))
+            == row_multiset(reference_direct_rows(A, P, D)))
+    assert (row_multiset(_closed_rows(A, P, D))
+            == row_multiset(reference_closed_rows(A, P, D)))
+
+
+def test_shifted_builders_on_unvalidated_tables():
+    """The same on seeded tables whose axioms fail, where rows cancel in
+    other places; the extension rows there are the all-triples ones, in
+    their order."""
+    rng = random.Random(20261020)
+    for t in range(30):
+        A = random_unvalidated_table(rng)
+        P, D = BUILDER_BOUNDS[t % len(BUILDER_BOUNDS)]
+        assert (row_multiset(_direct_rows(A, P, D))
+                == row_multiset(reference_direct_rows(A, P, D)))
+        assert (row_multiset(_closed_rows(A, P, D))
+                == row_multiset(reference_closed_rows(A, P, D)))
+        assert_pair_system_is_the_full_one(A, (0, 1, 3, 7)[t % 4])

@@ -9,7 +9,7 @@ from qlca import (DEL, LAM, MU, CocycleQuadruple, FormalPoly, bracket_basis,
                   coeff_relation_consistency, entry_label, gd_build,
                   solve_extensions_direct, solve_extensions_theorem, span_rank,
                   spans_equal, standard_entries, verify_cocycle)
-from qlca.extensions import _bilinear_terms, _direct_rows, _unit
+from qlca.extensions import _bilinear_terms, _column, _direct_rows, _unit
 from qlca.poly import RatMatrix, _int_rows, nullspace_basis
 from test_catalog import _trunc_poly
 
@@ -42,6 +42,16 @@ class TestQuadruple:
     def test_vector_round_trip(self):
         q = CocycleQuadruple.single(2, 3, 0, 0, Fraction(5, 2))
         assert CocycleQuadruple.from_vector(2, q.as_vector()) == q
+
+    def test_hash_is_the_hash_of_alpha_on_every_route(self):
+        n = 3
+        a = CocycleQuadruple.single(n, 2, 0, 1, Fraction(1, 2))
+        b = CocycleQuadruple.from_vector(n, {_column(n, 2, 0, 1): Fraction(1, 2),
+                                             _column(n, 2, 1, 0): Fraction(-1, 2)})
+        assert a == b and hash(a) == hash(b) == hash(a.alpha)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
+        assert all(type(x) is Fraction
+                   for q in (a, b) for m in q.alpha for row in m for x in row)
 
     def test_lambda_poly(self):
         q = CocycleQuadruple.single(1, 3, 0, 0)
