@@ -220,8 +220,8 @@ def _direct_rows(A, N):
     algebra ``gd_build`` or a file builds, validated or not (its Lie grid
     is always antisymmetric). ``verify_cocycle`` still checks every triple.
 
-    A triple forms its nine products x⊗y once, puts α_i's at column offset
-    i·n² (``place``) and lists its rows in the order the expansion names them.
+    A triple forms its nine products x⊗y once, places them at α_i's columns
+    (offset i·n², ``place``) and lists its rows in the expansion's order.
     """
     n = A.dim
     # skew: λ^i coefficient of α_λ(a,b) + α_{-λ}(b,a), 0 at a = b, i odd
