@@ -146,11 +146,6 @@ def _lambda_shifts(template, D, stride):
         if row := {x - s * stride: c for x, c in row.items() if c}:
             parts.setdefault(key, []).append((s, row.items()))
     for rows in parts.values():
-        if len(rows) == 1:  # the common case: D + 1 plain shifts
-            ((s, items),) = rows
-            yield from [{x + off: c for x, c in items}
-                        for off in range(s * stride, (s + D + 1) * stride, stride)]
-            continue
         # one k = 0 row per λ-power, so min and max compare λ-powers only
         for lpow in range(min(rows)[0], max(rows)[0] + D + 1):
             off = lpow * stride
@@ -405,7 +400,9 @@ def _closed_rows(A: GDBialgebra, P, D):
     def emit(*summands):
         eqs = {}  # (coordinate, λ-power) -> row at k = 0
         for c, s, i, u, f in summands:
-            for j, uj in u if i <= P else ():
+            if i > P:
+                continue
+            for j, uj in u:
                 base = idx(j, i, 0, 0)  # + r: the coordinate is the last index
                 for r in range(n):
                     for t, ft in f[r]:

@@ -83,10 +83,12 @@ class CocycleQuadruple:
                 for i, row in enumerate(mat)
                 for j, x in enumerate(row) if x}
 
-    def __hash__(self):  # hash(alpha), of 4n² entries, computed once
+    def __hash__(self):
         return self._hash
 
-    _hash = cached_property(lambda self: hash(self.alpha))
+    @cached_property
+    def _hash(self):  # hash(alpha), of 4n² entries, computed once
+        return hash(self.alpha)
 
     @cached_property
     def _sizes(self):
@@ -252,15 +254,20 @@ def _direct_rows(A, N):
                         (circ[ib][ia], c), (star[ia][ib], c), (br[ib][ia], c))):
                     prod = [(_column(n, 0, u, v), xu * yv)
                             for u, xu in x for v, yv in y]
-                    for i in range(N + 1) if prod else ():
+                    if not prod:
+                        continue
+                    for i in range(N + 1):
                         off = _column(n, i, 0, 0)
                         for lp, mp, w in place[i][slot]:
                             eq = eqs.setdefault((lp, mp), {})
                             for u, v in prod:
                                 eq[u + off] = eq.get(u + off, 0) + w * v
-                out += filter(None, ({u: v for u, v in eq.items() if v}
-                                     if 0 in eq.values() else eq
-                                     for key in order if (eq := eqs.get(key))))
+                for key in order:
+                    row = eqs.get(key)
+                    if row and 0 in row.values():  # only a cancelled row
+                        row = {u: v for u, v in row.items() if v}
+                    if row:
+                        out.append(row)
     return out
 
 
