@@ -263,10 +263,7 @@ def _direct_rows(A, N):
                             for u, v in prod:
                                 eq[u + off] = eq.get(u + off, 0) + w * v
                 for key in order:
-                    row = eqs.get(key)
-                    if row and 0 in row.values():  # only a cancelled row
-                        row = {u: v for u, v in row.items() if v}
-                    if row:
+                    if row := {u: v for u, v in eqs.get(key, {}).items() if v}:
                         out.append(row)
     return out
 
