@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algfile import ParseError, emit_algebra, parse_algebra_file
+from .algfile import emit_algebra, parse_algebra_file
 from .catalog import catalog_build, catalog_names
 from .conformal import _slot_brackets, check_jacobi, check_skew
 from .derivations import (HypothesisNotDetected, solve_derivations_theorem,
@@ -26,26 +26,22 @@ from .poly import LAM, FormalPoly, span_coordinates_many
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
 
-class TargetError(ValueError):
-    pass
-
-
 def _parse_params(blob):
     params = {}
     for piece in blob.split(","):
         k, eq, v = piece.partition("=")
         k = k.strip()
         if not (eq and k):
-            raise TargetError(f"catalog parameter {piece!r} is not k=v")
+            raise ValueError(f"catalog parameter {piece!r} is not k=v")
         if k in params:
-            raise TargetError(f"catalog parameter {k!r} given twice")
+            raise ValueError(f"catalog parameter {k!r} given twice")
         try:
             params[k] = int(v)
         except ValueError:
             try:
                 params[k] = Fraction(v)
             except ZeroDivisionError:
-                raise TargetError(
+                raise ValueError(
                     f"catalog parameter {piece!r} has a zero denominator"
                 ) from None
             except ValueError:
@@ -54,26 +50,26 @@ def _parse_params(blob):
 
 
 def load_target(target, validate=True):
-    """Resolve a CLI target to (GDBialgebra, label). Parse errors raise
-    TargetError/ParseError, bad catalog parameter values ValueError;
-    axiom violations in validated targets raise GDValidationError."""
+    """Resolve a CLI target to (GDBialgebra, label). Bad input raises
+    ValueError (ParseError for a file's syntax); axiom violations in
+    validated targets raise GDValidationError."""
     if target.startswith("catalog:"):
         rest = target[len("catalog:"):]
         name, colon, blob = rest.partition(":")
         if name not in catalog_names():
-            raise TargetError(
+            raise ValueError(
                 f"unknown catalog algebra {name!r}; known: {', '.join(catalog_names())}"
             )
         try:
             params = _parse_params(blob) if colon else {}
             return catalog_build(name, **params), rest
         except TypeError as exc:
-            raise TargetError(f"bad parameters for {name!r}: {exc}") from exc
+            raise ValueError(f"bad parameters for {name!r}: {exc}") from exc
     try:
         with open(target, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise TargetError(f"cannot read {target!r}: {exc}") from exc
+        raise ValueError(f"cannot read {target!r}: {exc}") from exc
     spec = parse_algebra_file(text)
     return spec.build(validate=validate), spec.name
 
@@ -263,7 +259,7 @@ def cmd_coeff(args):
     A, label = load_target(args.target)
     space = solve_extensions_theorem(A)
     if not 0 <= args.cocycle_index < space.dimension:
-        raise TargetError(
+        raise ValueError(
             f"cocycle index {args.cocycle_index} out of range; "
             f"space has dimension {space.dimension}"
         )
@@ -358,9 +354,6 @@ def main(argv=None):
         parser.error("catalog emit requires a NAME")
     try:
         return args.func(args)
-    except (TargetError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except GDValidationError as exc:
         print(f"axiom violation: {exc}", file=sys.stderr)
         for v in exc.violations:

@@ -70,7 +70,7 @@ def bracket_general(A, x, y, slot):
     """
     if not isinstance(slot, FormalPoly):
         raise ValueError("slot must be a FormalPoly")
-    if not slot.uses_only((LAM, MU)):
+    if any(e[DEL] for e in slot.terms):
         raise ValueError("slot expression may involve λ and μ only")
     xs = [p.substitute(DEL, -slot) for p in x]
     ys = [p.substitute(DEL, slot + FormalPoly.sym(DEL)) for p in y]

@@ -36,23 +36,23 @@ class HypothesisNotDetected(ValueError):
 
 @dataclass(frozen=True)
 class DerivationAnsatz:
-    """Sparse coefficients of a conformal-linear map at fixed bounds:
+    """Sparse coefficients of a conformal-linear map:
     coeffs[(j, i, k)] is the coordinate vector of the ∂^i λ^k term of
     d_λ(a_j)."""
 
-    partial_bound: int
-    lambda_bound: int
     coeffs: tuple  # sorted tuple of ((j, i, k), vector) pairs
 
     @classmethod
     def from_dict(cls, P, D, coeffs):
+        """The ansatz of {(j, i, k): vector}; an index of i outside [0, P]
+        or k outside [0, D] raises ValueError."""
         clean = []
         for (j, i, k), vec in coeffs.items():
             if i > P or k > D or i < 0 or k < 0:
                 raise ValueError(f"ansatz index ({j},{i},{k}) out of bounds")
             if any(vec):
                 clean.append(((j, i, k), tuple(Fraction(x) for x in vec)))
-        return cls(P, D, tuple(sorted(clean)))
+        return cls(tuple(sorted(clean)))
 
     def image(self, n, j):
         """d_λ(a_j) as a length-n tuple of FormalPoly in ∂ and λ."""
@@ -97,7 +97,6 @@ class DerivationSpace:
     partial_bound: int
     lambda_bound: int
     basis: tuple  # DerivationAnsatz
-    method: str = "direct"
     inner_rank: int | None = field(default=None, compare=False)
 
     @property
@@ -230,13 +229,13 @@ def _direct_rows(A: GDBialgebra, P, D):
             yield from _lambda_shifts(rows, D, (P + 1) * n * n)
 
 
-def _solve(A, rows, P, D, method):
+def _solve(A, rows, P, D):
     if P < 0 or D < 0:
         raise ValueError("ansatz bounds must be non-negative")
     n = A.dim
     m = RatMatrix.from_rows(rows, n * (P + 1) * (D + 1) * n)
     basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
-    return DerivationSpace(A, P, D, basis, method)
+    return DerivationSpace(A, P, D, basis)
 
 
 def solve_derivations_direct(A: GDBialgebra, partial_bound: int = 3,
@@ -246,7 +245,7 @@ def solve_derivations_direct(A: GDBialgebra, partial_bound: int = 3,
     the raw values at these bounds; use stabilized_outer for the
     stabilized outer count."""
     P, D = partial_bound, lambda_bound
-    return _solve(A, _direct_rows(A, P, D), P, D, "direct")
+    return _solve(A, _direct_rows(A, P, D), P, D)
 
 
 # ---------------------------------------------------------------------
@@ -301,7 +300,7 @@ def stabilized_outer(A: GDBialgebra, partial_bound: int = 3,
     if P < 0 or D < 0:
         raise ValueError("ansatz bounds must be non-negative")
     probe = solve_derivations_direct(A, P, D + 2)
-    basis = tuple(DerivationAnsatz(P, D, d.coeffs) for d in probe.basis
+    basis = tuple(d for d in probe.basis
                   if all(k <= D for (_, _, k), _ in d.coeffs))
     fit, late = _inner_vectors(A, P, D, D + 2)
     space = DerivationSpace(A, P, D, basis, inner_rank=span_rank(fit))
@@ -497,7 +496,7 @@ def solve_derivations_theorem(A: GDBialgebra, lambda_bound: int = 4,
         )
     P = min(1 if found is not None and found[0] == "left" else 3,
             partial_bound)
-    return _solve(A, _closed_rows(A, P, D), P, D, "theorem")
+    return _solve(A, _closed_rows(A, P, D), P, D)
 
 
 def spaces_agree(a: DerivationSpace, b: DerivationSpace):

@@ -106,9 +106,7 @@ class CocycleQuadruple:
 
 @dataclass(frozen=True)
 class CocycleSpace:
-    algebra: GDBialgebra
     basis: tuple  # CocycleQuadruples
-    method: str  # "theorem-system" | "direct-expansion"
     stable: bool = True
     per_degree: tuple = ()  # dims of the degree-k projections, k = 0..bound
     warnings: tuple = ()
@@ -196,7 +194,7 @@ def solve_extensions_theorem(A: GDBialgebra) -> CocycleSpace:
     sols = nullspace_basis(m)
     basis = tuple(CocycleQuadruple.from_vector(n, v) for v in sols)
     per_degree = _per_degree_profile(sols, n, MAX_CLOSED_DEGREE)
-    return CocycleSpace(A, basis, "theorem-system", True, per_degree)
+    return CocycleSpace(basis, True, per_degree)
 
 
 # ---------------------------------------------------------------------
@@ -318,7 +316,7 @@ def solve_extensions_direct(A: GDBialgebra, degree_bound: int = 6) -> CocycleSpa
     deg3 = _leading(full, (MAX_CLOSED_DEGREE + 1) * n * n)
     basis = tuple(CocycleQuadruple.from_vector(n, v) for v in deg3)
     per_degree = _per_degree_profile(sols, n, N)
-    return CocycleSpace(A, basis, "direct-expansion", stable, per_degree, warnings)
+    return CocycleSpace(basis, stable, per_degree, warnings)
 
 
 # ---------------------------------------------------------------------
@@ -606,23 +604,18 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
 
     def mismatch(i, j, expr, m, nn):
         """The mismatch at modes (m, nn), or None where the routes agree."""
-        # split coords of [a_i λ a_j] into λ-degree 0/1 and ∂-degree 0/1
+        # ∂- and λ-degrees of [a_i λ a_j] are ≤ 1 (``_grid_table``)
         expected = {}
         for k, pol in enumerate(expr):
             for (ed, el, em), c in pol.terms.items():
                 mode = m + nn
-                if el == 0:
-                    coeff = c
-                elif el == 1:
+                coeff = c
+                if el:
                     coeff = m * c
                     mode -= 1
-                else:
-                    raise AssertionError("quadratic bracket has λ-degree ≤ 1")
-                if ed == 1:
+                if ed:
                     coeff = -mode * coeff
                     mode -= 1
-                elif ed > 1:
-                    raise AssertionError("quadratic bracket has ∂-degree ≤ 1")
                 expected[k, mode] = expected.get((k, mode), 0) + coeff
         expected = {key: v for key, v in expected.items() if v}
         # central part: Σ_p m(m-1)…(m-p+1) α_p δ_{m+n-p+1,0}

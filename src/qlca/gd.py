@@ -35,7 +35,8 @@ class Violation:
     residual: tuple
 
     def __str__(self):
-        return f"{self.axiom} fails at basis triple ({self.i},{self.j},{self.k}); residual {self.residual}"
+        return (f"{self.axiom} fails at basis triple ({self.i},{self.j},{self.k}); "
+                f"residual ({', '.join(map(str, self.residual))})")
 
 
 @dataclass(frozen=True)

@@ -115,14 +115,6 @@ class FormalPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def uses_only(self, symbols):
-        allowed = set(symbols)
-        for k in self.terms:
-            for s in (DEL, LAM, MU):
-                if k[s] and s not in allowed:
-                    return False
-        return True
-
     def substitute(self, target, replacement):
         """Replace every occurrence of a formal symbol by a polynomial,
         fully expanded."""
@@ -357,8 +349,8 @@ def _echelon(matrix):
     space makes its column a pivot of the reduced row echelon form with
     that unit row, and the reduced form for a fixed column order is
     unique, so the reduction of the leftover rows gives exactly the other
-    pivot rows, up to the scale that ``nullspace_basis``/``solve``
-    divide out.
+    pivot rows, up to the scale that ``nullspace_basis`` and
+    ``span_coordinates_many`` divide out.
     """
     forced, rows = _peel(matrix.row_dicts())
     pivots = {}  # pivot column -> its pivot row
@@ -406,20 +398,16 @@ def nullspace_basis(matrix):
 
 def solve(matrix, rhs):
     """One exact solution of Mx = b, or None if inconsistent: every free
-    coordinate of the solution is 0."""
+    coordinate of the solution is 0. Mx = b says that b is Σ x_c·(column
+    c of M), so x is b's coordinates in the span of M's columns, read off
+    the RREF of [M | b] by ``span_coordinates_many``."""
     if len(rhs) != matrix.rows:
         raise ValueError(f"right-hand side has {len(rhs)} entries, "
                          f"the matrix {matrix.rows} rows")
-    b = matrix.cols
-    aug = RatMatrix.from_rows(({**row, b: v} if v else row
-                               for row, v in zip(matrix.row_dicts(), rhs)),
-                              b + 1)
-    x = [ZERO] * b
-    for col, row in _echelon(aug):
-        if col == b:
-            return None
-        x[col] = Fraction(row.get(b, 0), row[col])
-    return tuple(x)
+    columns = [{} for _ in range(matrix.cols)]
+    for (r, c), v in matrix.entries.items():
+        columns[c][r] = v
+    return span_coordinates_many(columns, [rhs])[0]
 
 
 # ---------------------------------------------------------------------
@@ -429,8 +417,8 @@ def solve(matrix, rhs):
 
 def _columns_matrix(vectors):
     """The matrix whose j-th column is vectors[j]. A plain sequence, as
-    the benchmark's own tests still pass, is read as {index: entry}; the
-    matrix drops its zeros."""
+    ``solve``'s right-hand side and the benchmark's own tests are, is
+    read as {index: entry}; the matrix drops its zeros."""
     rows = {}
     for j, vec in enumerate(vectors):
         for i, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
@@ -448,7 +436,7 @@ def span_coordinates_many(vectors, targets):
     non-pivot column is the combination of the pivot columns with its
     entries in their rows, so a target is in the span iff it is no pivot
     and has no entry in a target pivot's row; its coordinates are then
-    ``solve``'s: row_c[target]/row_c[c] at each vector pivot c, else 0."""
+    row_c[target]/row_c[c] at each vector pivot c, else 0."""
     m, cols = len(vectors), range(len(vectors), len(vectors) + len(targets))
     pivots = _echelon(_columns_matrix([*vectors, *targets]))
     outside = {c for col, row in pivots if col >= m for c in row}

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,38 @@ end
 """
 
 
+# files the parser refuses, each with its error message
+MALFORMED = [
+    (GOOD.replace("dim 2", "algebra again\ndim 2"),
+     "line 2: duplicate 'algebra' line"),
+    (GOOD.replace("dim 2", "dim 2\ndim 2"), "line 3: duplicate 'dim' line"),
+    (GOOD.replace("novikov L L", "basis L W\nnovikov L L"),
+     "line 4: duplicate 'basis' line"),
+    (GOOD.replace("algebra demo", "algebra"), "line 1: expected 'algebra NAME'"),
+    (GOOD.replace("algebra demo", "algebra de mo"),
+     "line 1: expected 'algebra NAME'"),
+    (GOOD.replace("dim 2", "dim 0"), "line 2: expected 'dim N' with N >= 1"),
+    ("dim 1\nbasis L\nend\n",
+     "line 2: 'basis' must follow 'algebra' and 'dim'"),
+    ("algebra x\nbasis L\ndim 1\nend\n",
+     "line 2: 'basis' must follow 'algebra' and 'dim'"),
+    (GOOD.replace("basis L W", "basis L 2W"), "line 3: bad basis name '2W'"),
+    (GOOD.replace("basis L W", "basis L L"),
+     "line 3: basis names must be distinct"),
+    (GOOD.replace("meta note a two-generator example", "meta note"),
+     "line 7: expected 'meta KEY VALUE...'"),
+    ("algebra x\ndim 1\nend\n", "line 3: 'end' before the header lines"),
+    ("", "missing algebra/dim/basis header"),
+    ("# only a comment\n\n", "missing algebra/dim/basis header"),
+    (GOOD.replace("novikov L L = L:1", "novikov L L L:1"),
+     "line 4: expected 'novikov I J = K:coeff ...'"),
+    (GOOD.replace("lie L W = W:-1/2", "lie L W ="),
+     "line 6: expected 'lie I J = K:coeff ...'"),
+    (GOOD.replace("novikov L L = L:1", "novikov L L = L1"),
+     "line 4: expected K:coeff, got 'L1'"),
+]
+
+
 class TestParsing:
     def test_good_file(self):
         spec = parse_algebra_file(GOOD)
@@ -178,6 +211,27 @@ class TestParsing:
         assert main(["check", str(path)]) == 2
         assert (capsys.readouterr().err
                 == "error: line 9: duplicate meta key 'note'\n")
+
+    @pytest.mark.parametrize("text, message", MALFORMED,
+                             ids=[message for _, message in MALFORMED])
+    def test_malformed_file_exits_2_naming_its_line(self, capsys, tmp_path,
+                                                    text, message):
+        assert str(self.err(text)) == message
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+
+    def test_blank_lines_and_comments_are_skipped(self):
+        text = ("# a commented algebra\n\n" + GOOD.replace("\n", "\n   \n", 2)
+                .replace("novikov W L = W:1", "novikov W L = W:1  # W∘L")
+                .replace("lie L W", "# lie W L = L:1\n\t\nlie L W"))
+        spec = parse_algebra_file(text)
+        assert spec == parse_algebra_file(GOOD)
+        assert spec.novikov == {(0, 0): {0: 1}, (1, 0): {1: 1}}
+        assert spec.lie == {(0, 1): {1: Fraction(-1, 2)}}
+        assert spec.meta == {"note": "a two-generator example"}
 
     def test_zero_denominator(self):
         e = self.err(GOOD.replace("L:1", "L:1/0"))

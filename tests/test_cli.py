@@ -145,6 +145,7 @@ class TestCheck:
         ("r_alpha_beta:alpha=1,beta=", "beta must be a rational number, got ''"),
         ("loop_hv_cyclic:m=", "m must be an integer >= 1, got ''"),
         ("loop_vir_cyclic:m=two", "m must be an integer >= 1, got 'two'"),
+        ("vir_current:g=so3", "unknown coefficient Lie algebra 'so3'"),
     ])
     def test_bad_catalog_parameter_is_named_exit_2(self, capsys, target,
                                                    message):
@@ -159,6 +160,60 @@ class TestCheck:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.alg"))
         assert code == 2
+
+
+# two tables that break the bialgebra axioms: Novikov alone, and Novikov
+# and compatibility with a fractional residual entry
+INVALID = ("algebra bad\ndim 2\nbasis a b\n"
+           "novikov a b = b:1\nnovikov b a = a:1\nend\n")
+INCOMPATIBLE = ("algebra incompatible\ndim 3\nbasis a b c\n"
+                "novikov a a = a:1\nnovikov b a = b:1\nnovikov c a = c:2\n"
+                "lie a b = c:1\nlie b c = a:1/2\nend\n")
+
+
+class TestAxiomViolations:
+    """``check`` lists the violations of an axiom-breaking file; the other
+    commands refuse it with exit 1 and the violations on stderr. Each
+    residual entry is printed as a number, as the conformal ones are."""
+
+    @pytest.mark.parametrize("text, shown", [
+        (INVALID,
+         "right-commutativity fails at basis triple (0,0,1); residual (-1, 0)"),
+        (INCOMPATIBLE,
+         "compatibility fails at basis triple (0,1,2); residual (-1/2, 0, 0)"),
+    ], ids=["invalid", "incompatible"])
+    def test_check_prints_residual_entries_as_numbers(self, capsys, tmp_path,
+                                                      text, shown):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        code, out, err = run(capsys, "--json", "check", str(path))
+        assert code == 1 and err == ""
+        listed = [v for vs in json.loads(out)["violations"].values() for v in vs]
+        assert shown in listed
+        assert [v for v in listed if "Fraction(" in v] == []
+
+    @pytest.mark.parametrize("text", [INVALID, INCOMPATIBLE],
+                             ids=["invalid", "incompatible"])
+    @pytest.mark.parametrize("argv", [
+        ["extend"], ["extend", "--method", "direct"], ["derive"],
+        ["derive", "--assert-simple"],
+        ["coeff", "--cocycle-index", "0", "--window", "1"],
+    ])
+    def test_other_commands_refuse_with_the_violations(self, capsys, tmp_path,
+                                                       argv, text):
+        from qlca import check_gd_compat, check_lie, check_novikov
+
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        A = parse_algebra(text, validate=False)
+        violations = check_novikov(A) + check_lie(A) + check_gd_compat(A)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 1 and out == ""
+        first, *rest = err.splitlines()
+        assert first == (f"axiom violation: axiom violations: {violations[0]} "
+                         f"(+{len(violations) - 1} more)")
+        assert rest == [f"  {v}" for v in violations]
+        assert "Fraction(" not in err
 
 
 class TestExtend:
@@ -278,6 +333,27 @@ class TestCoeff:
         assert "usage: qlca" in out
         assert "--samples" not in out and "--seed" not in out
 
+    def test_failures_are_listed_up_to_20(self, capsys, monkeypatch):
+        import qlca.extensions
+
+        true_bracket = qlca.extensions.coeff_bracket
+
+        def shifted(A, q, x, y):  # every central part off by one
+            terms, central = true_bracket(A, q, x, y)
+            return terms, central + 1
+
+        monkeypatch.setattr(qlca.extensions, "coeff_bracket", shifted)
+        code, out, err = run(capsys, "--json", "coeff", "catalog:vir",
+                             "--cocycle-index", "0", "--window", "3")
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "violations found"
+        count = int(report["mode_cocycle_check"].split()[0])
+        assert report["mode_cocycle_check"] == f"{count} failures"
+        assert count > 20 and len(report["failures"]) == 20
+        assert report["failures"][0].startswith("('antisymmetry', ")
+        assert report["closed_form_consistency"].endswith(" mismatches")
+
     def test_index_out_of_range_exit_2(self, capsys):
         code, _, err = run(
             capsys, "coeff", "catalog:vir", "--cocycle-index", "9", "--window", "2"
@@ -331,6 +407,10 @@ class TestBadBounds:
     def test_negative_degree(self, capsys):
         err = self.rejected(capsys, "extend", "catalog:vir", "--degree", "-1")
         assert "error: argument --degree: must be >= 0" in err
+
+    def test_non_integer_degree(self, capsys):
+        err = self.rejected(capsys, "extend", "catalog:vir", "--degree", "x")
+        assert "error: argument --degree: 'x' is not an integer" in err
 
     def test_zero_window(self, capsys):
         err = self.rejected(capsys, "coeff", "catalog:vir", "--cocycle-index",

@@ -115,8 +115,23 @@ class TestBracketGeneral:
 
     def test_rejects_partial_in_slot(self):
         R = catalog_build("vir")
-        with pytest.raises(ValueError):
-            bracket_general(R, basis_expr(R.dim, 0), basis_expr(R.dim, 0), D())
+        a = basis_expr(R.dim, 0)
+        for slot in (D(), L() + D(), FormalPoly.sym(MU) * D()):
+            with pytest.raises(ValueError, match="λ and μ only"):
+                bracket_general(R, a, a, slot)
+
+    def test_rejects_a_slot_that_is_not_a_formal_poly(self):
+        R = catalog_build("vir")
+        a = basis_expr(R.dim, 0)
+        for slot in (LAM, 1):
+            with pytest.raises(ValueError, match="slot must be a FormalPoly"):
+                bracket_general(R, a, a, slot)
+
+    def test_basis_index_out_of_range(self):
+        R = catalog_build("vir")
+        for i, j in ((R.dim, 0), (0, R.dim), (-1, 0)):
+            with pytest.raises(IndexError, match="basis index out of range"):
+                bracket_basis(R, i, j)
 
 
 class TestAxioms:

@@ -256,7 +256,7 @@ class TestSolverAgreement:
             P = max(a.partial_bound, b.partial_bound)
             D = max(a.lambda_bound, b.lambda_bound)
             vecs = [[x.as_vector(n, P, D) for x in s.basis] for s in (a, b)]
-            assert spaces_agree(a, b) == spans_equal(*vecs), (a.method, b.method)
+            assert spaces_agree(a, b) == spans_equal(*vecs)
 
     def test_equal_dimensions_with_different_spans_disagree(self):
         R = catalog_build("vir")
@@ -283,6 +283,12 @@ class TestSolverAgreement:
         R = catalog_entry.build()
         for d in solve_derivations_direct(R, 2, 2).basis:
             assert verify_derivation(R, d) == []
+
+    @pytest.mark.parametrize("index", [(0, 2, 0), (0, 0, 3), (0, -1, 0),
+                                       (0, 0, -1)])
+    def test_ansatz_index_outside_the_bounds_is_refused(self, index):
+        with pytest.raises(ValueError, match=r"ansatz index \(.*\) out of bounds"):
+            DerivationAnsatz.from_dict(1, 2, {index: (Fraction(1),)})
 
     def test_verifier_rejects_non_derivation(self):
         R = catalog_build("vir")

@@ -112,6 +112,20 @@ class TestBuild:
         with pytest.raises(GDValidationError):
             gd_build(2, ["a", "b"], zero_table(3), zero_table(2))
 
+    @pytest.mark.parametrize("which, shape", [
+        ("lie", "table"), ("novikov", "ragged row"), ("lie", "ragged row"),
+        ("novikov", "ragged cell"), ("lie", "ragged cell")])
+    def test_rejects_each_bad_shape_by_its_table(self, which, shape):
+        bad = zero_table(3) if shape == "table" else zero_table(2)
+        if shape == "ragged row":
+            bad[1] = bad[1][:1]
+        elif shape == "ragged cell":
+            bad[1][0] = bad[1][0] + [Fraction(0)]
+        tables = {"novikov": zero_table(2), "lie": zero_table(2), which: bad}
+        with pytest.raises(GDValidationError,
+                           match=f"{which} table must have shape n×n×n"):
+            gd_build(2, ["a", "b"], tables["novikov"], tables["lie"])
+
     def test_rejects_nonantisymmetric_lie(self):
         lie = zero_table(2)
         lie[0][1][0] = Fraction(1)  # mirror entry left zero

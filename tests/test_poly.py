@@ -61,7 +61,13 @@ class TestFormalPoly:
         lam, mu = FormalPoly.sym(LAM), FormalPoly.sym(MU)
         p = FormalPoly.sym(LAM, 3).substitute(LAM, -mu)
         assert p == -FormalPoly.sym(MU, 3)
-        assert p.uses_only((MU,))
+
+    def test_unknown_symbol_index_is_refused(self):
+        for index in (3, -1):
+            with pytest.raises(ValueError, match="unknown formal symbol index"):
+                FormalPoly.sym(index)
+        with pytest.raises(ValueError, match="unknown formal symbol index 5"):
+            FormalPoly.sym(LAM).substitute(5, FormalPoly.sym(MU))
 
     def test_degree_and_str(self):
         p = FormalPoly.sym(DEL) + FormalPoly.sym(LAM, 2, 3)
@@ -140,6 +146,9 @@ class TestLinearAlgebra:
         for bad in ([{3: 1}], [{-1: 1}]):
             with pytest.raises(IndexError):
                 RatMatrix.from_rows(bad, 3)
+        for shape in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="negative dimensions"):
+                RatMatrix(*shape)
 
     def test_fractional_entries(self):
         m = RatMatrix.from_rows(
