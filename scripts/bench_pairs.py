@@ -6,12 +6,15 @@
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
 parent first in even pairs and the change first in odd ones. Prints JSON:
-each side's per-pair end-to-end metrics, their medians and quartiles,
-for each metric the number of pairs where the change is lower, and for
-each end-to-end metric of ``BENCHMARK.json`` a verdict (see ``verdict``)
-under its ``bound`` and ``better`` fields. A run that exits nonzero or
-prints no result stops the script with exit code 1: it names the run on
-stderr and prints the runs that finished.
+each side's per-pair end-to-end metrics, their medians and quartiles, and
+its totals of failed and attempted questions; for each metric the number
+of pairs where the change is lower; for each end-to-end metric of
+``BENCHMARK.json`` a verdict (see ``verdict``) under its ``bound`` and
+``better`` fields; and a ``failed_share`` verdict: "worse" when the
+change's share of failed questions exceeds the parent's, else "within
+bound". A run that exits nonzero or prints no result stops the script
+with exit code 1: it names the run on stderr and prints the runs that
+finished.
 """
 
 import argparse
@@ -25,9 +28,9 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run(checkout, workload, seed, seconds):
-    """One run's end-to-end metrics and failed-question count, or None
-    when the run exits nonzero or its last stdout line is no result; and
-    the finished process."""
+    """One run's end-to-end metrics and failed and attempted question
+    counts, or None when the run exits nonzero or its last stdout line is
+    no result; and the finished process."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -35,7 +38,8 @@ def run(checkout, workload, seed, seconds):
     try:
         result = json.loads(proc.stdout.splitlines()[-1])
         metrics = {**{m: v["value"] for m, v in result["metrics"].items()},
-                   "failed": result["failed"]}
+                   "failed": result["failed"],
+                   "attempted": result["attempted"]}
     except (AttributeError, IndexError, KeyError, TypeError, ValueError):
         metrics = None
     return (metrics if proc.returncode == 0 else None), proc
@@ -101,12 +105,14 @@ def main():
             if metrics is None:
                 fail(args, side, k, proc, runs)
             runs[side].append(metrics)
-    metrics = [m for m in runs["parent"][0] if m != "failed"]
+    counts = ("failed", "attempted")
+    metrics = [m for m in runs["parent"][0] if m not in counts]
     report = {"workload": args.workload, "pairs": args.pairs,
               "seconds": args.seconds}
     for side, rs in runs.items():
         report[side] = {
             "runs": rs,
+            **{c: sum(r[c] for r in rs) for c in counts},
             "median": {m: statistics.median(r[m] for r in rs) for m in metrics},
             "quartiles": {m: statistics.quantiles([r[m] for r in rs], n=4)
                           for m in metrics}}
@@ -119,6 +125,11 @@ def main():
                            [r[e["name"]] for r in runs["change"]],
                            e["bound"], e["better"])
         for e in end_to_end if e["name"] in metrics}
+    p, c = report["parent"], report["change"]
+    # the change's share of failed questions exceeds the parent's, with
+    # the two fractions cross-multiplied so that no total is a divisor
+    worse = c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+    report["failed_share"] = "worse" if worse else "within bound"
     print(json.dumps(report, indent=2))
 
 

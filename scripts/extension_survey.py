@@ -3,14 +3,16 @@
 
 For each algebra, runs both solvers, prints the dimension, the per-degree
 profile of the direct solution span, stability of the degree probe, and
-whether the two solvers agree as subspaces.
+whether the two solvers agree as subspaces: both return the RREF basis of
+their space in one column order, which is unique, so the spaces are
+equal exactly when the bases are.
 """
 
 import argparse
 import time
 
 from qlca import (entry_label, solve_extensions_direct,
-                  solve_extensions_theorem, spans_equal, standard_entries)
+                  solve_extensions_theorem, standard_entries)
 
 
 def main():
@@ -27,10 +29,7 @@ def main():
         A = entry.build()
         thm = solve_extensions_theorem(A)
         direct = solve_extensions_direct(A, degree_bound=args.degree)
-        agree = thm.dimension == direct.dimension and spans_equal(
-            [q.as_vector() for q in thm.basis],
-            [q.as_vector() for q in direct.basis],
-        )
+        agree = thm.basis == direct.basis
         note = "; ".join(direct.warnings)
         print(
             f"{entry_label(entry):32} {thm.dimension:>4} {direct.dimension:>4} "

@@ -350,8 +350,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "catalog" and args.action == "emit" and not args.name:
-        parser.error("catalog emit requires a NAME")
+    if args.cmd == "catalog" and bool(args.name) != (args.action == "emit"):
+        parser.error("catalog emit requires a NAME" if args.action == "emit"
+                     else "catalog list takes no NAME")
     try:
         return args.func(args)
     except GDValidationError as exc:

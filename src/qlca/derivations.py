@@ -500,16 +500,13 @@ def solve_derivations_theorem(A: GDBialgebra, lambda_bound: int = 4,
 
 
 def spaces_agree(a: DerivationSpace, b: DerivationSpace):
-    """Whether two derivation spaces of one algebra are equal at the
-    enclosing bounds; spaces of different algebras raise ValueError.
-    Each basis is independent (an RREF nullspace basis or a leading
-    subset of one, and ``as_vector`` re-indexes injectively), so its span
-    has its dimension, and the spans are equal exactly when each has the
-    rank of their sum."""
+    """Whether two derivation spaces of one algebra are equal; spaces of
+    different algebras raise ValueError. Lemma: each basis is an RREF
+    nullspace basis or a leading subset of one, so every element ends at
+    its own free column, with a 1 there and a 0 at the other elements'
+    free columns. Such a basis is unique for a column order, and
+    ``_unknown_indexer`` orders the columns by (k, i, j, r) at any bounds,
+    so two spaces are equal exactly when their bases are equal as sets."""
     if a.algebra != b.algebra:
         raise ValueError("derivation spaces of different algebras")
-    P = max(a.partial_bound, b.partial_bound)
-    D = max(a.lambda_bound, b.lambda_bound)
-    n = a.algebra.dim
-    return a.dimension == b.dimension == span_rank(
-        [x.as_vector(n, P, D) for x in a.basis + b.basis])
+    return set(a.basis) == set(b.basis)

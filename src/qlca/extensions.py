@@ -41,20 +41,22 @@ def _column(n, k, i, j):
 
 @dataclass(frozen=True)
 class CocycleQuadruple:
-    """The four bilinear forms of a λ-degree ≤ 3 cocycle, as n×n rational
-    matrices; alpha[k][i][j] is the λ^k form evaluated at (a_i, a_j)."""
+    """A λ-degree ≤ 3 cocycle on an algebra of dimension ``dim``, stored
+    once as the nonzero (column, value) pairs of its sparse vector, in
+    ``_column`` order; ``alpha`` is a dense view of its four forms."""
 
-    alpha: tuple  # 4 × n × n nested tuples of Fraction
+    dim: int
+    entries: tuple
 
     @classmethod
     def from_vector(cls, n, vec):
-        """Unpack a sparse vector indexed by ``_column``."""
-        mats = [[[ZERO] * n for _ in range(n)] for _ in range(4)]
-        for col, x in vec.items():
-            rest, j = divmod(col, n)
-            k, i = divmod(rest, n)
-            mats[k][i][j] = x
-        return cls(tuple(tuple(map(tuple, m)) for m in mats))
+        """The quadruple of a sparse vector indexed by ``_column``; a column
+        outside [0, 4n²) raises ValueError."""
+        for col in vec:
+            if not 0 <= col < 4 * n * n:
+                raise ValueError(f"column {col} is out of range for a "
+                                 f"cocycle quadruple of dimension {n}")
+        return cls(n, tuple(sorted((c, x) for c, x in vec.items() if x)))
 
     @classmethod
     def zero(cls, n):
@@ -63,12 +65,26 @@ class CocycleQuadruple:
     @classmethod
     def single(cls, n, k, i, j, value=1, symmetrize=True):
         """Quadruple with α_k(a_i, a_j) = value; by default the pair entry
-        is filled in with the parity sign (-1)^{k+1}."""
+        is filled in with the parity sign (-1)^{k+1}. A λ-degree k outside
+        [0, 3] or a basis index outside [0, n) raises ValueError."""
+        for kind, x, top in (("form", k, 4), ("basis", i, n), ("basis", j, n)):
+            if not 0 <= x < top:
+                raise ValueError(f"{kind} index {x} is out of range [0, {top})")
         value = Fraction(value)
         vec = {_column(n, k, i, j): value}
         if symmetrize and i != j:
             vec[_column(n, k, j, i)] = value if k % 2 else -value
         return cls.from_vector(n, vec)
+
+    @cached_property
+    def alpha(self):
+        """4 × n × n nested tuples: alpha[k][i][j] is α_k(a_i, a_j)."""
+        n = self.dim
+        flat = [ZERO] * (4 * n * n)
+        for col, x in self.entries:
+            flat[col] = x
+        rows = [tuple(flat[r * n:(r + 1) * n]) for r in range(4 * n)]
+        return tuple(tuple(rows[k * n:(k + 1) * n]) for k in range(4))
 
     def lambda_poly(self, i, j):
         """Σ_k λ^k α_k(a_i, a_j) as a FormalPoly."""
@@ -77,31 +93,13 @@ class CocycleQuadruple:
 
     def as_vector(self):
         """The sparse vector indexed by ``_column`` that from_vector reads."""
-        n = len(self.alpha[0])
-        return {_column(n, k, i, j): x
-                for k, mat in enumerate(self.alpha)
-                for i, row in enumerate(mat)
-                for j, x in enumerate(row) if x}
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):  # hash(alpha), of 4n² entries, computed once
-        return hash(self.alpha)
-
-    @cached_property
-    def _sizes(self):
-        """The length of every form of alpha and of its rows, as a set."""
-        return {len(x) for m in self.alpha for x in (m, *m)}
+        return dict(self.entries)
 
     def _check_dim(self, n):
-        """Refuse a quadruple shaped for another dimension than n. The
-        shape is read once per object, so each later check is O(1)."""
-        if self._sizes != {n}:
-            raise ValueError(f"cocycle quadruple of dimension "
-                             f"{len(self.alpha[0])} for an algebra of "
-                             f"dimension {n}")
+        """Refuse a quadruple of another dimension than n."""
+        if self.dim != n:
+            raise ValueError(f"cocycle quadruple of dimension {self.dim} "
+                             f"for an algebra of dimension {n}")
 
 
 @dataclass(frozen=True)
@@ -568,16 +566,16 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int):
 
 
 def coeff_relation_consistency(A: GDBialgebra, window: int,
-                               q: CocycleQuadruple | None = None):
+                               q: CocycleQuadruple):
     """Recompute mode brackets from first principles and compare with the
     closed form of coeff_bracket, for every pair of modes, and list the
     mismatches with |m|, |n| ≤ window.
 
     The independent route reads the λ-expansion coefficients a_(0)b and
     a_(1)b off the λ-bracket on generators, applies the binomial mode
-    formula, and reduces (∂x)_k = -k x_{k-1}. With a quadruple given, the
-    central contributions are also derived independently from the falling
-    factorials of the mode index.
+    formula, and reduces (∂x)_k = -k x_{k-1}. The central contributions of
+    q are also derived independently from the falling factorials of the
+    mode index.
 
     Both routes give, per basis pair, module coefficients at the modes
     m+n-d (d = 0..2) that are polynomials of degree ≤ 2 in (m, n), and a
@@ -598,8 +596,6 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
     if window < 1:
         raise ValueError("window must be >= 1")
     n = A.dim
-    if q is None:
-        q = CocycleQuadruple.zero(n)
     q._check_dim(n)
 
     def mismatch(i, j, expr, m, nn):

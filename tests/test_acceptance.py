@@ -129,7 +129,8 @@ def test_criterion_6_induced_cocycles(capsys):
         for idx, q in enumerate(solve_extensions_theorem(A).basis):
             if check_coeff_cocycle(A, q, window=3):
                 bad.append(f"{entry_label(entry)}#{idx}")
-        if coeff_relation_consistency(A, window=4):
+        if coeff_relation_consistency(A, window=4,
+                                      q=CocycleQuadruple.zero(A.dim)):
             bad.append(f"{entry_label(entry)}:closed-form")
     report(capsys, not bad,
            "criterion 6: every induced coefficient-algebra 2-cocycle verifies "

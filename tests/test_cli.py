@@ -388,6 +388,15 @@ class TestCatalogCommand:
             main(["catalog", "emit"])
         assert exc.value.code == 2
 
+    def test_list_with_name_exits_2(self, capsys):
+        # the name was ignored and the whole list printed, exit 0, before
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "list", "vir"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith("catalog list takes no NAME")
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["extend"])
@@ -549,7 +558,8 @@ def test_bench_pairs_names_a_failed_run_and_keeps_the_finished_ones(
     """The third run (pair 1, change side first) fails: the script names
     it with its checkout, pair, seed, exit code and last stderr lines,
     prints the two runs that finished, and exits 1."""
-    result = {"metrics": {"wall_s": {"value": 0.5}}, "failed": 0}
+    result = {"metrics": {"wall_s": {"value": 0.5}}, "failed": 0,
+              "attempted": 40}
     calls = []
 
     def fake_run(args, cwd, **kwargs):
@@ -572,7 +582,7 @@ def test_bench_pairs_names_a_failed_run_and_keeps_the_finished_ones(
     assert err.splitlines() == [
         f"error: the change run in {change} failed at pair 1 (seed 1) "
         + message, "  first", "  last stderr line"]
-    finished = {"wall_s": 0.5, "failed": 0}
+    finished = {"wall_s": 0.5, "failed": 0, "attempted": 40}
     assert json.loads(out) == {"workload": "catalog-certify", "finished": {
         "parent": [finished], "change": [finished]}}
 
@@ -607,7 +617,8 @@ def test_bench_pairs_verdict_per_end_to_end_metric(
 
     def fake_run(args, cwd, **kwargs):
         result = {"metrics": {"wall_s": {"value": next(values[cwd])},
-                              "extra_s": {"value": 1.0}}, "failed": 0}
+                              "extra_s": {"value": 1.0}}, "failed": 0,
+                  "attempted": 40}
         return subprocess.CompletedProcess(args, 0, json.dumps(result), "")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
@@ -619,6 +630,42 @@ def test_bench_pairs_verdict_per_end_to_end_metric(
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == {"wall_s": expected}
     assert [r["wall_s"] for r in report["change"]["runs"]] == change_wall
+
+
+@pytest.mark.parametrize("parent_runs, change_runs, expected", [
+    # (failed, attempted) per pair
+    ([(0, 40)] * 3, [(0, 40)] * 3, "within bound"),
+    ([(0, 40)] * 3, [(0, 40), (1, 40), (0, 40)], "worse"),
+    # 2/120 = 1/60 against 1/50: a larger count, yet a smaller share
+    ([(0, 20), (1, 20), (0, 10)], [(1, 40), (0, 40), (1, 40)], "within bound"),
+    ([(1, 20), (0, 20), (0, 10)], [(1, 20), (1, 20), (0, 10)], "worse"),
+    ([(2, 40)] * 3, [(0, 40)] * 3, "within bound"),
+])
+def test_bench_pairs_failed_share_verdict(monkeypatch, capsys, tmp_path,
+                                          parent_runs, change_runs, expected):
+    """Each side's failed and attempted totals are printed, and the
+    change's share of failed questions is compared with the parent's."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    counts = {str(parent): iter(parent_runs), str(change): iter(change_runs)}
+
+    def fake_run(args, cwd, **kwargs):
+        failed, attempted = next(counts[cwd])
+        result = {"metrics": {"wall_s": {"value": 1.0}}, "failed": failed,
+                  "attempted": attempted}
+        return subprocess.CompletedProcess(args, 0, json.dumps(result), "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", str(parent), str(change),
+        "--workload", "catalog-certify", "--pairs", "3"])
+    runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"),
+                   run_name="__main__")
+    report = json.loads(capsys.readouterr().out)
+    for side, runs in (("parent", parent_runs), ("change", change_runs)):
+        assert report[side]["failed"] == sum(f for f, _ in runs)
+        assert report[side]["attempted"] == sum(a for _, a in runs)
+    assert report["failed_share"] == expected
+    assert report["verdict"] == {"wall_s": "within bound"}
 
 
 @pytest.mark.parametrize("parent, change, expected", [

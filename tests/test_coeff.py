@@ -166,17 +166,6 @@ class TestShapeRefusals:
     names the index or the dimension, not read in part or wrapped. The
     quadruples of another dimension are in test_extensions."""
 
-    @pytest.mark.parametrize("name, params, n", [("vir", {}, 2),
-                                                  ("vir", {}, 3),
-                                                  ("current", {"g": "sl2"}, 2)])
-    def test_ragged_quadruple(self, name, params, n):
-        # an n×n first form, the other forms n×1: no dimension fits it
-        alpha = CocycleQuadruple.zero(n).alpha
-        q = CocycleQuadruple((alpha[0], *(m[:1] for m in alpha[1:])))
-        with pytest.raises(ValueError, match="cocycle quadruple of dimension "
-                                             f"{n} for an algebra"):
-            coeff_bracket(catalog_build(name, **params), q, (0, 0), (0, 0))
-
     @pytest.mark.parametrize("gen1, gen2, index", [
         ((1, 1), (0, 2), 1),  # a bare IndexError before
         ((0, 1), (3, 2), 3),
@@ -199,31 +188,13 @@ class TestShapeRefusals:
     def test_relation_window_below_one(self, window):
         A = catalog_build("vir")
         with pytest.raises(ValueError, match="window must be >= 1"):
-            coeff_relation_consistency(A, window)
-
-    def test_shape_is_read_once_per_quadruple(self):
-        """coeff_bracket runs thousands of times per certificate, so its
-        check must not walk the forms at each call."""
-        reads = []
-
-        class Counted(tuple):
-            def __len__(self):
-                reads.append(self)
-                return tuple.__len__(self)
-
-        A = catalog_build("r_alpha_beta", alpha=2, beta=0)
-        alpha = CocycleQuadruple.single(2, 1, 0, 1).alpha
-        q = CocycleQuadruple(tuple(Counted(map(Counted, m)) for m in alpha))
-        coeff_bracket(A, q, (0, 0), (1, 1))
-        first = len(reads)
-        for m in range(-3, 4):
-            coeff_bracket(A, q, (0, m), (1, 1 - m))
-        assert first and len(reads) == first  # later calls read no shape
+            coeff_relation_consistency(A, window, CocycleQuadruple.zero(1))
 
 
 class TestClosedFormConsistency:
     def test_matches_first_principles_everywhere(self, catalog_algebra):
-        assert coeff_relation_consistency(catalog_algebra, window=3) == []
+        q = CocycleQuadruple.zero(catalog_algebra.dim)
+        assert coeff_relation_consistency(catalog_algebra, window=3, q=q) == []
 
     def test_with_central_terms(self):
         A = catalog_build("r_alpha_beta", alpha=0, beta=0)
@@ -276,11 +247,9 @@ def window_coeff_check(A, q, window):
     return out
 
 
-def window_relation_consistency(A, window, q=None):
+def window_relation_consistency(A, window, q):
     """coeff_relation_consistency as a loop over every mode pair of the
     window, for every basis pair."""
-    if q is None:
-        q = CocycleQuadruple.zero(A.dim)
     out = []
     for i in range(A.dim):
         for j in range(A.dim):
@@ -448,7 +417,8 @@ class TestCertificateEqualsWindowRun:
             monkeypatch.setattr(ext, "coeff_bracket", corrupt)
         A = catalog_build(name, **params)
         n = A.dim
-        quadruples = [None, *solve_extensions_theorem(A).basis,
+        quadruples = [CocycleQuadruple.zero(n),
+                      *solve_extensions_theorem(A).basis,
                       *(CocycleQuadruple.single(n, k, i, j) for k in range(4)
                         for i in range(n) for j in range(i, n))]
         mismatched = 0

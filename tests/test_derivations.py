@@ -239,6 +239,19 @@ class TestSolverAgreement:
             assert [row for row in rows
                     if sum(c * v.get(x, 0) for x, c in row.items())] == []
 
+    @pytest.mark.parametrize("build", _integral_algebras())
+    def test_solvers_return_one_canonical_basis(self, build):
+        """Each solver returns the RREF basis of its space, which is unique
+        for a column order, so solvers that agree return the same basis:
+        the same tuples in the same order for extensions, the same set for
+        derivations. spaces_agree rests on this."""
+        A = build()
+        assert (solve_extensions_theorem(A).basis
+                == solve_extensions_direct(A).basis)
+        if detect_unit_like(A) is not None:
+            assert (set(derivations.stabilized_outer(A, 3, 4)[0].basis)
+                    == set(solve_derivations_theorem(A, 4).basis))
+
     def test_spaces_agree_is_mutual_membership(self, catalog_entry):
         """The one rank of spaces_agree answers what spans_equal's three
         ranks of the basis vectors do, on every pair of the direct, closed

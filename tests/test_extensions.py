@@ -43,15 +43,37 @@ class TestQuadruple:
         q = CocycleQuadruple.single(2, 3, 0, 0, Fraction(5, 2))
         assert CocycleQuadruple.from_vector(2, q.as_vector()) == q
 
-    def test_hash_is_the_hash_of_alpha_on_every_route(self):
+    def test_equal_quadruples_hash_alike_on_every_route(self):
         n = 3
         a = CocycleQuadruple.single(n, 2, 0, 1, Fraction(1, 2))
         b = CocycleQuadruple.from_vector(n, {_column(n, 2, 0, 1): Fraction(1, 2),
                                              _column(n, 2, 1, 0): Fraction(-1, 2)})
-        assert a == b and hash(a) == hash(b) == hash(a.alpha)
+        assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1 and {a: 1}[b] == 1
         assert all(type(x) is Fraction
                    for q in (a, b) for m in q.alpha for row in m for x in row)
+
+    @pytest.mark.parametrize("build, message", [
+        # each wrapped onto another form entry, or a bare IndexError, before
+        (lambda: CocycleQuadruple.from_vector(2, {-1: 1}),
+         "column -1 is out of range for a cocycle quadruple of dimension 2"),
+        (lambda: CocycleQuadruple.from_vector(2, {16: 1}),
+         "column 16 is out of range for a cocycle quadruple of dimension 2"),
+        (lambda: CocycleQuadruple.single(2, -1, 0, 1),
+         r"form index -1 is out of range \[0, 4\)"),
+        (lambda: CocycleQuadruple.single(2, 0, 0, 2),
+         r"basis index 2 is out of range \[0, 2\)"),
+    ], ids=["from_vector-1", "from_vector16", "single_k-1", "single_j2"])
+    def test_index_outside_the_forms_is_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_indices_inside_the_forms_are_kept(self):
+        q = CocycleQuadruple.from_vector(2, {15: 1, 0: Fraction(1, 2)})
+        assert q.entries == ((0, Fraction(1, 2)), (15, 1))
+        assert q.alpha[3][1][1] == 1 and q.alpha[0][0][0] == Fraction(1, 2)
+        q = CocycleQuadruple.single(2, 3, 1, 0)
+        assert q.entries == ((_column(2, 3, 0, 1), 1), (_column(2, 3, 1, 0), 1))
 
     def test_lambda_poly(self):
         q = CocycleQuadruple.single(1, 3, 0, 0)
