@@ -138,7 +138,8 @@ def parse_algebra_file(text) -> AlgebraFile:
         elif head == "dim":
             if dim is not None:
                 raise ParseError("duplicate 'dim' line", line_no)
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if (len(parts) != 2 or not re.fullmatch("[0-9]+", parts[1])
+                    or int(parts[1]) < 1):
                 raise ParseError("expected 'dim N' with N >= 1", line_no)
             dim = int(parts[1])
             if dim > MAX_DIM:

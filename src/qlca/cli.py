@@ -184,8 +184,8 @@ def cmd_extend(args):
         spaces["theorem"] = solve_extensions_theorem(A)
     if args.method in ("direct", "both"):
         spaces["direct"] = solve_extensions_direct(A, degree_bound=args.degree)
-    # the two solvers' bases are usually the same tuples: verify and
-    # report each once
+    # the two solvers' bases are the same tuples when their spaces are
+    # equal: verify and report each once
     distinct = {q for sp in spaces.values() for q in sp.basis}
     failing = {q for q in distinct if verify_cocycle(A, q)}
     reports = {q: _quadruple_report(A, q) for q in distinct}
@@ -213,8 +213,7 @@ def cmd_extend(args):
         agree = all(None not in coords for coords in cert.values())
         report["agreement"] = (
             f"dimension {spaces['theorem'].dimension}, methods agree"
-            if agree and spaces["theorem"].dimension == spaces["direct"].dimension
-            else "methods disagree"
+            if agree else "methods disagree"
         )
         report["mutual_membership"] = cert
         ok = ok and agree

@@ -19,7 +19,7 @@ d_λ in place of ad(a), so it shares no formula with either solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -90,14 +90,13 @@ class DerivationAnsatz:
 class DerivationSpace:
     """Conformal derivations at ansatz bounds (P, D). The inner and outer
     dimensions at these bounds are computed on first read: inner_dim
-    ranks the ad(∂^k a_v) that fit, outer_dim = dimension - inner_dim.
-    A caller that has ranked them already passes the rank as inner_rank."""
+    ranks the ad(∂^k a_v) that fit (``_inner_vectors``), and outer_dim =
+    dimension - inner_dim."""
 
     algebra: GDBialgebra
     partial_bound: int
     lambda_bound: int
     basis: tuple  # DerivationAnsatz
-    inner_rank: int | None = field(default=None, compare=False)
 
     @property
     def dimension(self):
@@ -105,10 +104,8 @@ class DerivationSpace:
 
     @cached_property
     def inner_dim(self):
-        if self.inner_rank is not None:
-            return self.inner_rank
-        P, D = self.partial_bound, self.lambda_bound
-        return span_rank(_inner_vectors(self.algebra, P, D, D)[0])
+        return span_rank(_inner_vectors(self.algebra, self.partial_bound,
+                                        self.lambda_bound))
 
     @property
     def outer_dim(self):
@@ -270,44 +267,46 @@ def inner_derivation(A: GDBialgebra, v: int, k: int = 0) -> DerivationAnsatz:
     return DerivationAnsatz.from_dict(1, k + 1, coeffs)
 
 
-def _inner_vectors(A: GDBialgebra, P, D, top):
-    """The ad(∂^k a_v) that fit the bounds (P, top), top ≥ D, as vectors
-    at those bounds: (the ones that fit at λ-bound D, the others)."""
-    n, fit, late = A.dim, [], []
+def _inner_vectors(A: GDBialgebra, P, D):
+    """The nonzero ad(∂^k a_v) that fit the bounds (P, D), as vectors at
+    those bounds: ad(∂^k a_v) = (−λ)^k ad(a_v) is, by the λ-shift lemma of
+    ``_direct_rows``, ad(a_v)'s vector times (−1)^k moved k·(P+1)·n²
+    columns on, and fits while k plus ad(a_v)'s λ-degree is ≤ D."""
+    n, out = A.dim, []
+    stride = (P + 1) * n * n
     for v in range(n):
-        for k in range(top + 1):  # ad(∂^k a_v) has λ-degree ≥ k
-            gen = inner_derivation(A, v, k)
-            if all(i <= P and kk <= top for (_, i, kk), _ in gen.coeffs):
-                degree = max((kk for (_, _, kk), _ in gen.coeffs), default=0)
-                (fit if degree <= D else late).append(gen.as_vector(n, P, top))
-    return fit, late
+        gen = inner_derivation(A, v)
+        if not gen.coeffs or any(i > P for (_, i, _), _ in gen.coeffs):
+            continue
+        degree = max(k for (_, _, k), _ in gen.coeffs)
+        vec = gen.as_vector(n, P, degree)
+        out.extend({x + k * stride: (-1) ** k * c for x, c in vec.items()}
+                   for k in range(D - degree + 1))
+    return out
 
 
 def stabilized_outer(A: GDBialgebra, partial_bound: int = 3,
                      lambda_bound: int = 4):
     """Solve the direct system once, at (P, D+2), and read the (P, D)
-    space off it. Returns (space at (P, D), outer): outer is
-    dim(solutions) - dim(inner span), the common value at λ-bounds D and
-    D+2, or ("not stabilized", value_at_D, value_at_D2).
+    space off it. Returns (space at (P, D), outer): outer is the
+    outer_dim of both spaces, the common value at λ-bounds D and D+2, or
+    ("not stabilized", value_at_D, value_at_D2).
 
     Each row collects one coefficient of an identity linear in the
     unknowns, so the system at λ-bound D is the one at D+2 with every
     unknown of λ-degree > D set to 0. The columns are λ-degree major, so
     the elements of λ-degree ≤ D of the larger RREF basis are exactly the
-    RREF basis at D. The inner derivations are built once for both
-    λ-bounds (``_inner_vectors``). A negative bound raises ValueError."""
+    RREF basis at D. Each space ranks its own inner span. A negative
+    bound raises ValueError."""
     P, D = partial_bound, lambda_bound
     if P < 0 or D < 0:
         raise ValueError("ansatz bounds must be non-negative")
     probe = solve_derivations_direct(A, P, D + 2)
-    basis = tuple(d for d in probe.basis
-                  if all(k <= D for (_, _, k), _ in d.coeffs))
-    fit, late = _inner_vectors(A, P, D, D + 2)
-    space = DerivationSpace(A, P, D, basis, inner_rank=span_rank(fit))
+    space = DerivationSpace(A, P, D, tuple(
+        d for d in probe.basis if all(k <= D for (_, _, k), _ in d.coeffs)))
     outer = space.outer_dim
-    probe_outer = probe.dimension - span_rank(fit + late)
-    if outer != probe_outer:
-        outer = ("not stabilized", outer, probe_outer)
+    if outer != probe.outer_dim:
+        outer = ("not stabilized", outer, probe.outer_dim)
     return space, outer
 
 

@@ -138,6 +138,11 @@ MALFORMED = [
     (GOOD.replace("algebra demo", "algebra de mo"),
      "line 1: expected 'algebra NAME'"),
     (GOOD.replace("dim 2", "dim 0"), "line 2: expected 'dim N' with N >= 1"),
+    # non-ASCII digits: Arabic-Indic three, superscript two
+    (GOOD.replace("dim 2", "dim \u0663"),
+     "line 2: expected 'dim N' with N >= 1"),
+    (GOOD.replace("dim 2", "dim \u00b2"),
+     "line 2: expected 'dim N' with N >= 1"),
     ("dim 1\nbasis L\nend\n",
      "line 2: 'basis' must follow 'algebra' and 'dim'"),
     ("algebra x\nbasis L\ndim 1\nend\n",

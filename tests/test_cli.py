@@ -263,6 +263,36 @@ class TestExtend:
         assert data["theorem"]["dimension"] == 15
         assert len(calls) == len(set(calls)) == 15
 
+    @pytest.mark.parametrize("swap", [False, True],
+                             ids=["proper-subspace", "equal-dimension"])
+    def test_methods_disagree_without_mutual_membership(self, capsys,
+                                                        monkeypatch, swap):
+        """A direct space that lacks the theorem's last cocycle, or holds
+        another one in its place, disagrees, with null at the cocycle that
+        the other space misses: mutual membership alone decides."""
+        from dataclasses import replace
+
+        from qlca import CocycleQuadruple, cli
+
+        def lacking(A, degree_bound):
+            space = solve(A, degree_bound=degree_bound)
+            # α_2(L, L) is outside the span of vir's α_1 and α_3
+            other = (CocycleQuadruple.single(A.dim, 2, 0, 0),) if swap else ()
+            return replace(space, basis=space.basis[:-1] + other)
+
+        solve = cli.solve_extensions_direct
+        monkeypatch.setattr(cli, "solve_extensions_direct", lacking)
+        code, out, _ = run(capsys, "--json", "extend", "catalog:vir")
+        assert code == 1
+        data = json.loads(out)
+        assert data["agreement"] == "methods disagree"
+        assert data["theorem"]["dimension"] == 2
+        assert data["direct"]["dimension"] == (2 if swap else 1)
+        cert = data["mutual_membership"]
+        assert [c is None for c in cert["theorem_in_direct"]] == [False, True]
+        assert ([c is None for c in cert["direct_in_theorem"]]
+                == [False, True][:1 + swap])
+
     def test_unbounded_warning_shown(self, capsys):
         code, out, _ = run(
             capsys, "--json", "extend", "catalog:current:g=abelian,n=2",

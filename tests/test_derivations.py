@@ -51,6 +51,10 @@ def inner_vectors(R, P, D):
     return out
 
 
+def _multiset(vectors):
+    return Counter(frozenset(v.items()) for v in vectors)
+
+
 class TestUnitDetection:
     def test_vir_left_unit(self):
         side, vec, k = detect_unit_like(catalog_build("vir"))
@@ -150,8 +154,8 @@ class TestOuterDimensions:
 
     def test_derive_ranks_the_direct_spaces_only(self, monkeypatch, capsys):
         """derive ranks the inner span of the (P, D+2) probe and of the
-        (P, D) space from one build of the n·(D+3) generators at the
-        default D = 4, and never the closed solver's."""
+        (P, D) space, each from one ad(a_v) per basis element, and never
+        the closed solver's."""
         calls = []
 
         def counted(*args):
@@ -160,17 +164,17 @@ class TestOuterDimensions:
 
         monkeypatch.setattr(derivations, "inner_derivation", counted)
         assert main(["--json", "derive", "catalog:loop_hv_cyclic:m=3"]) == 0
-        assert len(calls) == 6 * (4 + 3) == 42
+        assert len(calls) == 2 * 6 == 12
 
-    def test_one_build_ranks_both_lambda_bounds(self, inner_case):
-        """The generators built once for λ-bound D+2 and split at D have
-        the ranks of the ones that fit each bound on their own."""
+    @pytest.mark.parametrize("P, D", [(0, 0), (0, 1), (1, 2), (3, 4), (3, 6)])
+    def test_shifted_generators_are_the_per_k_ones(self, inner_case, P, D):
+        """The ad(∂^k a_v) read off ad(a_v) by the λ-shift lemma are the
+        nonzero ones inner_derivation builds for each k, as multisets, at
+        λ-bounds D and D+2."""
         R = inner_case()
-        for P, D in ((0, 1), (1, 2), (3, 4)):
-            fit, late = _inner_vectors(R, P, D, D + 2)
-            assert (span_rank(fit), span_rank(fit + late)) == (
-                span_rank(inner_vectors(R, P, D)),
-                span_rank(inner_vectors(R, P, D + 2))), (P, D)
+        for bound in (D, D + 2):
+            assert (_multiset(_inner_vectors(R, P, bound))
+                    == _multiset(v for v in inner_vectors(R, P, bound) if v))
 
     def test_spaces_are_ranked_on_first_read(self, monkeypatch):
         def refuse(*args):
@@ -253,9 +257,10 @@ class TestSolverAgreement:
                     == set(solve_derivations_theorem(A, 4).basis))
 
     def test_spaces_agree_is_mutual_membership(self, catalog_entry):
-        """The one rank of spaces_agree answers what spans_equal's three
-        ranks of the basis vectors do, on every pair of the direct, closed
-        and assert-simple spaces at (3, 3) and (1, 2)."""
+        """spaces_agree, which compares the canonical bases as sets,
+        answers what the oracle spans_equal's three ranks of the basis
+        vectors do, on every pair of the direct, closed and assert-simple
+        spaces at (3, 3) and (1, 2)."""
         A = catalog_entry.build()
         spaces = []
         for P, D in ((3, 3), (1, 2)):
