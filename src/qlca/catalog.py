@@ -60,9 +60,9 @@ _SL2_REVERSED = {(0, 1): {2: -1}, (0, 2): {0: 2}, (1, 2): {1: -2}}
 
 
 def _build(names, novikov, lie):
-    """The validated algebra on ``names`` of the sparse cells
+    """The unbuilt algebra on ``names`` of the sparse cells
     {(i, j): {k: coeff}}, Lie cells with i < j, as a file gives them."""
-    return AlgebraFile("catalog", len(names), names, novikov, lie).build()
+    return AlgebraFile("catalog", len(names), names, novikov, lie)
 
 
 def _vir():
@@ -129,9 +129,10 @@ def catalog_names():
     return sorted(_BUILDERS)
 
 
-def catalog_build(name, **params) -> GDBialgebra:
-    """Build a catalog entry; an unknown or missing parameter raises
-    TypeError naming it."""
+def catalog_build(name, validate=True, /, **params) -> GDBialgebra:
+    """Build a catalog entry, its axioms checked unless ``validate`` is
+    false (positional, so no entry parameter is read as it); an unknown
+    or missing parameter raises TypeError naming it."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown catalog algebra {name!r}; known: {catalog_names()}")
     builder = _BUILDERS[name]
@@ -142,7 +143,7 @@ def catalog_build(name, **params) -> GDBialgebra:
     for k, p in known.items():
         if k not in params and p.default is p.empty:
             raise TypeError(f"missing parameter {k!r}")
-    return builder(**params)
+    return builder(**params).build(validate)
 
 
 def standard_entries():

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .algfile import emit_algebra, parse_algebra_file
 from .catalog import catalog_build, catalog_names
@@ -62,7 +63,7 @@ def load_target(target, validate=True):
             )
         try:
             params = _parse_params(blob) if colon else {}
-            return catalog_build(name, **params), rest
+            return catalog_build(name, validate, **params), rest
         except TypeError as exc:
             raise ValueError(f"bad parameters for {name!r}: {exc}") from exc
     try:
@@ -304,7 +305,10 @@ def _bounded_int(low):
     return parse
 
 
+@cache
 def build_parser():
+    """The ``qlca`` parser, built once per process: parsing leaves it as
+    it is, and help takes the terminal width when it is printed."""
     p = argparse.ArgumentParser(
         prog="qlca",
         description=(

@@ -28,7 +28,7 @@ from math import comb
 
 from .conformal import _jacobi_residuals, _jacobi_tables, bracket_basis
 from .gd import GDBialgebra
-from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, ZERO, _as_q,
+from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, _as_q,
                    nullspace_basis, span_rank)
 
 MAX_CLOSED_DEGREE = 3  # λ-degree bound of the closed-form system
@@ -43,7 +43,8 @@ def _column(n, k, i, j):
 class CocycleQuadruple:
     """A λ-degree ≤ 3 cocycle on an algebra of dimension ``dim``, stored
     once as the nonzero (column, value) pairs of its sparse vector, in
-    ``_column`` order; ``alpha`` is a dense view of its four forms."""
+    ``_column`` order, each value an int where it is integral (``_as_q``);
+    ``alpha`` is a dense view of its four forms."""
 
     dim: int
     entries: tuple
@@ -56,7 +57,7 @@ class CocycleQuadruple:
             if not 0 <= col < 4 * n * n:
                 raise ValueError(f"column {col} is out of range for a "
                                  f"cocycle quadruple of dimension {n}")
-        return cls(n, tuple(sorted((c, x) for c, x in vec.items() if x)))
+        return cls(n, tuple(sorted((c, _as_q(x)) for c, x in vec.items() if x)))
 
     @classmethod
     def zero(cls, n):
@@ -80,7 +81,7 @@ class CocycleQuadruple:
     def alpha(self):
         """4 × n × n nested tuples: alpha[k][i][j] is α_k(a_i, a_j)."""
         n = self.dim
-        flat = [ZERO] * (4 * n * n)
+        flat = [0] * (4 * n * n)
         for col, x in self.entries:
             flat[col] = x
         rows = [tuple(flat[r * n:(r + 1) * n]) for r in range(4 * n)]
@@ -88,8 +89,7 @@ class CocycleQuadruple:
 
     def lambda_poly(self, i, j):
         """Σ_k λ^k α_k(a_i, a_j) as a FormalPoly."""
-        return FormalPoly({(0, k, 0): _as_q(self.alpha[k][i][j])
-                           for k in range(4)})
+        return FormalPoly({(0, k, 0): self.alpha[k][i][j] for k in range(4)})
 
     def as_vector(self):
         """The sparse vector indexed by ``_column`` that from_vector reads."""
@@ -381,7 +381,7 @@ def coeff_bracket(A: GDBialgebra, q: CocycleQuadruple, gen1, gen2):
     coefficient algebra.
 
     Returns (terms, central) where terms maps (basis index, mode index) to
-    a Fraction and central is the rational coefficient of the center.
+    an exact scalar and central is the rational coefficient of the center.
     The module part is [a_i, a_j]-reversed at mode m+n plus the two
     Novikov shifts; the central part collects the four mode cocycles
     π_0..π_3. A generator index outside [0, n) and a quadruple of another
@@ -406,7 +406,7 @@ def coeff_bracket(A: GDBialgebra, q: CocycleQuadruple, gen1, gen2):
             terms[k, mode] = terms.get((k, mode), 0) + scale * c
     terms = {key: v for key, v in terms.items() if v}
 
-    central = ZERO
+    central = 0
     if m + n_mode + 1 == 0:
         central += q.alpha[0][i][j]
     if m + n_mode == 0:
@@ -489,7 +489,7 @@ def check_coeff_cocycle(A: GDBialgebra, q: CocycleQuadruple, window: int):
 
     def residual(x, y, z):
         """Σ_cyc of the central part of [[u, v], w]."""
-        r = ZERO
+        r = 0
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
             for g, c in bracket(u, v)[0].items():
                 central = bracket(g, w)[1]
@@ -615,7 +615,7 @@ def coeff_relation_consistency(A: GDBialgebra, window: int,
                 expected[k, mode] = expected.get((k, mode), 0) + coeff
         expected = {key: v for key, v in expected.items() if v}
         # central part: Σ_p m(m-1)…(m-p+1) α_p δ_{m+n-p+1,0}
-        central = ZERO
+        central = 0
         for p in range(4):
             if m + nn - p + 1 == 0:
                 fall = 1

@@ -128,39 +128,57 @@ end
 
 
 # files the parser refuses, each with its error message
+# each case's id names its input, so a repeated message renames no case
 MALFORMED = [
-    (GOOD.replace("dim 2", "algebra again\ndim 2"),
-     "line 2: duplicate 'algebra' line"),
-    (GOOD.replace("dim 2", "dim 2\ndim 2"), "line 3: duplicate 'dim' line"),
-    (GOOD.replace("novikov L L", "basis L W\nnovikov L L"),
-     "line 4: duplicate 'basis' line"),
-    (GOOD.replace("algebra demo", "algebra"), "line 1: expected 'algebra NAME'"),
-    (GOOD.replace("algebra demo", "algebra de mo"),
-     "line 1: expected 'algebra NAME'"),
-    (GOOD.replace("dim 2", "dim 0"), "line 2: expected 'dim N' with N >= 1"),
+    pytest.param(GOOD.replace("dim 2", "algebra again\ndim 2"),
+                 "line 2: duplicate 'algebra' line", id="algebra-twice"),
+    pytest.param(GOOD.replace("dim 2", "dim 2\ndim 2"),
+                 "line 3: duplicate 'dim' line", id="dim-twice"),
+    pytest.param(GOOD.replace("novikov L L", "basis L W\nnovikov L L"),
+                 "line 4: duplicate 'basis' line", id="basis-twice"),
+    pytest.param(GOOD.replace("algebra demo", "algebra"),
+                 "line 1: expected 'algebra NAME'", id="algebra-without-name"),
+    pytest.param(GOOD.replace("algebra demo", "algebra de mo"),
+                 "line 1: expected 'algebra NAME'",
+                 id="algebra-name-with-space"),
+    pytest.param(GOOD.replace("dim 2", "dim 0"),
+                 "line 2: expected 'dim N' with N >= 1", id="dim-0"),
     # non-ASCII digits: Arabic-Indic three, superscript two
-    (GOOD.replace("dim 2", "dim \u0663"),
-     "line 2: expected 'dim N' with N >= 1"),
-    (GOOD.replace("dim 2", "dim \u00b2"),
-     "line 2: expected 'dim N' with N >= 1"),
-    ("dim 1\nbasis L\nend\n",
-     "line 2: 'basis' must follow 'algebra' and 'dim'"),
-    ("algebra x\nbasis L\ndim 1\nend\n",
-     "line 2: 'basis' must follow 'algebra' and 'dim'"),
-    (GOOD.replace("basis L W", "basis L 2W"), "line 3: bad basis name '2W'"),
-    (GOOD.replace("basis L W", "basis L L"),
-     "line 3: basis names must be distinct"),
-    (GOOD.replace("meta note a two-generator example", "meta note"),
-     "line 7: expected 'meta KEY VALUE...'"),
-    ("algebra x\ndim 1\nend\n", "line 3: 'end' before the header lines"),
-    ("", "missing algebra/dim/basis header"),
-    ("# only a comment\n\n", "missing algebra/dim/basis header"),
-    (GOOD.replace("novikov L L = L:1", "novikov L L L:1"),
-     "line 4: expected 'novikov I J = K:coeff ...'"),
-    (GOOD.replace("lie L W = W:-1/2", "lie L W ="),
-     "line 6: expected 'lie I J = K:coeff ...'"),
-    (GOOD.replace("novikov L L = L:1", "novikov L L = L1"),
-     "line 4: expected K:coeff, got 'L1'"),
+    pytest.param(GOOD.replace("dim 2", "dim \u0663"),
+                 "line 2: expected 'dim N' with N >= 1",
+                 id="dim-arabic-indic-3"),
+    pytest.param(GOOD.replace("dim 2", "dim \u00b2"),
+                 "line 2: expected 'dim N' with N >= 1",
+                 id="dim-superscript-2"),
+    pytest.param("dim 1\nbasis L\nend\n",
+                 "line 2: 'basis' must follow 'algebra' and 'dim'",
+                 id="basis-without-algebra"),
+    pytest.param("algebra x\nbasis L\ndim 1\nend\n",
+                 "line 2: 'basis' must follow 'algebra' and 'dim'",
+                 id="basis-before-dim"),
+    pytest.param(GOOD.replace("basis L W", "basis L 2W"),
+                 "line 3: bad basis name '2W'", id="basis-name-2W"),
+    pytest.param(GOOD.replace("basis L W", "basis L L"),
+                 "line 3: basis names must be distinct", id="basis-L-L"),
+    pytest.param(GOOD.replace("meta note a two-generator example",
+                              "meta note"),
+                 "line 7: expected 'meta KEY VALUE...'",
+                 id="meta-without-value"),
+    pytest.param("algebra x\ndim 1\nend\n",
+                 "line 3: 'end' before the header lines",
+                 id="end-before-basis"),
+    pytest.param("", "missing algebra/dim/basis header", id="empty-file"),
+    pytest.param("# only a comment\n\n", "missing algebra/dim/basis header",
+                 id="comment-only-file"),
+    pytest.param(GOOD.replace("novikov L L = L:1", "novikov L L L:1"),
+                 "line 4: expected 'novikov I J = K:coeff ...'",
+                 id="novikov-without-equals"),
+    pytest.param(GOOD.replace("lie L W = W:-1/2", "lie L W ="),
+                 "line 6: expected 'lie I J = K:coeff ...'",
+                 id="lie-without-targets"),
+    pytest.param(GOOD.replace("novikov L L = L:1", "novikov L L = L1"),
+                 "line 4: expected K:coeff, got 'L1'",
+                 id="novikov-target-without-colon"),
 ]
 
 
@@ -217,8 +235,7 @@ class TestParsing:
         assert (capsys.readouterr().err
                 == "error: line 9: duplicate meta key 'note'\n")
 
-    @pytest.mark.parametrize("text, message", MALFORMED,
-                             ids=[message for _, message in MALFORMED])
+    @pytest.mark.parametrize("text, message", MALFORMED)
     def test_malformed_file_exits_2_naming_its_line(self, capsys, tmp_path,
                                                     text, message):
         assert str(self.err(text)) == message

@@ -146,6 +146,9 @@ class TestCheck:
         ("loop_hv_cyclic:m=", "m must be an integer >= 1, got ''"),
         ("loop_vir_cyclic:m=two", "m must be an integer >= 1, got 'two'"),
         ("vir_current:g=so3", "unknown coefficient Lie algebra 'so3'"),
+        # catalog_build's validate flag is positional, never an entry key
+        ("vir:validate=0", "bad parameters for 'vir': "
+                           "unknown parameter 'validate'"),
     ])
     def test_bad_catalog_parameter_is_named_exit_2(self, capsys, target,
                                                    message):
@@ -160,6 +163,28 @@ class TestCheck:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "absent.alg"))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "catalog:vir_current:g=sl2"],
+        ["check", "catalog:loop_hv_cyclic:m=2"],
+        ["extend", "catalog:vir_current:g=sl2", "--method", "theorem"],
+    ])
+    def test_each_gd_axiom_check_runs_once(self, capsys, monkeypatch, argv):
+        """``check`` loads a catalog target unvalidated and runs the three
+        GD checks itself; the other commands validate it while loading."""
+        import qlca.cli
+        import qlca.gd
+
+        calls = []
+        for name in ("check_novikov", "check_lie", "check_gd_compat"):
+            def counted(A, fn=getattr(qlca.gd, name), name=name):
+                calls.append(name)
+                return fn(A)
+            for module in (qlca.gd, qlca.cli):
+                monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert sorted(calls) == ["check_gd_compat", "check_lie", "check_novikov"]
 
 
 # two tables that break the bialgebra axioms: Novikov alone, and Novikov
@@ -431,6 +456,80 @@ class TestCatalogCommand:
         with pytest.raises(SystemExit) as exc:
             main(["extend"])
         assert exc.value.code == 2
+
+
+class TestOneParserPerProcess:
+    """``main`` keeps its parser for the process and nothing else: every
+    question loads, solves and reports afresh."""
+
+    def test_a_second_call_builds_no_parser(self, capsys, monkeypatch):
+        import argparse
+
+        run(capsys, "catalog", "list")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out, _ = run(capsys, "catalog", "list")
+        assert code == 0 and "vir" in out
+        assert built == []
+
+    def test_options_of_one_call_do_not_reach_the_next(self, capsys):
+        code, out, _ = run(capsys, "--json", "extend", "catalog:vir",
+                           "--method", "theorem", "--degree", "2")
+        assert code == 0 and json.loads(out)["method"] == "theorem"
+        code, out, _ = run(capsys, "--json", "extend", "catalog:vir")
+        report = json.loads(out)
+        assert code == 0 and report["method"] == "both"
+        # one projection dimension per λ-degree 0..6, the default bound
+        assert len(report["direct"]["per_degree"]) == 7
+
+    def test_a_repeated_usage_error_reads_the_same(self, capsys):
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["extend"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].endswith(
+            "error: the following arguments are required: target\n")
+
+
+# a short mixed sequence: one question of each command and a usage error
+MIXED_QUESTIONS = [
+    ["check", "catalog:r_alpha_beta:alpha=1,beta=0"],
+    ["--json", "extend", "catalog:vir_current:g=sl2", "--degree", "2"],
+    ["--json", "derive", "catalog:r_alpha_beta:alpha=1,beta=0",
+     "--partial-bound", "1", "--lambda-bound", "2"],
+    ["--json", "coeff", "catalog:current:g=sl2", "--cocycle-index", "1",
+     "--window", "2"],
+    ["catalog", "emit", "loop_vir_cyclic:m=3"],
+    ["derive", "catalog:vir", "--lambda-bound", "x"],
+]
+
+
+def test_answers_do_not_depend_on_call_order(capsys):
+    """One process asks the sequence forward, then backward; each
+    question's stdout, stderr and exit code are the same both times."""
+    def ask(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    forward = [ask(q) for q in MIXED_QUESTIONS]
+    backward = [ask(q) for q in reversed(MIXED_QUESTIONS)][::-1]
+    assert [code for code, _, _ in forward] == [0, 0, 0, 0, 0, 2]
+    assert forward == backward
 
 
 class TestBadBounds:

@@ -50,8 +50,14 @@ class TestQuadruple:
                                              _column(n, 2, 1, 0): Fraction(-1, 2)})
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1 and {a: 1}[b] == 1
-        assert all(type(x) is Fraction
-                   for q in (a, b) for m in q.alpha for row in m for x in row)
+        # values are in the ``_as_q`` form: the ±1/2 entries stay Fractions,
+        # and every other alpha value is the int 0
+        pair = {_column(n, 2, 0, 1), _column(n, 2, 1, 0)}
+        for q in (a, b):
+            flat = [x for m in q.alpha for row in m for x in row]
+            assert all(type(x) is Fraction and abs(x) == Fraction(1, 2)
+                       if col in pair else type(x) is int and x == 0
+                       for col, x in enumerate(flat))
 
     @pytest.mark.parametrize("build, message", [
         # each wrapped onto another form entry, or a bare IndexError, before
