@@ -20,14 +20,13 @@ d_λ in place of ad(a), so it shares no formula with either solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 
 from .conformal import _jacobi_residuals, _slot_brackets
 from .gd import GDBialgebra
-from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, nullspace_basis,
-                   span_rank)
+from .poly import (DEL, LAM, MU, FormalPoly, RatMatrix, _as_q,
+                   nullspace_basis, span_rank)
 
 
 class HypothesisNotDetected(ValueError):
@@ -36,54 +35,68 @@ class HypothesisNotDetected(ValueError):
 
 @dataclass(frozen=True)
 class DerivationAnsatz:
-    """Sparse coefficients of a conformal-linear map:
-    coeffs[(j, i, k)] is the coordinate vector of the ∂^i λ^k term of
-    d_λ(a_j)."""
+    """d_λ(a_j) = Σ ∂^i λ^k v_{jik} in dimension ``dim``, stored once as the
+    nonzero ((k, i, j, r), (v_{jik})_r) entries, ``_as_q`` values in key
+    order: ``_unknown_indexer``'s column order at every ∂-bound."""
 
-    coeffs: tuple  # sorted tuple of ((j, i, k), vector) pairs
+    dim: int
+    entries: tuple
+
+    @classmethod
+    def from_vector(cls, n, P, vec):
+        """The ansatz of a sparse vector indexed by ``_unknown_indexer(n, P)``,
+        decoded in key order; a column that is no int ≥ 0 raises ValueError."""
+        entries = []
+        for col, c in sorted(vec.items()):
+            if type(col) is not int or col < 0:
+                raise ValueError(f"column {col} is out of range for an ansatz")
+            rest, r = divmod(col, n)
+            rest, j = divmod(rest, n)
+            k, i = divmod(rest, P + 1)
+            if q := _as_q(c):
+                entries.append(((k, i, j, r), q))
+        return cls(n, tuple(entries))
 
     @classmethod
     def from_dict(cls, P, D, coeffs):
-        """The ansatz of {(j, i, k): vector}; an index of i outside [0, P]
-        or k outside [0, D] raises ValueError."""
-        clean = []
+        """The ansatz of {(j, i, k): vector}; i outside [0, P], k outside
+        [0, D] or vectors of different lengths raise ValueError."""
+        dims = {len(vec) for vec in coeffs.values()}
+        if len(dims) > 1:
+            raise ValueError("ansatz vectors of different lengths")
+        entries = []
         for (j, i, k), vec in coeffs.items():
             if i > P or k > D or i < 0 or k < 0:
                 raise ValueError(f"ansatz index ({j},{i},{k}) out of bounds")
-            if any(vec):
-                clean.append(((j, i, k), tuple(Fraction(x) for x in vec)))
-        return cls(tuple(sorted(clean)))
+            entries += [((k, i, j, r), q) for r, x in enumerate(vec)
+                        if (q := _as_q(x))]
+        return cls(dims.pop() if dims else 0, tuple(sorted(entries)))
 
     def image(self, n, j):
         """d_λ(a_j) as a length-n tuple of FormalPoly in ∂ and λ."""
-        out = [FormalPoly()] * n
-        for (jj, i, k), vec in self.coeffs:
-            if jj != j:
-                continue
-            mono = FormalPoly({(i, k, 0): Fraction(1)})
-            for r, c in enumerate(vec):
-                if c:
-                    out[r] = out[r] + mono * c
-        return tuple(out)
+        out = [{} for _ in range(n)]
+        for (k, i, jj, r), c in self.entries:
+            if jj == j:
+                out[r][(i, k, 0)] = c
+        return tuple(map(FormalPoly, out))
 
     def _check_dim(self, n):
         """Refuse an ansatz shaped for another dimension than n."""
-        for (j, _, _), vec in self.coeffs:
+        for (_, _, j, _), _ in self.entries:
             if not 0 <= j < n:
                 raise ValueError(f"ansatz basis index {j} is out of range "
                                  f"for dimension {n}")
-            if len(vec) != n:
-                raise ValueError(f"ansatz vector of length {len(vec)} at "
+            if self.dim != n:
+                raise ValueError(f"ansatz vector of length {self.dim} at "
                                  f"basis index {j} for dimension {n}")
 
     def as_vector(self, n, P, D):
         """Sparse coefficient vector at bounds (P, D); own bounds must fit."""
         self._check_dim(n)
-        if any(i > P or k > D for (_, i, k), _ in self.coeffs):
+        if any(i > P or k > D for (k, i, _, _), _ in self.entries):
             raise ValueError("ansatz does not fit the requested bounds")
         idx = _unknown_indexer(n, P)
-        return {idx(j, i, k, r): c for (j, i, k), v in self.coeffs
-                for r, c in enumerate(v) if c}
+        return {idx(j, i, k, r): c for (k, i, j, r), c in self.entries}
 
 
 @dataclass(frozen=True)
@@ -119,18 +132,6 @@ def _unknown_indexer(n, P):
     def idx(j, i, k, r):
         return ((k * (P + 1) + i) * n + j) * n + r
     return idx
-
-
-def _ansatz_from_vector(n, P, D, vec):
-    """The ansatz of a sparse vector: each column is decoded by inverting
-    _unknown_indexer's ((k·(P+1)+i)·n+j)·n+r."""
-    coeffs = {}
-    for col, c in vec.items():
-        rest, r = divmod(col, n)
-        rest, j = divmod(rest, n)
-        k, i = divmod(rest, P + 1)
-        coeffs.setdefault((j, i, k), [0] * n)[r] = c
-    return DerivationAnsatz.from_dict(P, D, coeffs)
 
 
 def _lambda_shifts(template, D, stride):
@@ -231,8 +232,8 @@ def _solve(A, rows, P, D):
         raise ValueError("ansatz bounds must be non-negative")
     n = A.dim
     m = RatMatrix.from_rows(rows, n * (P + 1) * (D + 1) * n)
-    basis = tuple(_ansatz_from_vector(n, P, D, v) for v in nullspace_basis(m))
-    return DerivationSpace(A, P, D, basis)
+    return DerivationSpace(A, P, D, tuple(
+        DerivationAnsatz.from_vector(n, P, v) for v in nullspace_basis(m)))
 
 
 def solve_derivations_direct(A: GDBialgebra, partial_bound: int = 3,
@@ -276,9 +277,9 @@ def _inner_vectors(A: GDBialgebra, P, D):
     stride = (P + 1) * n * n
     for v in range(n):
         gen = inner_derivation(A, v)
-        if not gen.coeffs or any(i > P for (_, i, _), _ in gen.coeffs):
+        if not gen.entries or any(i > P for (_, i, _, _), _ in gen.entries):
             continue
-        degree = max(k for (_, _, k), _ in gen.coeffs)
+        degree = gen.entries[-1][0][0]  # the last key's k
         vec = gen.as_vector(n, P, degree)
         out.extend({x + k * stride: (-1) ** k * c for x, c in vec.items()}
                    for k in range(D - degree + 1))
@@ -303,7 +304,7 @@ def stabilized_outer(A: GDBialgebra, partial_bound: int = 3,
         raise ValueError("ansatz bounds must be non-negative")
     probe = solve_derivations_direct(A, P, D + 2)
     space = DerivationSpace(A, P, D, tuple(
-        d for d in probe.basis if all(k <= D for (_, _, k), _ in d.coeffs)))
+        d for d in probe.basis if d.entries[-1][0][0] <= D))  # last key's k
     outer = space.outer_dim
     if outer != probe.outer_dim:
         outer = ("not stabilized", outer, probe.outer_dim)
@@ -364,11 +365,10 @@ def detect_unit_like(A: GDBialgebra):
                 for r, c in (circ[i][j] if side == "left" else circ[j][i]):
                     rows.setdefault((j, r), {})[i] = c
         m = RatMatrix.from_rows(rows.values(), n + 1)
-        # any solution with k ≠ 0 rescales to k = 1, and the k-axis is never
-        # a solution on its own, so scanning the nullspace basis suffices
-        for vec in nullspace_basis(m):
-            if k := vec.get(n):
-                return side, tuple(vec.get(i, 0) / k for i in range(n)), 1
+        # a k ≠ 0 solution rescales to k = 1. Each basis vector ends at its
+        # free column, at 1, so only the last can hold k's column n, at k = 1
+        if (basis := nullspace_basis(m)) and n in basis[-1]:
+            return side, tuple(basis[-1].get(i, 0) for i in range(n)), 1
     return None
 
 

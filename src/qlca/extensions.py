@@ -22,7 +22,6 @@ computed and verified exactly as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 
@@ -52,9 +51,9 @@ class CocycleQuadruple:
     @classmethod
     def from_vector(cls, n, vec):
         """The quadruple of a sparse vector indexed by ``_column``; a column
-        outside [0, 4n²) raises ValueError."""
+        that is no int in [0, 4n²) raises ValueError."""
         for col in vec:
-            if not 0 <= col < 4 * n * n:
+            if type(col) is not int or not 0 <= col < 4 * n * n:
                 raise ValueError(f"column {col} is out of range for a "
                                  f"cocycle quadruple of dimension {n}")
         return cls(n, tuple(sorted((c, _as_q(x)) for c, x in vec.items() if x)))
@@ -71,7 +70,7 @@ class CocycleQuadruple:
         for kind, x, top in (("form", k, 4), ("basis", i, n), ("basis", j, n)):
             if not 0 <= x < top:
                 raise ValueError(f"{kind} index {x} is out of range [0, {top})")
-        value = Fraction(value)
+        value = _as_q(value)
         vec = {_column(n, k, i, j): value}
         if symmetrize and i != j:
             vec[_column(n, k, j, i)] = value if k % 2 else -value

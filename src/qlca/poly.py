@@ -2,9 +2,9 @@
 rational linear algebra (nullspace, rank, span utilities).
 
 Scalars are exact, never float: ``int`` when integral, ``Fraction`` otherwise
-(``_as_q``); a ``/`` on scalars keeps a ``Fraction`` operand, as int / int
-is a float. Vectors (``nullspace_basis`` results, span-utility inputs) are
-sparse ``{col: Fraction}`` dicts of their nonzero entries.
+(``_as_q``, which refuses a float), in every result; a ``/`` keeps a
+``Fraction`` operand, as int / int is a float. Vectors (``nullspace_basis``
+results, span-utility inputs) are sparse dicts of their nonzero entries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ DEL, LAM, MU = 0, 1, 2
 SYMBOL_NAMES = ("∂", "λ", "μ")
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _as_q(x):
@@ -26,6 +25,8 @@ def _as_q(x):
     if type(x) is int:
         return x
     if not isinstance(x, Fraction):
+        if isinstance(x, float):
+            raise TypeError(f"{x!r} is a float, not an exact scalar")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -387,12 +388,12 @@ def nullspace_basis(matrix):
     vector's support ends at its free column."""
     pivots = _echelon(matrix)
     pivot_cols = {col for col, _ in pivots}
-    basis = {free: {free: ONE} for free in range(matrix.cols)
+    basis = {free: {free: 1} for free in range(matrix.cols)
              if free not in pivot_cols}
     for col, row in pivots:
         for free, v in row.items():
             if free != col:
-                basis[free][col] = Fraction(-v, row[col])
+                basis[free][col] = _as_q(Fraction(-v, row[col]))
     return list(basis.values())
 
 
@@ -440,10 +441,10 @@ def span_coordinates_many(vectors, targets):
     m, cols = len(vectors), range(len(vectors), len(vectors) + len(targets))
     pivots = _echelon(_columns_matrix([*vectors, *targets]))
     outside = {c for col, row in pivots if col >= m for c in row}
-    coords = {t: [ZERO] * m for t in cols if t not in outside}
+    coords = {t: [0] * m for t in cols if t not in outside}
     for col, row in pivots:  # a target pivot's row holds only outside columns
         for t in coords.keys() & row.keys():
-            coords[t][col] = Fraction(row[t], row[col])
+            coords[t][col] = _as_q(Fraction(row[t], row[col]))
     return [tuple(coords[t]) if t in coords else None for t in cols]
 
 

@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 import qlca.gd
-from qlca import (CatalogEntry, bracket_basis, catalog_build,
+from qlca import (CatalogEntry, RatMatrix, bracket_basis, catalog_build,
                   catalog_names, coeff_bracket, detect_unit_like, emit_algebra,
-                  entry_label, gd_build, parse_algebra,
+                  entry_label, gd_build, nullspace_basis, parse_algebra,
                   solve_derivations_direct, solve_derivations_theorem,
                   solve_extensions_direct, solve_extensions_theorem,
                   standard_entries)
+from qlca.derivations import _direct_rows, _inner_vectors
+from qlca.poly import span_coordinates_many
 
 
 class TestCatalog:
@@ -35,6 +37,17 @@ class TestCatalog:
         with pytest.raises(TypeError, match=r"^unknown parameter 'gamma'$"):
             catalog_build("r_alpha_beta", alpha=1, beta=0, gamma=2)
         assert catalog_build("current").dim == 3  # defaults need no key
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("r_alpha_beta", {"alpha": 0.1, "beta": 0},
+         "alpha must be a rational number, got 0.1"),
+        ("current", {"g": "abelian", "n": 2.0},
+         "n must be an integer >= 1, got 2.0"),
+    ], ids=["rational", "size"])
+    def test_a_float_parameter_is_refused(self, name, params, message):
+        """A float parameter is refused, not read as its binary fraction."""
+        with pytest.raises(ValueError, match=message):
+            catalog_build(name, **params)
 
     def test_standard_entries_cover_spec_fixtures(self):
         labels = {entry_label(e) for e in standard_entries()}
@@ -95,26 +108,37 @@ def test_integral_algebras_compute_in_exact_scalars(build):
     """The grids of an integral algebra hold ints, and every scalar the
     solvers and the bracket engines return is an int or a Fraction. Cocycle
     values are ints where integral, so a cocycle with integral values has
-    an int central part in every mode bracket."""
+    an int central part in every mode bracket. So are the values of
+    nullspace vectors, derivations, span coordinates and the unit-like
+    element."""
     A = build()
     n = A.dim
     for grid in (A.circ_terms, A.lie_terms, A.star_terms):
         assert all(type(c) is int for row in grid for cell in row for _, c in cell)
 
-    theorem = solve_extensions_theorem(A)
-    cocycles = theorem.basis + solve_extensions_direct(A, 3).basis
+    theorem, direct = solve_extensions_theorem(A), solve_extensions_direct(A, 3)
+    cocycles = theorem.basis + direct.basis
     assert all(_normal(x) for q in cocycles for x in q.as_vector().values())
     for q in cocycles:
         if all(type(x) is int for x in q.as_vector().values()):
             assert all(type(coeff_bracket(A, q, (i, m), (j, t - m))[1]) is int
                        for i in range(n) for j in range(n)
                        for t in range(-1, 3) for m in (-1, 0, 2))
-    for sp in (solve_derivations_direct(A, 1, 2),
-               solve_derivations_theorem(A, 2, assert_simple=True)):
-        assert all(_exact(x) for d in sp.basis for _, v in d.coeffs for x in v)
-    found = detect_unit_like(A)
+    vt, vd = ([q.as_vector() for q in sp.basis] for sp in (theorem, direct))
+    coords = span_coordinates_many(vd, vt)
+    assert None not in coords and all(_normal(x) for c in coords for x in c)
+
+    system = RatMatrix.from_rows(_direct_rows(A, 1, 2), n * 2 * 3 * n)
+    assert all(_normal(x) for v in nullspace_basis(system) for x in v.values())
+    derivations = solve_derivations_direct(A, 1, 2)
+    for sp in (derivations, solve_derivations_theorem(A, 2, assert_simple=True)):
+        assert all(_normal(x) for d in sp.basis for _, x in d.entries)
+    basis = [d.as_vector(n, 1, 2) for d in derivations.basis]
+    coords = span_coordinates_many(basis, _inner_vectors(A, 1, 2))
+    assert None not in coords and all(_normal(x) for c in coords for x in c)
+    found = detect_unit_like(A)  # its division of two ints must stay exact
     if found is not None:
-        assert all(_exact(x) for x in found[1]) and _exact(found[2])
+        assert all(_normal(x) for x in found[1]) and _exact(found[2])
 
     q = theorem.basis[0]
     for i in range(n):

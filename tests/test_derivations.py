@@ -372,6 +372,52 @@ class TestShapeRefusals:
             solve(catalog_build("vir"), *args)
 
 
+class TestSparseStore:
+    """A DerivationAnsatz stores its nonzero ((k, i, j, r), value) entries
+    once, in key order, which is _unknown_indexer's column order at every
+    ∂-bound, and each value is an int where it is integral."""
+
+    @pytest.mark.parametrize("P, D", [(1, 2), (3, 1)])
+    def test_solver_vectors_round_trip(self, catalog_entry, P, D):
+        A = catalog_entry.build()
+        n, cols = A.dim, A.dim * (P + 1) * (D + 1) * A.dim
+        for rows in (_direct_rows(A, P, D), _closed_rows(A, P, D)):
+            for v in nullspace_basis(RatMatrix.from_rows(rows, cols)):
+                d = DerivationAnsatz.from_vector(n, P, v)
+                keys = [key for key, _ in d.entries]
+                assert keys == sorted(keys) and d.dim == n
+                assert d.as_vector(n, P, D) == v
+
+    def test_one_derivation_decodes_alike_at_two_partial_bounds(
+            self, catalog_entry):
+        """What spaces_agree relies on: the key of an entry does not
+        depend on the ∂-bound its vector was indexed by."""
+        A = catalog_entry.build()
+        n = A.dim
+        for d in solve_derivations_direct(A, 1, 2).basis:
+            narrow, wide = (DerivationAnsatz.from_vector(
+                n, P, d.as_vector(n, P, 2)) for P in (1, 3))
+            assert narrow == wide == d and hash(narrow) == hash(wide)
+
+    def test_values_are_stored_in_the_exact_form(self):
+        d = DerivationAnsatz.from_dict(
+            1, 1, {(1, 0, 1): (Fraction(2), 0), (0, 1, 0): (0, Fraction(1, 2))})
+        assert d.dim == 2
+        assert d.entries == (((0, 1, 0, 1), Fraction(1, 2)), ((1, 0, 1, 0), 2))
+        assert type(d.entries[1][1]) is int
+
+    @pytest.mark.parametrize("col", [-1, 1.5, True])
+    def test_a_negative_or_non_int_column_is_refused(self, col):
+        """-1 would be stored at λ-degree -1, and 1.5 at float indices."""
+        with pytest.raises(ValueError, match=f"column {col} is out of range"):
+            DerivationAnsatz.from_vector(1, 1, {col: 1})
+
+    def test_vectors_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="vectors of different lengths"):
+            DerivationAnsatz.from_dict(1, 1, {(0, 0, 0): (1,),
+                                              (1, 0, 0): (1, 0)})
+
+
 class TestCurrentShape:
     def test_scaling_family_spans_outer_part(self):
         """d(a) = λ^k (∂ + λ) a solves the Leibniz identity for the

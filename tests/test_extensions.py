@@ -69,7 +69,13 @@ class TestQuadruple:
          r"form index -1 is out of range \[0, 4\)"),
         (lambda: CocycleQuadruple.single(2, 0, 0, 2),
          r"basis index 2 is out of range \[0, 2\)"),
-    ], ids=["from_vector-1", "from_vector16", "single_k-1", "single_j2"])
+        # no int: 1.5 is no list index for ``alpha``, True no column
+        (lambda: CocycleQuadruple.from_vector(1, {1.5: 1}),
+         "column 1.5 is out of range for a cocycle quadruple of dimension 1"),
+        (lambda: CocycleQuadruple.from_vector(1, {True: 1}),
+         "column True is out of range for a cocycle quadruple of dimension 1"),
+    ], ids=["from_vector-1", "from_vector16", "single_k-1", "single_j2",
+            "from_vector1.5", "from_vectorTrue"])
     def test_index_outside_the_forms_is_refused(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qlca import CocycleQuadruple, DerivationAnsatz, gd_build
 from qlca.poly import (DEL, LAM, MU, FormalPoly, RatMatrix, _as_q, _echelon,
                        _exact_rows, nullspace_basis, rank, solve,
                        span_coordinates, span_coordinates_many, span_rank,
@@ -202,7 +203,7 @@ class TestLinearAlgebra:
     def test_nullspace_vectors_end_at_their_free_column(self, rows):
         """Each basis vector holds no zero, maps its free column to 1 and
         ends there, and the free columns increase: what ``_leading``
-        reads."""
+        reads. Its values are in the ``_as_q`` form."""
         m = RatMatrix.from_rows(rows, 8)
         basis = nullspace_basis(m)
         pivots = {col for col, _ in _echelon(m)}
@@ -210,7 +211,9 @@ class TestLinearAlgebra:
         assert [max(v) for v in basis] == free
         for v, f in zip(basis, free):
             assert v[f] == 1 and all(v.values())
-            assert all(type(x) is Fraction for x in v.values())
+            # the _as_q form: an int where integral, else a Fraction
+            assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                       for x in v.values())
             assert set(v) & set(free) == {f}
 
     @given(
@@ -295,3 +298,17 @@ class TestExactRows:
             with pytest.raises(IndexError,
                                match=rf"^row {first} has a column outside \[0, {COLS}\)$"):
                 _exact_rows(bad, COLS)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FormalPoly.const(0.1),
+    lambda: gd_build(1, ["L"], [[[0.1]]], [[[0]]]),
+    lambda: CocycleQuadruple.single(1, 1, 0, 0, 0.1),
+    lambda: CocycleQuadruple.from_vector(1, {0: 0.1}),
+    lambda: DerivationAnsatz.from_dict(1, 1, {(0, 0, 0): (0.1,)}),
+], ids=["const", "gd_build", "single", "from_vector", "from_dict"])
+def test_a_float_is_refused_on_every_route(build):
+    """A float's binary fraction, 3602879701896397/36028797018963968 for
+    0.1, is rarely the number meant, so no constructor takes a float."""
+    with pytest.raises(TypeError, match="0.1 is a float, not an exact scalar"):
+        build()
