@@ -19,6 +19,7 @@ d_λ in place of ad(a), so it shares no formula with either solver.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -134,13 +135,15 @@ def _unknown_indexer(n, P):
     return idx
 
 
-def _lambda_shifts(template, D, stride):
+def _lambda_shifts(template, D, stride, dropped):
     """Rows for the unknowns of λ-degree ≤ D from the k = 0 rows {(key,
-    λ-power): {column: coeff}}, zeros allowed, by the λ-shift lemma of
-    ``_direct_rows``; different k hold disjoint columns, so none are summed."""
+    λ-power): {column: coeff}}, zeros allowed and the ``dropped`` columns
+    left out, by the λ-shift lemma of ``_direct_rows``; different k hold
+    disjoint columns, so none are summed."""
     parts = {}  # key -> [(λ-power, row items with columns less λ-power·stride)]
     for (key, s), row in template.items():
-        if row := {x - s * stride: c for x, c in row.items() if c}:
+        if row := {x - s * stride: c for x, c in row.items()
+                   if c and x not in dropped}:
             parts.setdefault(key, []).append((s, row.items()))
     for rows in parts.values():
         # one k = 0 row per λ-power, so min and max compare λ-powers only
@@ -164,10 +167,10 @@ def _bracket_terms(A, i, j):
             + [(t, c, 0, 1) for t, c in A.star_terms[i][j]])
 
 
-def _direct_rows(A: GDBialgebra, P, D):
-    """Linear system rows for the Leibniz identity over the basis pairs
-    (a_p, a_q) with p ≤ q, one row per (pair, coordinate, ∂λμ-monomial),
-    yielded pair by pair: no two pairs share a row.
+def _direct_rows(A: GDBialgebra, P):
+    """The λ-degree 0 templates of the Leibniz identity over the basis
+    pairs (a_p, a_q) with p ≤ q, one {((coordinate, ∂-power, μ-power),
+    λ-power): row} per pair; no two pairs share a row.
 
     The identity at (a, b) implies it at (b, a), so the pairs p > q add
     no equation. Write the (a, b) identity in a variable ν, set
@@ -191,7 +194,11 @@ def _direct_rows(A: GDBialgebra, P, D):
     ∂ and never changes k. So the rows of the λ-degree-k unknowns are the
     k = 0 rows with every λ-power raised by k and every column offset by
     k·(P+1)·n², as ``_unknown_indexer`` is λ-degree major. Each pair's
-    k = 0 rows are expanded once and shifted (``_lambda_shifts``)."""
+    k = 0 rows are expanded once, and ``_solve`` shifts them.
+
+    Template-peel lemma. A key of one λ-power with a one-entry row {c: v}
+    forces c + k·(P+1)·n², k ≤ D, to 0 in every shift; these unit rows and
+    the shifts of the templates with c dropped span the same row space."""
     n = A.dim
     idx = _unknown_indexer(n, P)
     brk = [[_bracket_terms(A, i, j) for j in range(n)] for i in range(n)]
@@ -201,9 +208,10 @@ def _direct_rows(A: GDBialgebra, P, D):
         eq = rows.setdefault(key, {})
         eq[x] = eq.get(x, 0) + c
 
+    templates = []
     for p in range(n):
         for q in range(p, n):
-            rows = {}  # ((coordinate, ∂-, μ-power), λ-power) -> row at k = 0
+            templates.append(rows := {})
             # d_λ[a_p μ a_q]: c ∂^e μ^f a_m becomes c μ^f (∂+λ)^e d_λ(a_m);
             # e ≤ 1, so every binomial is 1
             for m, c, e, f in brk[p][q]:
@@ -224,14 +232,27 @@ def _direct_rows(A: GDBialgebra, P, D):
                         for s, b in enumerate(binom[i]):
                             add(((t, i - s + e, s + f), 0), idx(q, i, 0, rr),
                                 -b * c)
-            yield from _lambda_shifts(rows, D, (P + 1) * n * n)
+    return templates
 
 
-def _solve(A, rows, P, D):
+def _forced(template, dropped):
+    """Columns that keys of one λ-power and one entry outside ``dropped`` force."""
+    live = {ks: r for ks, row in template.items()
+            if (r := [x for x, c in row.items() if c and x not in dropped])}
+    powers = Counter(key for key, _ in live)
+    return {r[0] for (k, _), r in live.items() if len(r) == 1 == powers[k]}
+
+
+def _solve(A, templates, P, D):
+    """The space of the templates' rows at (P, D), peeled before the shift."""
     if P < 0 or D < 0:
         raise ValueError("ansatz bounds must be non-negative")
-    n = A.dim
-    m = RatMatrix.from_rows(rows, n * (P + 1) * (D + 1) * n)
+    n, stride, forced = A.dim, (P + 1) * A.dim ** 2, set()
+    while new := set().union(*(_forced(t, forced) for t in templates)):
+        forced |= new
+    rows = [{x + k * stride: 1} for x in forced for k in range(D + 1)]
+    rows += (r for t in templates for r in _lambda_shifts(t, D, stride, forced))
+    m = RatMatrix.from_rows(rows, stride * (D + 1))
     return DerivationSpace(A, P, D, tuple(
         DerivationAnsatz.from_vector(n, P, v) for v in nullspace_basis(m)))
 
@@ -243,7 +264,7 @@ def solve_derivations_direct(A: GDBialgebra, partial_bound: int = 3,
     the raw values at these bounds; use stabilized_outer for the
     stabilized outer count."""
     P, D = partial_bound, lambda_bound
-    return _solve(A, _direct_rows(A, P, D), P, D)
+    return _solve(A, _direct_rows(A, P), P, D)
 
 
 # ---------------------------------------------------------------------
@@ -260,12 +281,12 @@ def inner_derivation(A: GDBialgebra, v: int, k: int = 0) -> DerivationAnsatz:
     n = A.dim
     if not 0 <= v < n:
         raise IndexError(f"basis index out of range: {v}")
-    sign = (-1) ** k
-    coeffs = {}
+    idx, sign, vec = _unknown_indexer(n, 1), (-1) ** k, {}
     for j in range(n):
         for t, c, e, f in _bracket_terms(A, v, j):
-            coeffs.setdefault((j, e, k + f), [0] * n)[t] += sign * c
-    return DerivationAnsatz.from_dict(1, k + 1, coeffs)
+            x = idx(j, e, k + f, t)
+            vec[x] = vec.get(x, 0) + sign * c
+    return DerivationAnsatz.from_vector(n, 1, vec)
 
 
 def _inner_vectors(A: GDBialgebra, P, D):
@@ -372,19 +393,20 @@ def detect_unit_like(A: GDBialgebra):
     return None
 
 
-def _closed_rows(A: GDBialgebra, P, D):
-    """Rows of the closed derivation system for d = Σ_{i≤3} ∂^i d^i, with
-    every d^i of i > P set to 0 and the other unknowns indexed like the
-    direct system at bounds (P, D). Its blocks are grouped by the
-    ∂-order of their leading unknowns; at P = 1 only the ∂-order 1 and 0
-    blocks keep a summand.
+def _closed_rows(A: GDBialgebra, P):
+    """The λ-degree 0 templates of the closed derivation system for
+    d = Σ_{i≤3} ∂^i d^i, with every d^i of i > P set to 0 and the other
+    unknowns indexed like the direct system at ∂-bound P. Its blocks are
+    grouped by the ∂-order of their leading unknowns; at P = 1 only the
+    ∂-order 1 and 0 blocks keep a summand.
 
     Each call to ``emit`` sums summands (c, s, i, u, f) standing for
     c·λ^s·f(d^i(u)): u is a sparse ((j, coeff), ...) element, and the
     linear map f sends a_r to the sparse element f[r] (ID: identity). The
-    sum gives one row per output coordinate and λ-power; a summand of
+    sum is one template {(output coordinate, λ-power): row}; a summand of
     i > P is 0 and skipped. d^i_k enters as λ^k·f(d^i_k(u)), so by the
-    λ-shift lemma (``_direct_rows``) the k = 0 rows are shifted."""
+    λ-shift and template-peel lemmas (``_direct_rows``) ``_solve`` peels
+    and shifts the k = 0 rows."""
     n = A.dim
     idx = _unknown_indexer(n, P)
     circ, br, star = A.circ_terms, A.lie_terms, A.star_terms
@@ -393,10 +415,10 @@ def _closed_rows(A: GDBialgebra, P, D):
     def right(grid, b):  # X ↦ X·a_b
         return [grid[r][b] for r in range(n)]
 
-    rows = []
+    templates = []
 
     def emit(*summands):
-        eqs = {}  # (coordinate, λ-power) -> row at k = 0
+        templates.append(eqs := {})
         for c, s, i, u, f in summands:
             if i > P:
                 continue
@@ -406,7 +428,6 @@ def _closed_rows(A: GDBialgebra, P, D):
                     for t, ft in f[r]:
                         eq = eqs.setdefault((t, s), {})
                         eq[base + r] = eq.get(base + r, 0) + c * uj * ft
-        rows.extend(_lambda_shifts(eqs, D, (P + 1) * n * n))
 
     for p in range(n):
         for q in range(n):
@@ -466,7 +487,7 @@ def _closed_rows(A: GDBialgebra, P, D):
                  *((-(-1) ** i, i + 1, i, a, s_q) for i in range(4)),
                  *((-(-1) ** i, i, i, a, q_l) for i in range(4)),
                  (-1, 0, 0, b, l_p))
-    return rows
+    return templates
 
 
 def solve_derivations_theorem(A: GDBialgebra, lambda_bound: int = 4,
@@ -495,7 +516,7 @@ def solve_derivations_theorem(A: GDBialgebra, lambda_bound: int = 4,
         )
     P = min(1 if found is not None and found[0] == "left" else 3,
             partial_bound)
-    return _solve(A, _closed_rows(A, P, D), P, D)
+    return _solve(A, _closed_rows(A, P), P, D)
 
 
 def spaces_agree(a: DerivationSpace, b: DerivationSpace):

@@ -8,7 +8,6 @@ compatibility identity tying the two together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .poly import ZERO, _as_q
@@ -183,7 +182,7 @@ def _violations(n, axioms):
     sign·outer(x, inner(y, z)) when it is "x(yz)", where outer and inner
     are product grids and (x, y, z) is the triple permuted by perm, a
     string such as "jik". A triple's identity is summed into one
-    {k: coeff} dict; a nonzero sum becomes a dense Fraction residual."""
+    {k: coeff} dict; a nonzero sum becomes a dense ``_as_q`` residual."""
     tables = [(name, [(sign, outer, inner, nesting == "(xy)z",
                        tuple("ijk".index(c) for c in perm))
                       for sign, outer, inner, nesting, perm in terms])
@@ -203,7 +202,7 @@ def _violations(n, axioms):
                                 r[s] = r.get(s, 0) + u * v
                     if any(r.values()):
                         out.append(Violation(name, i, j, k, tuple(
-                            Fraction(r.get(s, 0)) for s in range(n))))
+                            _as_q(r.get(s, 0)) for s in range(n))))
     return out
 
 

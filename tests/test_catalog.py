@@ -9,7 +9,7 @@ from qlca import (CatalogEntry, RatMatrix, bracket_basis, catalog_build,
                   solve_derivations_direct, solve_derivations_theorem,
                   solve_extensions_direct, solve_extensions_theorem,
                   standard_entries)
-from qlca.derivations import _direct_rows, _inner_vectors
+from qlca.derivations import _direct_rows, _inner_vectors, _lambda_shifts
 from qlca.poly import span_coordinates_many
 
 
@@ -87,6 +87,14 @@ def _trunc_poly(n, kappa):
     return gd_build(n, [f"x{i}" for i in range(n)], nov, lie)
 
 
+def full_rows(builder, A, P, D):
+    """The plain, unpeeled λ-shift at bounds (P, D) of the templates that a
+    derivation row builder returns: the whole system, before any peel."""
+    stride = (P + 1) * A.dim ** 2
+    return [row for t in builder(A, P)
+            for row in _lambda_shifts(t, D, stride, ())]
+
+
 def _integral_algebras():
     cases = [pytest.param(e.build, id=entry_label(e)) for e in standard_entries()]
     cases += [pytest.param(lambda k=k: _trunc_poly(6, k), id=f"trunc_poly:n=6,kappa={k}")
@@ -128,7 +136,8 @@ def test_integral_algebras_compute_in_exact_scalars(build):
     coords = span_coordinates_many(vd, vt)
     assert None not in coords and all(_normal(x) for c in coords for x in c)
 
-    system = RatMatrix.from_rows(_direct_rows(A, 1, 2), n * 2 * 3 * n)
+    system = RatMatrix.from_rows(full_rows(_direct_rows, A, 1, 2),
+                                 n * 2 * 3 * n)
     assert all(_normal(x) for v in nullspace_basis(system) for x in v.values())
     derivations = solve_derivations_direct(A, 1, 2)
     for sp in (derivations, solve_derivations_theorem(A, 2, assert_simple=True)):

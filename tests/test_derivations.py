@@ -21,7 +21,8 @@ from qlca import derivations
 from qlca.cli import main
 from qlca.derivations import (_bracket_terms, _closed_rows, _direct_rows,
                               _inner_vectors, _unknown_indexer)
-from test_catalog import _integral_algebras, _trunc_poly
+from qlca.poly import _peel
+from test_catalog import _integral_algebras, _trunc_poly, full_rows
 from test_conformal import basis_expr, expr_add, expr_is_zero, expr_sub
 from test_extensions import random_unvalidated_table
 
@@ -237,7 +238,7 @@ class TestSolverAgreement:
         can only keep the true derivations or add to them."""
         R = catalog_entry.build()
         n = R.dim
-        rows = _closed_rows(R, P, D)
+        rows = full_rows(_closed_rows, R, P, D)
         for d in solve_derivations_direct(R, P, D).basis:
             v = d.as_vector(n, P, D)
             assert [row for row in rows
@@ -381,7 +382,8 @@ class TestSparseStore:
     def test_solver_vectors_round_trip(self, catalog_entry, P, D):
         A = catalog_entry.build()
         n, cols = A.dim, A.dim * (P + 1) * (D + 1) * A.dim
-        for rows in (_direct_rows(A, P, D), _closed_rows(A, P, D)):
+        for rows in (full_rows(_direct_rows, A, P, D),
+                     full_rows(_closed_rows, A, P, D)):
             for v in nullspace_basis(RatMatrix.from_rows(rows, cols)):
                 d = DerivationAnsatz.from_vector(n, P, v)
                 keys = [key for key, _ in d.entries]
@@ -485,7 +487,8 @@ def test_direct_system_has_the_engine_nullspace(build):
                                 rows.setdefault((p, q, t, mono), {})[
                                     idx(j, i, k, r)] = c
     oracle = nullspace_basis(RatMatrix.from_rows(rows.values(), cols))
-    direct = nullspace_basis(RatMatrix.from_rows(_direct_rows(R, P, D), cols))
+    direct = nullspace_basis(RatMatrix.from_rows(
+        full_rows(_direct_rows, R, P, D), cols))
     assert direct == oracle
 
 
@@ -716,9 +719,9 @@ def test_shifted_builders_give_the_expanded_rows(build, P, D):
     """Shifting each λ-degree 0 row across λ-degrees builds the rows that
     expanding the identity once per λ-degree builds, each as often."""
     A = build()
-    assert (row_multiset(_direct_rows(A, P, D))
+    assert (row_multiset(full_rows(_direct_rows, A, P, D))
             == row_multiset(reference_direct_rows(A, P, D)))
-    assert (row_multiset(_closed_rows(A, P, D))
+    assert (row_multiset(full_rows(_closed_rows, A, P, D))
             == row_multiset(reference_closed_rows(A, P, D)))
 
 
@@ -729,7 +732,110 @@ def test_shifted_builders_on_unvalidated_tables():
     for t in range(30):
         A = random_unvalidated_table(rng)
         P, D = BUILDER_BOUNDS[t % len(BUILDER_BOUNDS)]
-        assert (row_multiset(_direct_rows(A, P, D))
+        assert (row_multiset(full_rows(_direct_rows, A, P, D))
                 == row_multiset(reference_direct_rows(A, P, D)))
-        assert (row_multiset(_closed_rows(A, P, D))
+        assert (row_multiset(full_rows(_closed_rows, A, P, D))
                 == row_multiset(reference_closed_rows(A, P, D)))
+
+
+# ---------------------------------------------------------------------
+# The template peel against the whole shifted system
+# ---------------------------------------------------------------------
+
+
+PEEL_BOUNDS = ((0, 0), (1, 2), (3, 4), (3, 6))
+
+
+def template_forced(templates):
+    """The base columns that the template peel forces, round after round."""
+    forced = set()
+    while new := set().union(*(derivations._forced(t, forced)
+                               for t in templates)):
+        forced |= new
+    return forced
+
+
+def assert_the_peel_keeps_the_space(A, P, D):
+    """For both builders: ``_solve``, which peels the templates before the
+    shift, returns the nullspace basis of the whole shifted system, and
+    each column that the templates force at a λ-degree k ≤ D is one that
+    ``poly._peel`` forces on the whole system."""
+    n, stride = A.dim, (P + 1) * A.dim ** 2
+    for builder in (_direct_rows, _closed_rows):
+        rows = full_rows(builder, A, P, D)
+        whole = nullspace_basis(RatMatrix.from_rows(rows, stride * (D + 1)))
+        space = derivations._solve(A, builder(A, P), P, D)
+        assert [d.as_vector(n, P, D) for d in space.basis] == whole
+        forced = template_forced(builder(A, P))
+        assert ({x + k * stride for x in forced for k in range(D + 1)}
+                <= _peel(rows)[0])
+
+
+@pytest.mark.parametrize("build", _integral_algebras())
+@pytest.mark.parametrize("P, D", PEEL_BOUNDS)
+def test_the_template_peel_keeps_the_space(build, P, D):
+    assert_the_peel_keeps_the_space(build(), P, D)
+
+
+def test_the_template_peel_on_unvalidated_tables():
+    rng = random.Random(20261022)
+    for t in range(24):
+        A = random_unvalidated_table(rng)
+        assert_the_peel_keeps_the_space(A, *PEEL_BOUNDS[t % len(PEEL_BOUNDS)])
+
+
+def test_the_template_peel_forces_most_base_columns(monkeypatch):
+    """On loop_hv_cyclic:m=3 the templates force most of the 144 base
+    columns, and the peeled systems the solvers eliminate are a fraction
+    of the whole ones."""
+    A = catalog_build("loop_hv_cyclic", m=3)
+    assert len(template_forced(_direct_rows(A, 3))) > 72
+    sizes = []
+
+    class Recorder(RatMatrix):
+        @classmethod
+        def from_rows(cls, rows, cols):
+            rows = list(rows)
+            sizes.append(len(rows))
+            return RatMatrix.from_rows(rows, cols)
+
+    monkeypatch.setattr(derivations, "RatMatrix", Recorder)
+    solve_derivations_direct(A, 3, 6)
+    P = solve_derivations_theorem(A, 4).partial_bound
+    assert sizes[0] * 3 < len(full_rows(_direct_rows, A, 3, 6))
+    assert sizes[1] * 3 < len(full_rows(_closed_rows, A, P, 4))
+
+
+def test_a_one_entry_row_beside_another_lambda_power_forces_nothing():
+    """The key "k" holds a one-entry row at λ-power 0 and a row at
+    λ-power 1. Shifted, the λ-power 0 row of the unknowns of λ-degree 1
+    meets the λ-power 1 row of those of λ-degree 0, so only the k = 0
+    copy is one entry: the template forces nothing, and the whole system
+    leaves the column ``stride`` free."""
+    stride, D = 2, 1
+    template = {("k", 0): {0: 1}, ("k", 1): {0: 2, 1: 1}}
+    assert derivations._forced(template, set()) == set()
+    rows = list(derivations._lambda_shifts(template, D, stride, ()))
+    assert _peel(rows)[0] == {0}
+    whole = nullspace_basis(RatMatrix.from_rows(rows, stride * (D + 1)))
+    assert any(v.get(stride) for v in whole)
+
+
+def test_the_template_peel_reads_nonzero_entries_outside_the_dropped():
+    """A zero coefficient is no entry, and a dropped column is no longer
+    one, so each of these rows is one entry and forces its column."""
+    assert derivations._forced({("a", 0): {3: 1, 4: 0}}, set()) == {3}
+    assert derivations._forced({("a", 0): {3: 1, 5: 2}}, {5}) == {3}
+    assert derivations._forced({("a", 0): {3: 1, 5: 2}}, set()) == set()
+
+
+def test_inner_derivation_has_the_algebra_dimension(inner_case):
+    """inner_derivation builds through from_vector, so its dim is the
+    algebra's even where ad(a_v) is 0, and the zero map compares equal
+    to the zero ansatz of that dimension."""
+    A = inner_case()
+    for v in range(A.dim):
+        for k in (0, 2):
+            assert inner_derivation(A, v, k).dim == A.dim
+    zero = inner_derivation(catalog_build("current", g="abelian", n=2), 0)
+    assert zero.dim == 2 and zero == DerivationAnsatz.from_vector(2, 1, {})

@@ -210,3 +210,31 @@ class TestCheckersAgainstOracle:
             assert found == [Violation(*v) for v in brute_force_violations(A)]
             total += len(found)
         assert total > 0
+
+
+def test_residuals_take_the_exact_scalar_form():
+    """A residual coordinate is an int where integral, else a Fraction: an
+    integral table's residuals are all ints, and a table with a half gets
+    a Fraction only where the sum is not integral."""
+    nov, lie = zero_table(2), zero_table(2)
+    nov[0][0][1] = nov[1][1][0] = 1
+    found = check_novikov(gd_build(2, ["a", "b"], nov, lie, validate=False))
+    assert found and all(type(x) is int for v in found for x in v.residual)
+    rng = random.Random(31)
+    base = catalog_build("vir_current", g="sl2")
+    n = base.dim
+    for _ in range(10):
+        nov = dense(base.circ_terms, n)
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        nov[i][j][k] += rng.choice((-2, -1, 1, 2))
+        A = gd_build(n, base.basis_names, nov, dense(base.lie_terms, n),
+                     validate=False)
+        assert all(type(x) is int for v in check_novikov(A) + check_gd_compat(A)
+                   for x in v.residual)
+    nov = zero_table(2)
+    nov[0][0][1], nov[1][1][0] = Fraction(1, 2), 1
+    found = check_novikov(gd_build(2, ["a", "b"], nov, zero_table(2),
+                                   validate=False))
+    coords = [x for v in found for x in v.residual]
+    assert Fraction(1, 2) in coords and 0 in coords
+    assert all(type(x) is (int if x == int(x) else Fraction) for x in coords)
